@@ -162,7 +162,7 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
 
     mapping, similarity = assign_similarity(mapping, g_reac, g_prod, cfg.weights)
     logger.info("similarity assignment: %d pairs total", len(mapping.pairs))
-    mapping = refine_symmetric_paths(mapping, g_reac, g_prod, cfg.weights)
+    mapping = refine_symmetric_paths(mapping, g_reac, g_prod, similarity)
     mapping = swap_hydrogens(mapping, g_reac, g_prod, cfg.hydrogen_tolerance)
     state.mapping = mapping
     state.similarity = similarity

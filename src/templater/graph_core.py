@@ -12,7 +12,7 @@ read-only and safe to call concurrently.  Expensive per-node quantities
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -10,7 +10,9 @@ neighbors across matched heavy atoms.
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,8 @@ from templater.conserved_mapping import (
     AtomMapping,
 )
 from templater.graph_core import UnifiedGraph
+
+logger = logging.getLogger("templater")
 
 HYDROGEN_MASS = 1.008
 DEFAULT_HYDROGEN_TOLERANCE = 0.01
@@ -107,12 +111,38 @@ def similarity_score(
 
 @dataclass
 class SimilarityMatrix:
-    """Scores for every unmapped reactant row against product column."""
+    """Scores for every unmapped reactant row against product column.
+
+    This is the one place pairs are scored: the assignment reads it, and so
+    does path refinement.
+    """
 
     rows: list[int]
     cols: list[int]
     scores: np.ndarray
-    depths: np.ndarray
+
+
+def _shell_histograms(
+    graph: UnifiedGraph,
+    gids: list[int],
+    max_depth: int,
+    label_of: dict[int, tuple[int, int]],
+    n_labels: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label counts ``(max_depth, len(gids), n_labels)`` and sizes
+    ``(max_depth, len(gids))`` of the depth 1..max_depth shells of each node."""
+    sizes = np.zeros((max_depth, len(gids)), dtype=np.int64)
+    cells = []
+    for i, gid in enumerate(gids):
+        for k, shell in enumerate(graph.shells(gid)[1 : max_depth + 1]):
+            sizes[k, i] = len(shell)
+            base = (k * len(gids) + i) * n_labels
+            for n in shell:
+                cells.extend(base + label for label in label_of[n])
+    counts = np.bincount(
+        np.array(cells, dtype=np.intp), minlength=max_depth * len(gids) * n_labels
+    )
+    return counts.reshape(max_depth, len(gids), n_labels), sizes
 
 
 def build_similarity_matrix(
@@ -122,17 +152,49 @@ def build_similarity_matrix(
     cols: set[int],
     weights: ScoringWeights = ScoringWeights(),
 ) -> SimilarityMatrix:
+    """Score every row/column pair at once; each cell equals ``similarity_score``.
+
+    Shells become per-depth histograms over one label index holding type ids
+    and exact masses as separate labels, so a shell overlap is
+    ``np.minimum(h_r, h_p).sum(-1)``.  Depths are added up in the order the
+    scalar function adds them, which keeps every cell bit-identical to it.
+    """
     row_ids = sorted(rows)
     col_ids = sorted(cols)
+    labels: dict[tuple[str, float], int] = {}
+
+    def label_of(graph: UnifiedGraph) -> dict[int, tuple[int, int]]:
+        return {
+            gid: (
+                labels.setdefault(("type", node.type_id), len(labels)),
+                labels.setdefault(("mass", node.mass), len(labels)),
+            )
+            for gid, node in graph.nodes.items()
+        }
+
+    labels_reac = label_of(g_reac)
+    labels_prod = label_of(g_prod)
+    ecc_r = np.array([len(g_reac.shells(r)) - 1 for r in row_ids], dtype=np.int64)
+    ecc_p = np.array([len(g_prod.shells(p)) - 1 for p in col_ids], dtype=np.int64)
+    depth = np.maximum(1, np.minimum.outer(ecc_r, ecc_p))
+    max_depth = int(depth.max(initial=1))
+    hist_r, size_r = _shell_histograms(g_reac, row_ids, max_depth, labels_reac, len(labels))
+    hist_p, size_p = _shell_histograms(g_prod, col_ids, max_depth, labels_prod, len(labels))
+
+    type_r = np.array([g_reac.nodes[r].type_id for r in row_ids])
+    type_p = np.array([g_prod.nodes[p].type_id for p in col_ids])
+    mass_r = np.array([g_reac.nodes[r].mass for r in row_ids], dtype=float)
+    mass_p = np.array([g_prod.nodes[p].mass for p in col_ids], dtype=float)
+    root = (
+        weights.alpha * np.equal.outer(type_r, type_p)
+        + weights.beta * np.equal.outer(mass_r, mass_p)
+    )
     scores = np.zeros((len(row_ids), len(col_ids)))
-    depths = np.zeros((len(row_ids), len(col_ids)), dtype=int)
-    for i, r in enumerate(row_ids):
-        ecc_r = len(g_reac.shells(r)) - 1
-        for j, p in enumerate(col_ids):
-            ecc_p = len(g_prod.shells(p)) - 1
-            scores[i, j] = similarity_score(r, p, g_reac, g_prod, weights)
-            depths[i, j] = max(1, min(ecc_r, ecc_p))
-    return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores, depths=depths)
+    for k in range(max_depth):
+        shared = np.minimum(hist_r[k][:, None, :], hist_p[k][None, :, :]).sum(axis=-1)
+        overlap = shared / np.maximum(np.maximum.outer(size_r[k], size_p[k]), 1)
+        scores += np.where(k < depth, root + weights.gamma * overlap, 0.0)
+    return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores)
 
 
 @dataclass
@@ -203,6 +265,7 @@ def assign_similarity(
     matrix = build_similarity_matrix(
         g_reac, g_prod, result.unmapped_reactant, result.unmapped_product, weights
     )
+    logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
     assignment = solve_assignment(build_cost_matrix(matrix))
     for r_gid, p_gid in assignment.pairs:
         result.add(r_gid, p_gid, SIMILARITY)
@@ -215,15 +278,20 @@ def _consistency_objective(
     nodes: set[int],
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
-    weights: ScoringWeights,
+    score: Callable[[int, int], float],
 ) -> float:
-    """Similarity plus one unit per preserved edge, summed over nodes."""
+    """Similarity of movable pairs plus one unit per preserved edge, over nodes.
+
+    Conserved anchors add only their edges: a swap never changes their
+    similarity, so it would be the same term on both sides of a comparison.
+    """
     total = 0.0
     for r in nodes:
         p = mapping.pairs.get(r)
         if p is None:
             continue
-        total += similarity_score(r, p, g_reac, g_prod, weights)
+        if not mapping.is_conserved(r):
+            total += score(r, p)
         for x in g_reac.neighbors(r):
             image = mapping.pairs.get(x)
             if image is not None and g_prod.has_edge(p, image):
@@ -235,7 +303,7 @@ def refine_symmetric_paths(
     mapping: AtomMapping,
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
-    weights: ScoringWeights = ScoringWeights(),
+    matrix: SimilarityMatrix | None,
 ) -> AtomMapping:
     """Resolve mappings of structurally indistinguishable alternatives.
 
@@ -245,12 +313,27 @@ def refine_symmetric_paths(
     Conserved pairs act as fixed anchors: they are never re-paired but their
     preserved edges reward candidates consistent with them.  The pass keeps
     the injection, never changes cardinality, and is idempotent.
+
+    Similarities are read from ``matrix``, the one ``assign_similarity``
+    returned: every non-conserved pair a swap can form is one of its cells.
+    ``None`` (nothing was left to assign) means there is nothing to move.
     """
     result = mapping.copy()
     movable = sorted(r for r in result.pairs if not result.is_conserved(r))
+    if not movable:
+        return result
+    row_of = {r: i for i, r in enumerate(matrix.rows)}
+    col_of = {p: j for j, p in enumerate(matrix.cols)}
+    scores = matrix.scores.tolist()
+
+    def score(r: int, p: int) -> float:
+        return scores[row_of[r]][col_of[p]]
+
+    sweeps = swaps = 0
     improved = True
     while improved:
         improved = False
+        sweeps += 1
         for i, u in enumerate(movable):
             for v in movable[i + 1 :]:
                 if g_reac.nodes[u].mass != g_reac.nodes[v].mass:
@@ -258,19 +341,21 @@ def refine_symmetric_paths(
                 affected = {u, v}
                 affected.update(x for x in g_reac.neighbors(u) if x in result.pairs)
                 affected.update(x for x in g_reac.neighbors(v) if x in result.pairs)
-                before = _consistency_objective(result, affected, g_reac, g_prod, weights)
+                before = _consistency_objective(result, affected, g_reac, g_prod, score)
                 image_u, image_v = result.pairs[u], result.pairs[v]
                 prov_u, prov_v = result.provenance[u], result.provenance[v]
                 result.repair(u, None, "")
                 result.repair(v, image_u, PATH_REFINED)
                 result.repair(u, image_v, PATH_REFINED)
-                after = _consistency_objective(result, affected, g_reac, g_prod, weights)
+                after = _consistency_objective(result, affected, g_reac, g_prod, score)
                 if after > before + _IMPROVEMENT_EPS:
                     improved = True
+                    swaps += 1
                 else:
                     result.repair(u, None, "")
                     result.repair(v, image_v, prov_v)
                     result.repair(u, image_u, prov_u)
+    logger.info("path refinement: %d sweep(s), %d swap(s)", sweeps, swaps)
     return result
 
 

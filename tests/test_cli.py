@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -142,6 +143,21 @@ class TestDeterminism:
             assert main(run_args(out_dir, ["--export-dot", "--export-similarity-csv"])) == 0
             outputs.append(read_outputs(out_dir))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_log_level_leaves_report_unchanged(self, tmp_path, caplog):
+        reports = {}
+        for level in (logging.INFO, logging.WARNING):
+            caplog.clear()
+            caplog.set_level(level, logger="templater")
+            out_dir = tmp_path / logging.getLevelName(level)
+            run_pipeline(
+                RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS, out_dir=str(out_dir))
+            )
+            reports[level] = read_outputs(out_dir)["report.json"]
+            at_info = level == logging.INFO
+            assert ("similarity matrix: 7 x 4" in caplog.messages) == at_info
+            assert ("path refinement: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
+        assert reports[logging.INFO] == reports[logging.WARNING]
 
 
 class TestExportDot:

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_topology
+from conftest import CASE_STUDIES, make_graph, make_topology
+from templater.cli import RunConfig, run_stages
 from templater.conserved_mapping import (
     HYDROGEN_SWAPPED,
     PATH_REFINED,
@@ -55,6 +56,46 @@ def similarity_score_oracle(v_r, v_p, g_reac, g_prod, weights=ScoringWeights()):
     return score
 
 
+# Masses equal to type ids (and shared by two types): a type and a mass
+# that compare equal must still count as different labels.
+TYPE_VALUED_MASSES = {1: 2.0, 2: 1.0, 3: 4.0, 4: 2.0}
+
+
+def random_forest_topology(rng, n_atoms, masses):
+    """One molecule whose atoms are tied into trees; some stay isolated."""
+    atoms = [(i, rng.randint(1, 4), 0.0) for i in range(1, n_atoms + 1)]
+    bonds = [(rng.randint(1, i - 1), i) for i in range(2, n_atoms + 1) if rng.random() < 0.7]
+    return make_topology(atoms, bonds, masses)
+
+
+def multi_molecule_pairs(rng):
+    """Sides of one to three molecules, with isolated atoms and varied weights."""
+    weights = [ScoringWeights(), ScoringWeights(0.3, 0.3, 0.4), ScoringWeights(0.1, 0.7, 0.2)]
+    pairs = []
+    for trial in range(30):
+        masses = (MASSES, TYPE_VALUED_MASSES)[trial % 2]
+        sides = [
+            build_unified_graph(
+                [
+                    random_forest_topology(rng, rng.randint(1, 8), masses)
+                    for _ in range(rng.randint(1, 3))
+                ],
+                side,
+            )
+            for side in ("reactant", "product")
+        ]
+        pairs.append((*sides, weights[trial % len(weights)]))
+    return pairs
+
+
+def case_study_pairs():
+    pairs = []
+    for reactants, products in CASE_STUDIES.values():
+        state = run_stages(RunConfig(reactants=reactants, products=products), through="graphs")
+        pairs.append((state.g_reac, state.g_prod, ScoringWeights()))
+    return pairs
+
+
 class TestScoringWeights:
     def test_defaults_normalized(self):
         assert ScoringWeights().is_normalized
@@ -91,6 +132,7 @@ class TestSimilarityScore:
 
     def test_matches_straight_line_oracle(self):
         rng = random.Random(17)
+        graph_pairs = []
         for _ in range(40):
             n = rng.randint(2, 9)
             bonds = [(rng.randint(1, i - 1), i) for i in range(2, n + 1)]
@@ -100,11 +142,19 @@ class TestSimilarityScore:
             bonds_p = [(rng.randint(1, i - 1), i) for i in range(2, m + 1)]
             atoms_p = [(i, rng.randint(1, 4), 0.0) for i in range(1, m + 1)]
             g2 = make_graph(atoms_p, bonds_p, MASSES, "product")
-            for v_r in g1.nodes:
-                for v_p in g2.nodes:
-                    assert similarity_score(v_r, v_p, g1, g2) == pytest.approx(
-                        similarity_score_oracle(v_r, v_p, g1, g2), abs=1e-12
+            graph_pairs.append((g1, g2, ScoringWeights()))
+        graph_pairs += multi_molecule_pairs(random.Random(23))
+        graph_pairs += case_study_pairs()
+        for g1, g2, weights in graph_pairs:
+            matrix = build_similarity_matrix(g1, g2, set(g1.nodes), set(g2.nodes), weights)
+            assert matrix.scores.shape == (len(g1.nodes), len(g2.nodes))
+            for i, v_r in enumerate(matrix.rows):
+                for j, v_p in enumerate(matrix.cols):
+                    score = similarity_score(v_r, v_p, g1, g2, weights)
+                    assert score == pytest.approx(
+                        similarity_score_oracle(v_r, v_p, g1, g2, weights), abs=1e-12
                     )
+                    assert matrix.scores[i, j] == score
 
     def test_symmetric_overlap(self):
         g1 = make_graph([(1, 1, 0.0), (2, 3, 0.0)], [(1, 2)], MASSES, "reactant")
@@ -204,19 +254,90 @@ def para_ring_system():
     return g_reac, g_prod
 
 
+def refine_oracle(mapping, g_reac, g_prod, weights=ScoringWeights()):
+    """Path refinement as it was before it read the matrix.
+
+    Every objective evaluation re-scores pairs with the scalar
+    ``similarity_score`` and keeps the conserved anchors' similarity terms.
+    """
+
+    def objective(current, nodes):
+        total = 0.0
+        for r in nodes:
+            p = current.pairs.get(r)
+            if p is None:
+                continue
+            total += similarity_score(r, p, g_reac, g_prod, weights)
+            for x in g_reac.neighbors(r):
+                image = current.pairs.get(x)
+                if image is not None and g_prod.has_edge(p, image):
+                    total += 1.0
+        return total
+
+    result = mapping.copy()
+    movable = sorted(r for r in result.pairs if not result.is_conserved(r))
+    improved = True
+    while improved:
+        improved = False
+        for i, u in enumerate(movable):
+            for v in movable[i + 1 :]:
+                if g_reac.nodes[u].mass != g_reac.nodes[v].mass:
+                    continue
+                affected = {u, v}
+                affected.update(x for x in g_reac.neighbors(u) if x in result.pairs)
+                affected.update(x for x in g_reac.neighbors(v) if x in result.pairs)
+                before = objective(result, affected)
+                image_u, image_v = result.pairs[u], result.pairs[v]
+                prov_u, prov_v = result.provenance[u], result.provenance[v]
+                result.repair(u, None, "")
+                result.repair(v, image_u, PATH_REFINED)
+                result.repair(u, image_v, PATH_REFINED)
+                after = objective(result, affected)
+                if after > before + 1e-12:
+                    improved = True
+                else:
+                    result.repair(u, None, "")
+                    result.repair(v, image_v, prov_v)
+                    result.repair(u, image_u, prov_u)
+    return result
+
+
+def scrambled(mapping, g_reac, rng):
+    """The mapping with images shuffled among non-conserved atoms of equal mass."""
+    groups = {}
+    for r in sorted(mapping.pairs):
+        if not mapping.is_conserved(r):
+            groups.setdefault(g_reac.nodes[r].mass, []).append(r)
+    shuffled = mapping.copy()
+    for members in groups.values():
+        images = [mapping.pairs[r] for r in members]
+        rng.shuffle(images)
+        for r in members:
+            shuffled.repair(r, None, "")
+        for r, image in zip(members, images):
+            shuffled.add(r, image, "similarity")
+    return shuffled
+
+
+def crosswise(mapping, a, b):
+    """The mapping with the images of a and b exchanged."""
+    broken = mapping.copy()
+    image_a, image_b = broken.pairs[a], broken.pairs[b]
+    broken.repair(a, None, "")
+    broken.repair(b, image_a, "similarity")
+    broken.repair(a, image_b, "similarity")
+    return broken
+
+
 class TestRefineSymmetricPaths:
     def test_edge_consistency_resolves_equivalent_paths(self):
         g_reac, g_prod = para_ring_system()
         mapping = iterate_conserved(g_reac, g_prod)
         assert set(mapping.pairs) == {7, 8}
-        mapping, _ = assign_similarity(mapping, g_reac, g_prod)
+        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
         # Force a crosswise ring assignment, then require repair.
-        broken = mapping.copy()
-        image_2, image_6 = broken.pairs[2], broken.pairs[6]
-        broken.repair(2, None, "")
-        broken.repair(6, image_2, "similarity")
-        broken.repair(2, image_6, "similarity")
-        refined = refine_symmetric_paths(broken, g_reac, g_prod)
+        broken = crosswise(mapping, 2, 6)
+        refined = refine_symmetric_paths(broken, g_reac, g_prod, matrix)
         for a, b in g_reac.edges:
             if a in refined.pairs and b in refined.pairs:
                 assert g_prod.has_edge(refined.pairs[a], refined.pairs[b])
@@ -228,14 +349,15 @@ class TestRefineSymmetricPaths:
         mapping = AtomMapping()
         for i in (1, 2, 3):
             mapping.add(i, i, "similarity")
-        refined = refine_symmetric_paths(mapping, g1, g2)
+        matrix = build_similarity_matrix(g1, g2, {1, 2, 3}, {1, 2, 3})
+        refined = refine_symmetric_paths(mapping, g1, g2, matrix)
         assert refined.pairs == mapping.pairs
 
     def test_preserves_cardinality_and_conserved_pairs(self):
         g_reac, g_prod = para_ring_system()
         mapping = iterate_conserved(g_reac, g_prod)
-        mapping, _ = assign_similarity(mapping, g_reac, g_prod)
-        refined = refine_symmetric_paths(mapping, g_reac, g_prod)
+        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
+        refined = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
         assert len(refined.pairs) == len(mapping.pairs)
         for r in mapping.pairs:
             if mapping.is_conserved(r):
@@ -244,10 +366,41 @@ class TestRefineSymmetricPaths:
     def test_idempotent(self):
         g_reac, g_prod = para_ring_system()
         mapping = iterate_conserved(g_reac, g_prod)
-        mapping, _ = assign_similarity(mapping, g_reac, g_prod)
-        once = refine_symmetric_paths(mapping, g_reac, g_prod)
-        twice = refine_symmetric_paths(once, g_reac, g_prod)
+        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
+        once = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
+        twice = refine_symmetric_paths(once, g_reac, g_prod, matrix)
         assert once.pairs == twice.pairs
+
+    def test_matches_rescoring_oracle(self):
+        from test_acceptance import synthetic_reaction
+
+        systems = [para_ring_system()] + [pair[:2] for pair in case_study_pairs()]
+        rng = random.Random(777)
+        for trial in range(50):
+            reactants, products, _ = synthetic_reaction(rng, delete_leaves=(trial % 2 == 1))
+            systems.append(
+                (build_unified_graph(reactants, "reactant"), build_unified_graph(products, "product"))
+            )
+        starts = []
+        for g_reac, g_prod in systems:
+            mapping, matrix = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+            starts.append((mapping, g_reac, g_prod, matrix))
+        mapping, g_reac, g_prod, matrix = starts[0]
+        starts.append((crosswise(mapping, 2, 6), g_reac, g_prod, matrix))
+        shuffle_rng = random.Random(5)
+        starts += [
+            (scrambled(mapping, g_reac, shuffle_rng), g_reac, g_prod, matrix)
+            for mapping, g_reac, g_prod, matrix in starts
+        ]
+
+        refined_any = False
+        for mapping, g_reac, g_prod, matrix in starts:
+            expected = refine_oracle(mapping, g_reac, g_prod)
+            refined = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
+            assert refined.pairs == expected.pairs
+            assert refined.provenance == expected.provenance
+            refined_any |= PATH_REFINED in refined.provenance.values()
+        assert refined_any
 
 
 def methane_pair_system(cross: bool):

@@ -235,8 +235,8 @@ class TestPipelineOnEmittedTemplates:
             g_reac = build_unified_graph(reactant_topos, "reactant")
             g_prod = build_unified_graph([product_topo], "product")
             mapping = iterate_conserved(g_reac, g_prod)
-            mapping, _ = assign_similarity(mapping, g_reac, g_prod)
-            mapping = refine_symmetric_paths(mapping, g_reac, g_prod)
+            mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
+            mapping = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
             mapping = swap_hydrogens(mapping, g_reac, g_prod)
             report = build_report(mapping, g_reac, g_prod)
 
