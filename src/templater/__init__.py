@@ -11,10 +11,7 @@ from templater.graph_core import (
     AtomNode,
     UnifiedGraph,
     build_unified_graph,
-    eccentricity_within_component,
     eigenvector_centrality,
-    enumerate_features,
-    shortest_path_distances,
 )
 from templater.lammps_io import (
     MoleculeTemplateFile,
@@ -61,9 +58,7 @@ __all__ = [
     "build_report",
     "build_similarity_matrix",
     "build_unified_graph",
-    "eccentricity_within_component",
     "eigenvector_centrality",
-    "enumerate_features",
     "iterate_conserved",
     "mark_edge_atoms",
     "max_common_subgraph",
@@ -73,7 +68,6 @@ __all__ = [
     "refine_symmetric_paths",
     "run_pipeline",
     "run_stages",
-    "shortest_path_distances",
     "similarity_score",
     "solve_assignment",
     "swap_hydrogens",

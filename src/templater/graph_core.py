@@ -6,23 +6,18 @@ of the source molecule; edges come from the Bonds section of the inputs.
 
 Graphs are immutable after construction, so every operation here is
 read-only and safe to call concurrently.  Expensive per-node quantities
-(BFS shells, eccentricities, centralities) are cached on first use.
+(BFS shells, centralities) are cached on first use.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from templater.errors import EmptyTopology, NoEdges
 from templater.lammps_io import SystemTopology
-
-CENTRALITY_TOLERANCE = 1e-10
-CENTRALITY_MAX_ITERATIONS = 10_000
-
 
 @dataclass(frozen=True)
 class AtomNode:
@@ -140,74 +135,6 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
     return UnifiedGraph(side=side, nodes=nodes, edges=edges)
 
 
-@dataclass
-class FeatureSet:
-    """Topological features of a graph, canonicalized by type signature.
-
-    Each entry pairs the participating node tuple with the tuple of their
-    type ids, stored in the orientation whose signature is lexicographically
-    smallest (node ids break signature ties).
-    """
-
-    bonds: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
-    angles: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = field(default_factory=list)
-    dihedrals: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
-    impropers: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
-
-
-def _orient(graph: UnifiedGraph, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    forward = tuple(graph.nodes[n].type_id for n in nodes)
-    reverse = tuple(reversed(forward))
-    if (reverse, tuple(reversed(nodes))) < (forward, nodes):
-        return tuple(reversed(nodes)), reverse
-    return nodes, forward
-
-
-def enumerate_features(graph: UnifiedGraph) -> FeatureSet:
-    """Enumerate bonds, angles, dihedrals and impropers exactly once."""
-    features = FeatureSet()
-    for a, b in sorted(graph.edges):
-        features.bonds.append(_orient(graph, (a, b)))
-
-    for center in graph.sorted_gids():
-        nbrs = graph.neighbors(center)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                features.angles.append(_orient(graph, (nbrs[i], center, nbrs[j])))
-
-    seen: set[tuple[int, ...]] = set()
-    for b, c in sorted(graph.edges):
-        for a in graph.neighbors(b):
-            if a == c:
-                continue
-            for d in graph.neighbors(c):
-                if d == b or d == a:
-                    continue
-                nodes, _sig = _orient(graph, (a, b, c, d))
-                if nodes not in seen:
-                    seen.add(nodes)
-                    features.dihedrals.append(_orient(graph, nodes))
-
-    for center in graph.sorted_gids():
-        nbrs = graph.neighbors(center)
-        if len(nbrs) < 3:
-            continue
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                for k in range(j + 1, len(nbrs)):
-                    triple = sorted(
-                        (nbrs[i], nbrs[j], nbrs[k]),
-                        key=lambda n: (graph.nodes[n].type_id, n),
-                    )
-                    nodes = (center, *triple)
-                    features.impropers.append(
-                        (nodes, tuple(graph.nodes[n].type_id for n in nodes))
-                    )
-
-    features.dihedrals.sort()
-    return features
-
-
 def _connected_pieces(graph: UnifiedGraph, gids: tuple[int, ...]) -> list[list[int]]:
     remaining = set(gids)
     pieces = []
@@ -229,8 +156,10 @@ def _connected_pieces(graph: UnifiedGraph, gids: tuple[int, ...]) -> list[list[i
 def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
     """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
 
-    Power iteration runs on A + I so that bipartite molecules (any tree)
-    converge; the shift leaves the principal eigenvector unchanged.  Should
+    Each connected piece is solved exactly with the dense symmetric
+    eigensolver on A + I.  The shift leaves the eigenvectors unchanged and
+    makes the matrix primitive, so the top eigenvalue is simple even for
+    bipartite molecules (any tree) and its eigenvector has one sign.  Should
     the component be disconnected, each connected piece is treated on its
     own and edgeless single atoms receive 0.
     """
@@ -246,20 +175,12 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
             result[piece[0]] = 0.0
             continue
         index = {gid: i for i, gid in enumerate(piece)}
-        size = len(piece)
-        matrix = np.eye(size)
+        matrix = np.eye(len(piece))
         for gid in piece:
             for nbr in graph.neighbors(gid):
                 if nbr in index:
                     matrix[index[gid], index[nbr]] = 1.0
-        vector = np.full(size, 1.0 / math.sqrt(size))
-        for _ in range(CENTRALITY_MAX_ITERATIONS):
-            nxt = matrix @ vector
-            nxt /= np.linalg.norm(nxt)
-            if np.max(np.abs(nxt - vector)) <= CENTRALITY_TOLERANCE:
-                vector = nxt
-                break
-            vector = nxt
+        vector = np.abs(np.linalg.eigh(matrix)[1][:, -1])
         for gid in piece:
             result[gid] = float(vector[index[gid]])
     return result
@@ -275,28 +196,6 @@ def centrality_by_node(graph: UnifiedGraph, component: int) -> dict[int, float]:
             cached = {gid: 0.0 for gid in graph.components[component]}
         graph._centrality[component] = cached
     return cached
-
-
-def shortest_path_distances(graph: UnifiedGraph, sources: set[int]) -> dict[int, float]:
-    """Multi-source BFS hop counts; unreachable nodes map to math.inf."""
-    distances: dict[int, float] = {gid: math.inf for gid in graph.nodes}
-    queue = deque()
-    for gid in sorted(sources):
-        distances[gid] = 0
-        queue.append(gid)
-    while queue:
-        node = queue.popleft()
-        for nbr in graph.neighbors(node):
-            if distances[nbr] == math.inf:
-                distances[nbr] = distances[node] + 1
-                queue.append(nbr)
-    return distances
-
-
-def eccentricity_within_component(graph: UnifiedGraph, gid: int) -> int:
-    """Longest shortest path from gid to any reachable node of its molecule."""
-    shells = graph.shells(gid)
-    return len(shells) - 1
 
 
 _ROLE_STYLE = {

@@ -17,6 +17,11 @@ from templater.graph_core import UnifiedGraph, centrality_by_node
 # Token marking a product-side neighbor with no preimage (a created atom).
 CREATED_MARK = "created"
 
+# Decimal places kept of a centrality delta.  The eigensolver leaves atoms
+# that symmetry makes equal about 1e-16 apart; rounding makes their deltas
+# compare equal, so initiator ties go to the smallest id as documented.
+CENTRALITY_DELTA_DECIMALS = 9
+
 
 def bond_delta(
     pair: tuple[int, int],
@@ -40,11 +45,14 @@ def bond_delta(
 def centrality_delta(
     pair: tuple[int, int], g_reac: UnifiedGraph, g_prod: UnifiedGraph
 ) -> float:
-    """Absolute change in per-molecule unit-norm eigenvector centrality."""
+    """Absolute change in per-molecule unit-norm eigenvector centrality.
+
+    Rounded to ``CENTRALITY_DELTA_DECIMALS`` places.
+    """
     r_gid, p_gid = pair
     c_r = centrality_by_node(g_reac, g_reac.nodes[r_gid].component)[r_gid]
     c_p = centrality_by_node(g_prod, g_prod.nodes[p_gid].component)[p_gid]
-    return abs(c_p - c_r)
+    return round(abs(c_p - c_r), CENTRALITY_DELTA_DECIMALS)
 
 
 def classify_created_deleted(
@@ -68,7 +76,9 @@ def select_initiators(
     Candidates are mapped nodes with a nonempty bond delta.  Within each
     reacting molecule the winner maximizes ``|delta_E| + delta_C / max
     delta_C``, so bond rearrangement dominates and centrality breaks ties;
-    remaining ties go to the smallest id.  Exactly two reacting molecules
+    remaining ties go to the smallest id.  ``delta_C`` arrives rounded to
+    1e-9 (see ``centrality_delta``), so atoms that symmetry makes equal tie
+    exactly and the smallest id decides.  Exactly two reacting molecules
     are supported.
     """
     by_component: dict[int, list[int]] = {}

@@ -1,9 +1,12 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemfix
+from conftest import FIXTURE_DIR, fixture_path
 from templater.errors import (
     DanglingReference,
     MalformedHeader,
@@ -287,3 +290,15 @@ class TestDeterminism:
             initiators=(1, 2),
         )
         assert write_map_file(map_file) == write_map_file(map_file)
+
+
+class TestFixtureDrift:
+    def test_chemfix_regenerates_committed_fixtures(self, tmp_path):
+        # the committed data files are chemfix's output; editing either alone fails here
+        written = chemfix.write_fixture_files(str(tmp_path))
+        names = sorted(os.path.basename(path) for path in written)
+        assert names == sorted(os.listdir(FIXTURE_DIR))
+        assert len(names) == 8
+        for name in names:
+            with open(tmp_path / name, "rb") as fresh, open(fixture_path(name), "rb") as committed:
+                assert fresh.read() == committed.read(), name
