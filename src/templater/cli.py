@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields
 from templater import errors
 from templater.conserved_mapping import AtomMapping, iterate_conserved
 from templater.graph_core import UnifiedGraph, build_unified_graph, dot_export
-from templater.kernels import BACKEND
 from templater.lammps_io import (
     SystemTopology,
     parse_data_file,
@@ -131,7 +130,6 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
     product_topologies = _read_topologies(cfg.products)
     g_reac = build_unified_graph(reactant_topologies, "reactant")
     g_prod = build_unified_graph(product_topologies, "product")
-    logger.info("kernel backend: %s", BACKEND)
     logger.info(
         "unified graphs: %d reactant nodes, %d product nodes",
         len(g_reac.nodes), len(g_prod.nodes),
@@ -295,7 +293,6 @@ def _report_json(cfg: RunConfig, state: PipelineState) -> str:
         "search_expansions": state.mapping.search_expansions,
         "hydrogen_tolerance": cfg.hydrogen_tolerance,
         "cost_normalization": "min-max",
-        "kernel_backend": BACKEND,
         "tie_break": "lexicographically smallest pair list; smallest id",
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -13,11 +13,14 @@ sorted pair list, making results independent of search order.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from templater.errors import NoCommonSubgraph, ValidationError
 from templater.graph_core import UnifiedGraph
 from templater.kernels import max_common_connected_subgraph
+
+logger = logging.getLogger("templater")
 
 DEFAULT_ITERATIONS = 2
 DEFAULT_BUDGET = 10_000_000
@@ -199,6 +202,11 @@ def iterate_conserved(
                 except NoCommonSubgraph:
                     continue
                 mapping.search_expansions += expansions
+                logger.info(
+                    "conserved search: iteration %d, molecules %d -> %d: "
+                    "%d pairs, %d expansions",
+                    iteration, rc, pc, len(pairs), expansions,
+                )
                 if not pairs:
                     continue
                 candidate = (-len(pairs), pairs, (rc, pc))

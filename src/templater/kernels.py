@@ -1,4 +1,4 @@
-"""Pure-Python kernel for the connected maximum-common-subgraph search.
+"""Kernel for the connected maximum-common-subgraph search.
 
 Branch and bound over pair-compatibility classes in the McSplit style: a
 class groups reactant and product nodes that (a) share the same attribute
@@ -12,13 +12,38 @@ sorted pair list is lexicographically smallest, so results are reproducible
 regardless of exploration order.  Work is metered in pair expansions against
 a caller-supplied budget.
 
-The compiled twin in ``_mcs_cy.pyx`` implements the identical contract and
-must return bit-identical results; ``tests/test_kernels.py`` enforces that.
+Symmetric nodes, such as the hydrogens on one carbon, are twins; the search
+explores only one representative of each twin group (see
+``max_common_connected_subgraph``), which keeps their permutations from
+multiplying the search without changing the result.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
+
 from templater.errors import BudgetExceeded
+
+
+def _twin_groups(
+    labels: list[int], adj: list[int], allowed_key: Callable[[int], Hashable]
+) -> list[int]:
+    """Twin group per node: the smallest node it is a twin of, or itself.
+
+    Twins share the label, the adjacency mask and ``allowed_key``.  The
+    constraint key is computed only inside groups of equal (label, mask),
+    so graphs without twins pay for one dictionary pass.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for node, shape in enumerate(zip(labels, adj)):
+        by_shape.setdefault(shape, []).append(node)
+    twin = list(range(len(labels)))
+    for members in by_shape.values():
+        if len(members) > 1:
+            first: dict[Hashable, int] = {}
+            for node in members:
+                twin[node] = first.setdefault(allowed_key(node), node)
+    return twin
 
 
 def max_common_connected_subgraph(
@@ -30,6 +55,19 @@ def max_common_connected_subgraph(
     allowed: list[int] | None = None,
 ) -> tuple[list[tuple[int, int]], int]:
     """Find the best connected common induced subgraph mapping.
+
+    Two reactant nodes are twins when they have the same label, adjacency
+    mask and ``allowed`` row; two product nodes are twins when they have
+    the same label, adjacency mask and ``allowed`` column.  The search
+    branches the smallest node ``v`` of a class over only the first product
+    candidate of each twin group, and in the branch where ``v`` stays
+    unmatched it drops ``v``'s twins from the class too.  Both prunes are
+    exact: swapping two twins is a label-preserving automorphism that keeps
+    ``allowed``, and because every class lists its nodes in ascending order,
+    a mapping either prune skips turns under that swap into one of the same
+    size with a strictly smaller sorted pair list.  The lexicographically
+    smallest maximum mapping is therefore never skipped; only the
+    expansion count drops.
 
     Args:
         labels_r: attribute label per reactant node (0..n-1 index order).
@@ -58,6 +96,14 @@ def max_common_connected_subgraph(
         for label, (g_nodes, h_nodes) in sorted(by_label.items())
         if g_nodes and h_nodes
     ]
+    if allowed is None:
+        twin_r = _twin_groups(labels_r, adj_r, lambda v: None)
+        twin_p = _twin_groups(labels_p, adj_p, lambda w: None)
+    else:
+        twin_r = _twin_groups(labels_r, adj_r, allowed.__getitem__)
+        twin_p = _twin_groups(
+            labels_p, adj_p, lambda w: tuple((row >> w) & 1 for row in allowed)
+        )
 
     best_pairs: list[tuple[int, int]] = []
     best_key: tuple[tuple[int, int], ...] = ()
@@ -101,9 +147,13 @@ def max_common_connected_subgraph(
             return
         cls = min(eligible, key=lambda c: (max(len(c[0]), len(c[1])), c[0][0]))
         v = cls[0][0]
+        tried: set[int] = set()
         for w in cls[1]:
             if allowed is not None and not (allowed[v] >> w) & 1:
                 continue
+            if twin_p[w] in tried:
+                continue
+            tried.add(twin_p[w])
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(
@@ -112,10 +162,11 @@ def max_common_connected_subgraph(
             mapping.append((v, w))
             search(refine(current, v, w), mapping)
             mapping.pop()
+        group = twin_r[v]
         remainder = []
         for g_nodes, h_nodes, adjacent in current:
             if v in g_nodes:
-                g_nodes = [u for u in g_nodes if u != v]
+                g_nodes = [u for u in g_nodes if twin_r[u] != group]
                 if not g_nodes:
                     continue
             remainder.append((g_nodes, h_nodes, adjacent))
@@ -124,3 +175,10 @@ def max_common_connected_subgraph(
     if classes:
         search(classes, [])
     return sorted(best_pairs), expansions
+
+
+# There is one kernel, in pure Python.  The benchmark harness
+# (perfbench/run.py, record.py and kernel_suite.py) still imports these two
+# names to label and cross-check the kernel it times.
+BACKEND = "python"
+pure_python_kernel = max_common_connected_subgraph

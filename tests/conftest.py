@@ -96,6 +96,77 @@ def connected_subsets(n: int, masks: list[int]):
     return subsets
 
 
+def hydrogen_decorated_pair(rng: random.Random, max_heavy=3, max_leaves=3, labels=2, p_edge=0.5):
+    """Random molecule pair in kernel form with hydrogen-like leaves.
+
+    Each side has 1..max_heavy heavy atoms (labels 0..labels-1) carrying
+    0..max_leaves leaf atoms of label ``labels`` each, in shuffled node
+    order, so groups of symmetric leaves (twins) occur.
+    """
+
+    def one_side():
+        heavy = rng.randint(1, max_heavy)
+        node_labels = [rng.randrange(labels) for _ in range(heavy)]
+        edges = [
+            (i, j) for i in range(heavy) for j in range(i + 1, heavy) if rng.random() < p_edge
+        ]
+        for atom in range(heavy):
+            for _ in range(rng.randint(0, max_leaves)):
+                node_labels.append(labels)
+                edges.append((atom, len(node_labels) - 1))
+        order = list(range(len(node_labels)))
+        rng.shuffle(order)
+        shuffled = [0] * len(order)
+        for old, new in enumerate(order):
+            shuffled[new] = node_labels[old]
+        masks = [0] * len(order)
+        for a, b in edges:
+            masks[order[a]] |= 1 << order[b]
+            masks[order[b]] |= 1 << order[a]
+        return shuffled, masks
+
+    labels_r, adj_r = one_side()
+    labels_p, adj_p = one_side()
+    return labels_r, adj_r, labels_p, adj_p
+
+
+def random_allowed(rng: random.Random, n_r: int, n_p: int) -> list[int]:
+    """Random ``allowed`` rows drawn from a pool of three, one of them full,
+    so that equal rows and equal columns (kept twins) occur."""
+    pool = [(1 << n_p) - 1, rng.getrandbits(n_p), rng.getrandbits(n_p)]
+    return [rng.choice(pool) for _ in range(n_r)]
+
+
+def _embeddings(subset, labels_r, adj_r, labels_p, adj_p, allowed=None):
+    """Every label-, adjacency- and allowed-exact image list of ``subset``,
+    found by plain backtracking."""
+    used = [False] * len(labels_p)
+    assignment: list[int] = []
+
+    def place(k: int):
+        if k == len(subset):
+            yield list(assignment)
+            return
+        v = subset[k]
+        for w in range(len(labels_p)):
+            if used[w] or labels_p[w] != labels_r[v]:
+                continue
+            if allowed is not None and not (allowed[v] >> w) & 1:
+                continue
+            if any(
+                bool((adj_r[v] >> u) & 1) != bool((adj_p[w] >> x) & 1)
+                for u, x in zip(subset, assignment)
+            ):
+                continue
+            used[w] = True
+            assignment.append(w)
+            yield from place(k + 1)
+            assignment.pop()
+            used[w] = False
+
+    return place(0)
+
+
 def mcs_oracle_size(labels_r, adj_r, labels_p, adj_p) -> int:
     """Exhaustive maximum common connected induced subgraph size.
 
@@ -104,43 +175,30 @@ def mcs_oracle_size(labels_r, adj_r, labels_p, adj_p) -> int:
     into the second graph by plain backtracking.  Independent of the
     production kernel by construction.
     """
-    nr, np_ = len(labels_r), len(labels_p)
-
-    def embeds(subset) -> bool:
-        order = list(subset)
-        used = [False] * np_
-
-        def place(k: int) -> bool:
-            if k == len(order):
-                return True
-            v = order[k]
-            for w in range(np_):
-                if used[w] or labels_p[w] != labels_r[v]:
-                    continue
-                ok = True
-                for prev_idx in range(k):
-                    u = order[prev_idx]
-                    x = assignment[prev_idx]
-                    if bool((adj_r[v] >> u) & 1) != bool((adj_p[w] >> x) & 1):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                used[w] = True
-                assignment.append(w)
-                if place(k + 1):
-                    return True
-                assignment.pop()
-                used[w] = False
-            return False
-
-        assignment: list[int] = []
-        return place(0)
-
-    for subset in connected_subsets(nr, adj_r):
-        if embeds(subset):
+    for subset in connected_subsets(len(labels_r), adj_r):
+        if next(_embeddings(subset, labels_r, adj_r, labels_p, adj_p), None) is not None:
             return len(subset)
     return 0
+
+
+def mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p, allowed=None) -> list[tuple[int, int]]:
+    """Exhaustive lexicographically smallest maximum pair list.
+
+    Enumerates every embedding of every connected subset of the first graph
+    at the largest size that embeds, honouring ``allowed`` (bitmask of the
+    product nodes each reactant node may pair with), and returns the
+    smallest sorted (reactant, product) pair list; empty when no pair is
+    compatible.  Independent of the production kernel by construction.
+    """
+    best: list[tuple[int, int]] | None = None
+    for subset in connected_subsets(len(labels_r), adj_r):
+        if best is not None and len(subset) < len(best):
+            break
+        for images in _embeddings(subset, labels_r, adj_r, labels_p, adj_p, allowed):
+            pairs = list(zip(subset, images))
+            if best is None or pairs < best:
+                best = pairs
+    return best or []
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,12 @@ import pytest
 
 from conftest import (
     CASE_STUDIES,
+    hydrogen_decorated_pair,
     make_graph,
     make_topology,
+    mcs_oracle_pairs,
     mcs_oracle_size,
+    random_allowed,
     random_attributed_pair,
 )
 from templater.cli import RunConfig, run_pipeline, run_stages
@@ -147,9 +150,19 @@ class TestCriterion4McsOracle:
                 labels_r, labels_p, adj_r, adj_p, 10**7
             )
             assert len(pairs) == mcs_oracle_size(labels_r, adj_r, labels_p, adj_p)
+            assert pairs == mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p)
+        # Hydrogen-decorated pairs (symmetric leaves) and external allowed
+        # masks, each compared as exact pair lists.
+        for i in range(200):
+            labels_r, adj_r, labels_p, adj_p = hydrogen_decorated_pair(rng)
+            allowed = random_allowed(rng, len(labels_r), len(labels_p)) if i % 2 else None
+            pairs, _ = max_common_connected_subgraph(
+                labels_r, labels_p, adj_r, adj_p, 10**7, allowed
+            )
+            assert pairs == mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p, allowed)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0
-        announce("4 (MCS oracle)", f"200/200 exact matches in {elapsed:.1f}s")
+        announce("4 (MCS oracle)", f"400/400 exact pair lists in {elapsed:.1f}s")
 
 
 class TestCriterion5AssignmentOracle:

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from conftest import make_graph, make_topology, mcs_oracle_size, random_attributed_pair
+from conftest import (
+    hydrogen_decorated_pair,
+    make_graph,
+    make_topology,
+    mcs_oracle_pairs,
+    mcs_oracle_size,
+    random_allowed,
+    random_attributed_pair,
+)
 from templater.conserved_mapping import (
     AtomMapping,
     iterate_conserved,
@@ -60,6 +68,19 @@ class TestOracleEquivalence:
             labels_r, adj_r, labels_p, adj_p = random_attributed_pair(rng, max_nodes=8)
             pairs, _ = max_common_connected_subgraph(labels_r, labels_p, adj_r, adj_p, 10**7)
             assert len(pairs) == mcs_oracle_size(labels_r, adj_r, labels_p, adj_p)
+            assert pairs == mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p)
+        # Symmetric hydrogen-like leaves (twins) and external allowed masks.
+        rng = random.Random(321)
+        for i in range(120):
+            if i % 2:
+                labels_r, adj_r, labels_p, adj_p = hydrogen_decorated_pair(rng)
+            else:
+                labels_r, adj_r, labels_p, adj_p = random_attributed_pair(rng, max_nodes=8)
+            for allowed in (None, random_allowed(rng, len(labels_r), len(labels_p))):
+                pairs, _ = max_common_connected_subgraph(
+                    labels_r, labels_p, adj_r, adj_p, 10**7, allowed
+                )
+                assert pairs == mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p, allowed)
 
 
 def split_reaction_graphs():
@@ -83,7 +104,46 @@ def split_reaction_graphs():
     return g_reac, g_prod
 
 
+def alkene_dimerization(n, rng):
+    """Two explicit-hydrogen 1-alkenes CnH2n joined head to head into the
+    alkane C2nH(4n+2), with the atom ids of each molecule shuffled by rng."""
+    c2, c3, ha, hc = 1, 2, 3, 4
+    masses = {c2: C, c3: C, ha: 1.008, hc: 1.008}
+
+    def molecule(carbon_types, hydrogens):
+        types = list(carbon_types)
+        bonds = [(i, i + 1) for i in range(len(types) - 1)]
+        for carbon, (count, h_type) in enumerate(hydrogens):
+            for _ in range(count):
+                types.append(h_type)
+                bonds.append((carbon, len(types) - 1))
+        ids = list(range(1, len(types) + 1))
+        rng.shuffle(ids)
+        atoms = sorted((ids[i], t, 0.0) for i, t in enumerate(types))
+        return make_topology(atoms, [(ids[a], ids[b]) for a, b in bonds], masses)
+
+    def alkene():
+        hydrogens = [(2, ha), (1, ha)] + [(2, hc)] * (n - 3) + [(3, hc)]
+        return molecule([c2, c2] + [c3] * (n - 2), hydrogens)
+
+    alkane = molecule([c3] * (2 * n), [(3, hc)] + [(2, hc)] * (2 * n - 2) + [(3, hc)])
+    return (
+        build_unified_graph([alkene(), alkene()], "reactant"),
+        build_unified_graph([alkane], "product"),
+    )
+
+
 class TestIterateConserved:
+    def test_symmetric_hydrogens_stay_within_small_budget(self):
+        # The hydrogens on one carbon are interchangeable.  A search that
+        # tries each of their permutations needs 2.0k-6.5k expansions in the
+        # largest call on these atom orders, well above the budget.
+        for seed in range(4):
+            g_reac, g_prod = alkene_dimerization(7, random.Random(seed))
+            mapping = iterate_conserved(g_reac, g_prod, budget=1000)
+            validate_mapping(mapping, g_reac, g_prod)
+            assert len(mapping.pairs) == 32
+
     def test_two_fragments_need_two_iterations(self):
         g_reac, g_prod = split_reaction_graphs()
         one = iterate_conserved(g_reac, g_prod, iterations=1)
