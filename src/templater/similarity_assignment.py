@@ -11,12 +11,12 @@ neighbors across matched heavy atoms.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from templater.conserved_mapping import (
     HYDROGEN_SWAPPED,
@@ -44,9 +44,11 @@ class ScoringWeights:
     gamma: float = 0.25
 
     def normalized(self) -> "ScoringWeights":
+        total = self.alpha + self.beta + self.gamma
+        if not math.isfinite(total):
+            raise ValueError("scoring weights must be finite")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("scoring weights must be non-negative")
-        total = self.alpha + self.beta + self.gamma
         if total <= 0:
             raise ValueError("scoring weights must not all be zero")
         return ScoringWeights(self.alpha / total, self.beta / total, self.gamma / total)
@@ -230,6 +232,90 @@ class AssignmentResult:
     total_cost: float
 
 
+def _linear_sum_assignment(entries: np.ndarray) -> tuple[list[int], list[int]]:
+    """Row and column indices of a minimum-cost matching of ``entries``.
+
+    A port of scipy's ``linear_sum_assignment`` (the shortest augmenting path
+    method of Crouse, "On implementing 2D rectangular assignment algorithms",
+    IEEE TAES 2016) that returns the same indices, ties included: the matrix
+    is transposed when it has fewer columns than rows, each augmentation scans
+    the free columns from the last one down and removes a chosen column by
+    swapping the last remaining one into its place, on equal reduced cost an
+    unassigned column wins (the last one scanned among unassigned columns),
+    and the float operations run in scipy's order.  Pairs come back ordered
+    by row.
+
+    Entries must be finite: a NaN compares false with every bound, so the
+    search would never settle on a column, and a ``ValueError`` is raised
+    instead (scipy rejects NaN and -inf as well).  The cost is
+    O(rows * cols * min(rows, cols)) in Python.
+    """
+    if not np.isfinite(entries).all():
+        raise ValueError("cost matrix entries must be finite")
+    cost = entries.tolist()
+    transpose = bool(cost) and len(cost[0]) < len(cost)
+    if transpose:
+        cost = [list(column) for column in zip(*cost)]
+    n_rows = len(cost)
+    n_cols = len(cost[0]) if cost else 0
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            cost_i = cost[i]
+            u_i = u[i]
+            lowest = math.inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + cost_i[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(n_rows)), col4row
+
+
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Minimum-cost matching over min(rows, cols) pairs.
 
@@ -237,7 +323,7 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     candidates.  Rectangular matrices are expected whenever atoms appear or
     vanish.
     """
-    row_ind, col_ind = linear_sum_assignment(cost.entries)
+    row_ind, col_ind = _linear_sum_assignment(cost.entries)
     pairs = [(cost.rows[i], cost.cols[j]) for i, j in zip(row_ind, col_ind)]
     pairs.sort()
     matched_rows = {cost.rows[i] for i in row_ind}

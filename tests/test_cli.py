@@ -1,10 +1,13 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import CASE_STUDIES, fixture_path
+import templater
 from templater.cli import RunConfig, export_dot, main, run_pipeline
 from templater.errors import UnknownStage
 
@@ -118,6 +121,14 @@ class TestRunCommand:
         assert cfg.beta == pytest.approx(0.25)
         assert cfg.gamma == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_weight_error_exit(self, tmp_path, capsys, value):
+        # float() parses these, and a NaN weight makes every cost NaN.
+        code = main(run_args(tmp_path, ["--alpha", value]))
+        assert code == 1
+        assert "ValueError: scoring weights must be finite" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
             "reactants": PC_REACTANTS,
@@ -209,3 +220,39 @@ class TestLibraryEntryPoint:
             "pre_template.mol", "post_template.mol", "reaction_map.txt",
             "report.txt", "report.json",
         }
+
+
+# Runs the CLI with every scipy import made to fail, recording each attempt,
+# so a lazy import or a guarded fallback shows up as well as a top-level one.
+NO_SCIPY_RUN = """
+import sys
+
+class BlockScipy:
+    attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.attempts.append(name)
+            raise ModuleNotFoundError(name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from templater.cli import main
+code = main(sys.argv[1:])
+assert not BlockScipy.attempts, BlockScipy.attempts
+assert "scipy" not in sys.modules
+sys.exit(code)
+"""
+
+
+class TestRuntimeDependencies:
+    def test_run_needs_no_scipy(self, tmp_path):
+        src_dir = os.path.dirname(os.path.dirname(templater.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_RUN, *run_args(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert {"pre_template.mol", "post_template.mol", "reaction_map.txt"} <= set(os.listdir(tmp_path))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from templater.graph_core import build_unified_graph
 from templater.similarity_assignment import (
     CostMatrix,
     ScoringWeights,
+    _linear_sum_assignment,
     assign_similarity,
     build_cost_matrix,
     build_similarity_matrix,
@@ -107,6 +109,14 @@ class TestScoringWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ScoringWeights(-0.1, 0.6, 0.5).normalized()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.inf, 0.25, 0.25), (math.nan, 0.25, 0.25), (0.5, -math.inf, 0.25), (1e308, 1e308, 0.0)],
+    )
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            ScoringWeights(*weights).normalized()
 
 
 class TestSimilarityScore:
@@ -203,6 +213,15 @@ class TestSolveAssignment:
         assert len(result.unmatched_rows) == 1
         assert not result.unmatched_cols
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        entries = np.array([[0.0, 1.0, 0.5], [1.0, bad, 0.0]])
+        cost = CostMatrix(rows=[1, 2], cols=[1, 2, 3], entries=entries, normalization=("min-max", 0, 1))
+        with pytest.raises(ValueError, match="finite"):
+            solve_assignment(cost)
+        with pytest.raises(ValueError, match="finite"):
+            _linear_sum_assignment(np.full((3, 2), bad))
+
     def test_brute_force_permutation_oracle(self):
         rng = random.Random(2024)
         for _ in range(120):
@@ -215,6 +234,34 @@ class TestSolveAssignment:
                 for perm in itertools.permutations(range(n))
             )
             assert result.total_cost == pytest.approx(best, abs=1e-12)
+
+    def test_matches_scipy_indices_exactly(self):
+        # The port must pick scipy's optimum among ties, so the inputs are
+        # tie-heavy: small integers, floats rounded to 0.1 and row-constant
+        # blocks plus a column offset, next to uniform floats.
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(4242)
+
+        def draw(kind, n_rows, n_cols):
+            if kind == "uniform":
+                return [[rng.random() for _ in range(n_cols)] for _ in range(n_rows)]
+            if kind == "small-int":
+                return [[float(rng.randint(0, 2)) for _ in range(n_cols)] for _ in range(n_rows)]
+            if kind == "tenths":
+                return [[round(rng.random(), 1) for _ in range(n_cols)] for _ in range(n_rows)]
+            row_level = [rng.choice((0.0, 0.5, 1.0)) for _ in range(n_rows)]
+            col_offset = [rng.choice((0.0, 0.25)) for _ in range(n_cols)]
+            return [[row_level[i] + col_offset[j] for j in range(n_cols)] for i in range(n_rows)]
+
+        kinds = ("uniform", "small-int", "tenths", "blocks")
+        for case in range(4000):
+            n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+            entries = np.array(draw(kinds[case % 4], n_rows, n_cols))
+            want_rows, want_cols = linear_sum_assignment(entries)
+            assert _linear_sum_assignment(entries) == (want_rows.tolist(), want_cols.tolist()), (
+                case, entries.tolist()
+            )
 
     def test_scale_invariance_of_pairing(self):
         rng = random.Random(55)
