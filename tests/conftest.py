@@ -55,6 +55,35 @@ def path_topology(n, type_id=1, mass=12.011):
     return make_topology(atoms, bonds, {type_id: mass})
 
 
+def alkene_dimerization(n, rng):
+    """Two explicit-hydrogen 1-alkenes CnH2n joined head to head into the
+    alkane C2nH(4n+2), with the atom ids of each molecule shuffled by rng."""
+    c2, c3, ha, hc = 1, 2, 3, 4
+    masses = {c2: 12.011, c3: 12.011, ha: 1.008, hc: 1.008}
+
+    def molecule(carbon_types, hydrogens):
+        types = list(carbon_types)
+        bonds = [(i, i + 1) for i in range(len(types) - 1)]
+        for carbon, (count, h_type) in enumerate(hydrogens):
+            for _ in range(count):
+                types.append(h_type)
+                bonds.append((carbon, len(types) - 1))
+        ids = list(range(1, len(types) + 1))
+        rng.shuffle(ids)
+        atoms = sorted((ids[i], t, 0.0) for i, t in enumerate(types))
+        return make_topology(atoms, [(ids[a], ids[b]) for a, b in bonds], masses)
+
+    def alkene():
+        hydrogens = [(2, ha), (1, ha)] + [(2, hc)] * (n - 3) + [(3, hc)]
+        return molecule([c2, c2] + [c3] * (n - 2), hydrogens)
+
+    alkane = molecule([c3] * (2 * n), [(3, hc)] + [(2, hc)] * (2 * n - 2) + [(3, hc)])
+    return (
+        build_unified_graph([alkene(), alkene()], "reactant"),
+        build_unified_graph([alkane], "product"),
+    )
+
+
 def random_attributed_pair(rng: random.Random, max_nodes=10, labels=3, p_edge=0.35):
     """Random labelled graph pair in kernel form (labels plus bitmasks)."""
 

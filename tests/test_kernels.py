@@ -1,8 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import random_attributed_pair
+from conftest import (
+    alkene_dimerization,
+    hydrogen_decorated_pair,
+    random_allowed,
+    random_attributed_pair,
+)
+from templater import conserved_mapping
 from templater.errors import BudgetExceeded
 from templater.kernels import max_common_connected_subgraph
 
@@ -60,3 +67,114 @@ def test_result_is_connected_induced_and_label_preserving():
                         seen.add(other)
                         frontier.append(other)
             assert seen == members
+
+
+# The search order (which class branches first, the order of its product
+# candidates, which twins are skipped) decides the expansion count, and with
+# it which of several equally good pair lists is met first.  These tables pin
+# the exact (expansions, pairs) of each input, so a change of that order
+# shows even where the result stays a maximum.
+
+
+def _pinned_input(kind, seed, with_allowed):
+    rng = random.Random(seed)
+    if kind == "attributed":
+        labels_r, adj_r, labels_p, adj_p = random_attributed_pair(rng, max_nodes=16, labels=2)
+    else:
+        labels_r, adj_r, labels_p, adj_p = hydrogen_decorated_pair(rng, max_heavy=6)
+    allowed = random_allowed(rng, len(labels_r), len(labels_p)) if with_allowed else None
+    return labels_r, labels_p, adj_r, adj_p, 10**7, allowed
+
+
+# (generator, seed, with allowed, expansions, pairs)
+PINNED_RANDOM = [
+    ("attributed", 0, False, 2195,
+     [(0, 13), (1, 14), (2, 5), (3, 0), (6, 10), (8, 9), (10, 6), (12, 12)]),
+    ("attributed", 1, False, 13, [(0, 5), (3, 6)]),
+    ("attributed", 2, False, 2, [(0, 2)]),
+    ("attributed", 3, False, 9, [(0, 0), (1, 1)]),
+    ("attributed", 4, False, 105, [(0, 4), (1, 9), (2, 2), (3, 7), (5, 0)]),
+    ("attributed", 5, False, 308, [(0, 1), (1, 9), (2, 3), (4, 6), (8, 4)]),
+    ("attributed", 6, False, 17, [(0, 0), (1, 10)]),
+    ("attributed", 7, False, 670, [(0, 11), (1, 3), (2, 0), (5, 12), (6, 4), (7, 1), (9, 5)]),
+    ("attributed", 0, True, 489, [(1, 9), (2, 0), (3, 5), (6, 3), (9, 11), (11, 14), (12, 4)]),
+    ("attributed", 1, True, 12, [(0, 3)]),
+    ("attributed", 2, True, 2, [(0, 2)]),
+    ("attributed", 3, True, 7, [(0, 0), (1, 1)]),
+    ("attributed", 4, True, 35, [(0, 1), (5, 0)]),
+    ("attributed", 5, True, 32, [(0, 1), (2, 8), (5, 10), (7, 5), (8, 3)]),
+    ("attributed", 6, True, 9, [(0, 0)]),
+    ("attributed", 7, True, 529, [(1, 10), (2, 1), (5, 12), (6, 14), (8, 11), (9, 5), (10, 3)]),
+    ("hydrogen", 0, False, 38, [(0, 5), (2, 4), (3, 6), (4, 1), (5, 10), (6, 3), (7, 11)]),
+    ("hydrogen", 1, False, 13, [(0, 1), (1, 3), (2, 9), (3, 2), (4, 4), (5, 6), (6, 7), (7, 8)]),
+    ("hydrogen", 2, False, 1, [(0, 3)]),
+    ("hydrogen", 3, False, 11, [(0, 0), (1, 14), (3, 8)]),
+    ("hydrogen", 4, False, 4, [(0, 0), (2, 2)]),
+    ("hydrogen", 5, False, 16, [(0, 0), (1, 1), (2, 5), (5, 4), (6, 2), (8, 6), (11, 3)]),
+    ("hydrogen", 6, False, 4, [(1, 1), (3, 0)]),
+    ("hydrogen", 7, False, 1, [(1, 0)]),
+    ("hydrogen", 0, True, 31, [(0, 5), (2, 4), (3, 6), (4, 1), (6, 3), (7, 10)]),
+    ("hydrogen", 1, True, 20, [(0, 1), (1, 3), (2, 9), (3, 2), (5, 6), (6, 7), (7, 8)]),
+    ("hydrogen", 2, True, 1, [(0, 3)]),
+    ("hydrogen", 3, True, 14, [(0, 14), (1, 0), (3, 8)]),
+    ("hydrogen", 4, True, 6, [(0, 1), (2, 2)]),
+    ("hydrogen", 5, True, 18, [(0, 0), (11, 3), (12, 5)]),
+    ("hydrogen", 6, True, 4, [(1, 1), (3, 0)]),
+    ("hydrogen", 7, True, 1, [(3, 0)]),
+]
+
+
+def test_search_pinned_on_random_pairs():
+    got = []
+    for kind, seed, with_allowed, _, _ in PINNED_RANDOM:
+        case = _pinned_input(kind, seed, with_allowed)
+        pairs, expansions = max_common_connected_subgraph(*case)
+        got.append((kind, seed, with_allowed, expansions, pairs))
+    assert got == PINNED_RANDOM
+
+
+def _digest(pairs):
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+
+
+# Atom-order seed of the n=7 alkene dimerization -> (pair count, expansions,
+# digest of the pair list) of every kernel call that iterate_conserved makes.
+PINNED_ALKENE = {
+    0: [
+        (16, 246, "52a38ff5e714aae6"),
+        (16, 197, "b33e40be7708904d"),
+        (16, 145, "d20b6acad04bcee2"),
+    ],
+    1: [
+        (16, 464, "664fdeb0b7a662a3"),
+        (16, 541, "c5a91e0d29c064d9"),
+        (16, 303, "ab3d91fbbf11263d"),
+    ],
+    2: [
+        (16, 334, "a25e3cb6cda454f2"),
+        (16, 216, "467031aa7ac8d8ff"),
+        (16, 212, "43aecbe823b6c212"),
+    ],
+    3: [
+        (16, 258, "a1045001f3af4117"),
+        (16, 407, "9b9ccedf6dcab17a"),
+        (16, 351, "f5a863b1b913a911"),
+    ],
+}
+
+
+def test_search_pinned_on_alkene_dimerization(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        pairs, expansions = max_common_connected_subgraph(*args)
+        calls.append((len(pairs), expansions, _digest(pairs)))
+        return pairs, expansions
+
+    monkeypatch.setattr(conserved_mapping, "max_common_connected_subgraph", recording)
+    got = {}
+    for seed in PINNED_ALKENE:
+        calls.clear()
+        conserved_mapping.iterate_conserved(*alkene_dimerization(7, random.Random(seed)))
+        got[seed] = list(calls)
+    assert got == PINNED_ALKENE
