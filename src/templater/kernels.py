@@ -7,15 +7,28 @@ so far.  Only classes adjacent to the current mapping may extend it, which
 keeps every explored mapping connected, and the matched subgraphs are
 induced on both sides by construction.
 
+Each class is two Python ints used as bitsets, one bit per reactant node
+and one per product node, as in bit-parallel branch and bound.  Matching
+``v`` to ``w`` splits a class ``(g, h)`` into ``(g & adj_r[v], h &
+adj_p[w])`` and ``(g & ~adj_r[v], h & ~adj_p[w])`` without ``v`` and
+``w``, so an expansion costs a few integer operations per class instead of
+a pass over its nodes.  The bound adds ``min(g.bit_count(),
+h.bit_count())`` over the classes (``int.bit_count`` needs Python 3.10).
+The search branches on the eligible class with the fewest nodes on its
+wider side, ties to the lowest reactant bit; it takes that class's lowest
+reactant node ``v`` and tries its product candidates in ascending bit
+order.
+
 Among all maximum-cardinality mappings the kernel returns the one whose
 sorted pair list is lexicographically smallest, so results are reproducible
 regardless of exploration order.  Work is metered in pair expansions against
 a caller-supplied budget.
 
 Symmetric nodes, such as the hydrogens on one carbon, are twins; the search
-explores only one representative of each twin group (see
-``max_common_connected_subgraph``), which keeps their permutations from
-multiplying the search without changing the result.
+explores only one representative of each twin group, and drops a whole
+group with one precomputed mask (see ``max_common_connected_subgraph`` for
+why this is exact), which keeps their permutations from multiplying the
+search without changing the result.
 """
 
 from __future__ import annotations
@@ -25,10 +38,10 @@ from collections.abc import Callable, Hashable
 from templater.errors import BudgetExceeded
 
 
-def _twin_groups(
+def _twin_masks(
     labels: list[int], adj: list[int], allowed_key: Callable[[int], Hashable]
 ) -> list[int]:
-    """Twin group per node: the smallest node it is a twin of, or itself.
+    """Twin-group bitmask per node: the bits of every twin of it, itself too.
 
     Twins share the label, the adjacency mask and ``allowed_key``.  The
     constraint key is computed only inside groups of equal (label, mask),
@@ -37,13 +50,16 @@ def _twin_groups(
     by_shape: dict[tuple[int, int], list[int]] = {}
     for node, shape in enumerate(zip(labels, adj)):
         by_shape.setdefault(shape, []).append(node)
-    twin = list(range(len(labels)))
+    masks = [1 << node for node in range(len(labels))]
     for members in by_shape.values():
         if len(members) > 1:
-            first: dict[Hashable, int] = {}
-            for node in members:
-                twin[node] = first.setdefault(allowed_key(node), node)
-    return twin
+            keys = [allowed_key(node) for node in members]
+            groups: dict[Hashable, int] = {}
+            for node, key in zip(members, keys):
+                groups[key] = groups.get(key, 0) | 1 << node
+            for node, key in zip(members, keys):
+                masks[node] = groups[key]
+    return masks
 
 
 def max_common_connected_subgraph(
@@ -59,15 +75,15 @@ def max_common_connected_subgraph(
     Two reactant nodes are twins when they have the same label, adjacency
     mask and ``allowed`` row; two product nodes are twins when they have
     the same label, adjacency mask and ``allowed`` column.  The search
-    branches the smallest node ``v`` of a class over only the first product
+    branches the lowest node ``v`` of a class over only the first product
     candidate of each twin group, and in the branch where ``v`` stays
     unmatched it drops ``v``'s twins from the class too.  Both prunes are
     exact: swapping two twins is a label-preserving automorphism that keeps
-    ``allowed``, and because every class lists its nodes in ascending order,
-    a mapping either prune skips turns under that swap into one of the same
-    size with a strictly smaller sorted pair list.  The lexicographically
-    smallest maximum mapping is therefore never skipped; only the
-    expansion count drops.
+    ``allowed``, and because ``v`` and the candidates are taken in
+    ascending order, a mapping either prune skips turns under that swap
+    into one of the same size with a strictly smaller sorted pair list.
+    The lexicographically smallest maximum mapping is therefore never
+    skipped; only the expansion count drops.
 
     Args:
         labels_r: attribute label per reactant node (0..n-1 index order).
@@ -84,92 +100,103 @@ def max_common_connected_subgraph(
         (reactant index, product index) pairs, empty when no node pair is
         label-compatible.
     """
-    by_label: dict[int, tuple[list[int], list[int]]] = {}
+    # Initial classes: one per label present on both sides.
+    by_label: dict[int, list[int]] = {}
     for v, label in enumerate(labels_r):
-        by_label.setdefault(label, ([], []))[0].append(v)
+        by_label.setdefault(label, [0, 0])[0] |= 1 << v
     for w, label in enumerate(labels_p):
         entry = by_label.get(label)
         if entry is not None:
-            entry[1].append(w)
-    classes = [
-        (g_nodes, h_nodes, False)
-        for label, (g_nodes, h_nodes) in sorted(by_label.items())
-        if g_nodes and h_nodes
-    ]
+            entry[1] |= 1 << w
+    classes = [(g, h, False) for g, h in by_label.values() if h]
     if allowed is None:
-        twin_r = _twin_groups(labels_r, adj_r, lambda v: None)
-        twin_p = _twin_groups(labels_p, adj_p, lambda w: None)
+        twins_r = _twin_masks(labels_r, adj_r, lambda v: None)
+        twins_p = _twin_masks(labels_p, adj_p, lambda w: None)
     else:
-        twin_r = _twin_groups(labels_r, adj_r, allowed.__getitem__)
-        twin_p = _twin_groups(
+        twins_r = _twin_masks(labels_r, adj_r, allowed.__getitem__)
+        twins_p = _twin_masks(
             labels_p, adj_p, lambda w: tuple((row >> w) & 1 for row in allowed)
         )
 
     best_pairs: list[tuple[int, int]] = []
-    best_key: tuple[tuple[int, int], ...] = ()
+    best_key: list[tuple[int, int]] | None = None
     expansions = 0
 
     def refine(
-        current: list[tuple[list[int], list[int], bool]], v: int, w: int
-    ) -> list[tuple[list[int], list[int], bool]]:
-        mask_v = adj_r[v]
-        mask_w = adj_p[w]
+        current: list[tuple[int, int, bool]], v_bit: int, v: int, w_bit: int, w: int
+    ) -> list[tuple[int, int, bool]]:
+        adj_v = adj_r[v] & ~v_bit
+        adj_w = adj_p[w] & ~w_bit
+        non_v = ~(adj_v | v_bit)
+        non_w = ~(adj_w | w_bit)
         refined = []
-        for g_nodes, h_nodes, adjacent in current:
-            g_adj = [u for u in g_nodes if u != v and (mask_v >> u) & 1]
-            g_non = [u for u in g_nodes if u != v and not (mask_v >> u) & 1]
-            h_adj = [x for x in h_nodes if x != w and (mask_w >> x) & 1]
-            h_non = [x for x in h_nodes if x != w and not (mask_w >> x) & 1]
+        for g, h, adjacent in current:
+            g_adj = g & adj_v
+            h_adj = h & adj_w
             if g_adj and h_adj:
                 refined.append((g_adj, h_adj, True))
+            g_non = g & non_v
+            h_non = h & non_w
             if g_non and h_non:
                 refined.append((g_non, h_non, adjacent))
         return refined
 
-    def search(
-        current: list[tuple[list[int], list[int], bool]],
-        mapping: list[tuple[int, int]],
-    ) -> None:
+    def search(current: list[tuple[int, int, bool]], mapping: list[tuple[int, int]]) -> None:
         nonlocal best_pairs, best_key, expansions
         size = len(mapping)
-        if size >= len(best_pairs):
-            key = tuple(sorted(mapping))
-            if size > len(best_pairs) or key < best_key:
-                best_pairs = list(mapping)
-                best_key = key
-        bound = size + sum(min(len(g), len(h)) for g, h, _ in current)
-        if bound < len(best_pairs):
+        # The sorted key of the best mapping is built only when a mapping
+        # of equal size has to be compared with it.
+        if size > len(best_pairs):
+            best_pairs = list(mapping)
+            best_key = None
+        elif size == len(best_pairs):
+            key = sorted(mapping)
+            if best_key is None:
+                best_key = sorted(best_pairs)
+            if key < best_key:
+                best_pairs = best_key = key
+        # One pass sums the bound and picks the eligible class with the
+        # fewest nodes on its wider side, ties to the lowest reactant node.
+        # Classes are disjoint, so the key is unique and their order in the
+        # list never matters.
+        bound = size
+        chosen = None
+        chosen_key = None
+        for cls in current:
+            g, h, adjacent = cls
+            count_g = g.bit_count()
+            count_h = h.bit_count()
+            if count_g < count_h:
+                bound += count_g
+                count_g = count_h
+            else:
+                bound += count_h
+            if adjacent or not size:
+                key = (count_g, g & -g)
+                if chosen_key is None or key < chosen_key:
+                    chosen, chosen_key = cls, key
+        if bound < len(best_pairs) or chosen is None:
             return
-        eligible = [
-            cls for cls in current if cls[2] or not mapping
-        ]
-        if not eligible:
-            return
-        cls = min(eligible, key=lambda c: (max(len(c[0]), len(c[1])), c[0][0]))
-        v = cls[0][0]
-        tried: set[int] = set()
-        for w in cls[1]:
-            if allowed is not None and not (allowed[v] >> w) & 1:
-                continue
-            if twin_p[w] in tried:
-                continue
-            tried.add(twin_p[w])
+        g, h, adjacent = chosen
+        v_bit = g & -g
+        v = v_bit.bit_length() - 1
+        candidates = h if allowed is None else h & allowed[v]
+        while candidates:
+            w_bit = candidates & -candidates
+            w = w_bit.bit_length() - 1
+            candidates &= ~twins_p[w]
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(
                     f"common-subgraph search exceeded {budget} pair expansions"
                 )
             mapping.append((v, w))
-            search(refine(current, v, w), mapping)
+            search(refine(current, v_bit, v, w_bit, w), mapping)
             mapping.pop()
-        group = twin_r[v]
-        remainder = []
-        for g_nodes, h_nodes, adjacent in current:
-            if v in g_nodes:
-                g_nodes = [u for u in g_nodes if twin_r[u] != group]
-                if not g_nodes:
-                    continue
-            remainder.append((g_nodes, h_nodes, adjacent))
+        remainder = [cls for cls in current if cls is not chosen]
+        rest = g & ~twins_r[v]
+        if rest:
+            remainder.append((rest, h, adjacent))
         search(remainder, mapping)
 
     if classes:
