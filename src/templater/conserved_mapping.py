@@ -101,17 +101,19 @@ def _attribute_labels(
     return labels_r, labels_p
 
 
+def _neighbour_mask(graph: UnifiedGraph, gid: int, index: dict[int, int]) -> int:
+    """Bitmask of the neighbours of ``gid`` among the indexed nodes."""
+    mask = 0
+    for nbr in graph.neighbors(gid):
+        j = index.get(nbr)
+        if j is not None:
+            mask |= 1 << j
+    return mask
+
+
 def _adjacency_masks(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
     index = {gid: i for i, gid in enumerate(nodes)}
-    masks = [0] * len(nodes)
-    for gid in nodes:
-        mask = 0
-        for nbr in graph.neighbors(gid):
-            j = index.get(nbr)
-            if j is not None:
-                mask |= 1 << j
-        masks[index[gid]] = mask
-    return masks
+    return [_neighbour_mask(graph, gid, index) for gid in nodes]
 
 
 def max_common_subgraph(
@@ -139,17 +141,15 @@ def max_common_subgraph(
     masks_p = _adjacency_masks(g_p, nodes_p)
     allowed = None
     if required_images:
-        full = (1 << len(nodes_p)) - 1
-        allowed = [full] * len(nodes_r)
-        for i, r_gid in enumerate(nodes_r):
-            required = required_images.get(r_gid)
-            if not required:
-                continue
-            mask = 0
-            for j, p_gid in enumerate(nodes_p):
-                if required <= set(g_p.neighbors(p_gid)):
-                    mask |= 1 << j
-            allowed[i] = mask
+        # A product node is adjacent to every required image exactly when
+        # it lies in the intersection of their neighbourhoods.
+        index_p = {gid: j for j, gid in enumerate(nodes_p)}
+        allowed = []
+        for r_gid in nodes_r:
+            row = (1 << len(nodes_p)) - 1
+            for image in required_images.get(r_gid, ()):
+                row &= _neighbour_mask(g_p, image, index_p)
+            allowed.append(row)
     pairs, expansions = max_common_connected_subgraph(
         labels_r, labels_p, masks_r, masks_p, budget, allowed
     )
