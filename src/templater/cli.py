@@ -340,10 +340,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    names = {f.name for f in fields(RunConfig)}
     file_values = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_values) - names)
+        if unknown:
+            raise ValueError(
+                f"config file {args.config} has unknown keys: {', '.join(unknown)}"
+            )
     values = {}
     for f in fields(RunConfig):
         cli_value = getattr(args, f.name, None)

@@ -145,6 +145,26 @@ class TestRunCommand:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["templates"]["cutoff"] == 2
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"cuttoff": 2, "exportdot": True}, "has unknown keys: cuttoff, exportdot"),
+            ([2], "must hold a JSON object"),
+        ],
+        ids=["unknown-keys", "not-an-object"],
+    )
+    def test_config_file_rejected(self, tmp_path, capsys, config, message):
+        # A misspelt key used to be dropped: the run went on with the default.
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(run_args(out_dir, ["--config", str(config_path)]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: config file ")
+        assert message in err
+        assert not out_dir.exists()
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
