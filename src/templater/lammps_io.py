@@ -104,9 +104,6 @@ class SystemTopology:
     def atom_ids(self) -> set[int]:
         return {a.atom_id for a in self.atoms}
 
-    def mass_of(self, type_id: int) -> float:
-        return self.masses[type_id]
-
     def validate(self) -> None:
         """Check the structural invariants; raise a ParseError subclass."""
         ids = [a.atom_id for a in self.atoms]
