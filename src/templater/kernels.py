@@ -123,8 +123,11 @@ def max_common_connected_subgraph(
     expansions = 0
 
     def refine(
-        current: list[tuple[int, int, bool]], v_bit: int, v: int, w_bit: int, w: int
+        current: list[tuple[int, int, bool]], v: int, w: int
     ) -> list[tuple[int, int, bool]]:
+        # v and w leave both halves, even where listed as their own neighbours.
+        v_bit = 1 << v
+        w_bit = 1 << w
         adj_v = adj_r[v] & ~v_bit
         adj_w = adj_p[w] & ~w_bit
         non_v = ~(adj_v | v_bit)
@@ -168,22 +171,23 @@ def max_common_connected_subgraph(
             count_h = h.bit_count()
             if count_g < count_h:
                 bound += count_g
-                count_g = count_h
+                wide = count_h
             else:
                 bound += count_h
+                wide = count_g
             if adjacent or not size:
-                key = (count_g, g & -g)
+                key = (wide, g & -g)
                 if chosen_key is None or key < chosen_key:
                     chosen, chosen_key = cls, key
         if bound < len(best_pairs) or chosen is None:
             return
         g, h, adjacent = chosen
-        v_bit = g & -g
-        v = v_bit.bit_length() - 1
+        v = (g & -g).bit_length() - 1
+        # Match v to the first candidate of each product twin group in turn,
+        # in ascending order.
         candidates = h if allowed is None else h & allowed[v]
         while candidates:
-            w_bit = candidates & -candidates
-            w = w_bit.bit_length() - 1
+            w = (candidates & -candidates).bit_length() - 1
             candidates &= ~twins_p[w]
             expansions += 1
             if expansions > budget:
@@ -191,8 +195,9 @@ def max_common_connected_subgraph(
                     f"common-subgraph search exceeded {budget} pair expansions"
                 )
             mapping.append((v, w))
-            search(refine(current, v_bit, v, w_bit, w), mapping)
+            search(refine(current, v, w), mapping)
             mapping.pop()
+        # Leave v unmatched, and with it its whole twin group.
         remainder = [cls for cls in current if cls is not chosen]
         rest = g & ~twins_r[v]
         if rest:
