@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,32 +358,6 @@ def assign_similarity(
     return result, matrix
 
 
-def _consistency_objective(
-    mapping: AtomMapping,
-    nodes: set[int],
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    score: Callable[[int, int], float],
-) -> float:
-    """Similarity of movable pairs plus one unit per preserved edge, over nodes.
-
-    Conserved anchors add only their edges: a swap never changes their
-    similarity, so it would be the same term on both sides of a comparison.
-    """
-    total = 0.0
-    for r in nodes:
-        p = mapping.pairs.get(r)
-        if p is None:
-            continue
-        if not mapping.is_conserved(r):
-            total += score(r, p)
-        for x in g_reac.neighbors(r):
-            image = mapping.pairs.get(x)
-            if image is not None and g_prod.has_edge(p, image):
-                total += 1.0
-    return total
-
-
 def refine_symmetric_paths(
     mapping: AtomMapping,
     g_reac: UnifiedGraph,
@@ -403,6 +376,11 @@ def refine_symmetric_paths(
     Similarities are read from ``matrix``, the one ``assign_similarity``
     returned: every non-conserved pair a swap can form is one of its cells.
     ``None`` (nothing was left to assign) means there is nothing to move.
+
+    A swap only changes the terms of the two nodes and their mapped
+    neighbours, so each trial exchanges the two images in place, sums the
+    objective over those nodes, and exchanges them back; the mapping is
+    repaired only for an accepted swap.
     """
     result = mapping.copy()
     movable = sorted(r for r in result.pairs if not result.is_conserved(r))
@@ -411,36 +389,54 @@ def refine_symmetric_paths(
     row_of = {r: i for i, r in enumerate(matrix.rows)}
     col_of = {p: j for j, p in enumerate(matrix.cols)}
     scores = matrix.scores.tolist()
+    pairs = result.pairs
+    movable_set = set(movable)
+    partners = [
+        [v for v in movable[i + 1 :] if g_reac.nodes[v].mass == g_reac.nodes[u].mass]
+        for i, u in enumerate(movable)
+    ]
 
-    def score(r: int, p: int) -> float:
-        return scores[row_of[r]][col_of[p]]
+    def objective(nodes: set[int]) -> float:
+        """Similarity of movable pairs plus one unit per preserved edge, over nodes.
+
+        Conserved anchors add only their edges: a swap never changes their
+        similarity, so it would be the same term on both sides of a comparison.
+        The accept test compares two such sums against a 1e-12 margin, so the
+        order of the terms (``nodes``, then ``g_reac.neighbors``) is part of
+        which swaps win a near tie.
+        """
+        total = 0.0
+        for r in nodes:
+            p = pairs[r]
+            if r in movable_set:
+                total += scores[row_of[r]][col_of[p]]
+            images = g_prod.neighbors(p)
+            for x in g_reac.neighbors(r):
+                if pairs.get(x) in images:
+                    total += 1.0
+        return total
 
     sweeps = swaps = 0
     improved = True
     while improved:
         improved = False
         sweeps += 1
-        for i, u in enumerate(movable):
-            for v in movable[i + 1 :]:
-                if g_reac.nodes[u].mass != g_reac.nodes[v].mass:
-                    continue
+        for u, candidates in zip(movable, partners):
+            for v in candidates:
                 affected = {u, v}
-                affected.update(x for x in g_reac.neighbors(u) if x in result.pairs)
-                affected.update(x for x in g_reac.neighbors(v) if x in result.pairs)
-                before = _consistency_objective(result, affected, g_reac, g_prod, score)
-                image_u, image_v = result.pairs[u], result.pairs[v]
-                prov_u, prov_v = result.provenance[u], result.provenance[v]
-                result.repair(u, None, "")
-                result.repair(v, image_u, PATH_REFINED)
-                result.repair(u, image_v, PATH_REFINED)
-                after = _consistency_objective(result, affected, g_reac, g_prod, score)
+                affected.update(x for x in g_reac.neighbors(u) if x in pairs)
+                affected.update(x for x in g_reac.neighbors(v) if x in pairs)
+                before = objective(affected)
+                image_u, image_v = pairs[u], pairs[v]
+                pairs[u], pairs[v] = image_v, image_u
+                after = objective(affected)
+                pairs[u], pairs[v] = image_u, image_v
                 if after > before + _IMPROVEMENT_EPS:
                     improved = True
                     swaps += 1
-                else:
                     result.repair(u, None, "")
-                    result.repair(v, image_v, prov_v)
-                    result.repair(u, image_u, prov_u)
+                    result.repair(v, image_u, PATH_REFINED)
+                    result.repair(u, image_v, PATH_REFINED)
     logger.info("path refinement: %d sweep(s), %d swap(s)", sweeps, swaps)
     return result
 
@@ -463,11 +459,13 @@ def swap_hydrogens(
     smallest source ids first.  Displaced images move to the displaced
     preimages, so cardinality and the injection are preserved; conserved
     pairs are never touched.  Runs to a fixpoint, making the pass
-    idempotent on molecular graphs (hydrogens have a single neighbor).
+    idempotent on molecular graphs (hydrogens have a single neighbor); a
+    pass still changing pairs after ``_MAX_SWEEPS`` sweeps stops with a
+    warning.
     """
     result = mapping.copy()
     changed = True
-    sweeps = 0
+    sweeps = swaps = 0
     while changed and sweeps < _MAX_SWEEPS:
         changed = False
         sweeps += 1
@@ -506,6 +504,12 @@ def swap_hydrogens(
                 if displaced_pre is not None:
                     result.add(displaced_pre, displaced_image, HYDROGEN_SWAPPED)
                 changed = True
+                swaps += 1
+    if changed:
+        logger.warning(
+            "hydrogen swap: stopped at the %d-sweep cap with pairs still changing", _MAX_SWEEPS
+        )
+    logger.info("hydrogen swap: %d sweep(s), %d swap(s)", sweeps, swaps)
     result.refresh_unmapped(g_reac, g_prod)
     return result
 

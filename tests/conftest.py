@@ -55,11 +55,17 @@ def path_topology(n, type_id=1, mass=12.011):
     return make_topology(atoms, bonds, {type_id: mass})
 
 
-def alkene_dimerization(n, rng):
+def alkene_dimerization(n, rng, retype_radius=None):
     """Two explicit-hydrogen 1-alkenes CnH2n joined head to head into the
-    alkane C2nH(4n+2), with the atom ids of each molecule shuffled by rng."""
-    c2, c3, ha, hc = 1, 2, 3, 4
-    masses = {c2: 12.011, c3: 12.011, ha: 1.008, hc: 1.008}
+    alkane C2nH(4n+2), with the atom ids of each molecule shuffled by rng.
+
+    With ``retype_radius`` R, every alkane atom within R bonds of the new
+    bond (the bond itself counting as one) takes a retyped copy of its type
+    with the same mass, as a force field assigns near a reaction site.  The
+    radius changes types only, so rng yields the same atom orders either way.
+    """
+    c2, c3, ha, hc, c3x, hcx = 1, 2, 3, 4, 5, 6
+    masses = {c2: 12.011, c3: 12.011, ha: 1.008, hc: 1.008, c3x: 12.011, hcx: 1.008}
 
     def molecule(carbon_types, hydrogens):
         types = list(carbon_types)
@@ -77,7 +83,17 @@ def alkene_dimerization(n, rng):
         hydrogens = [(2, ha), (1, ha)] + [(2, hc)] * (n - 3) + [(3, hc)]
         return molecule([c2, c2] + [c3] * (n - 2), hydrogens)
 
-    alkane = molecule([c3] * (2 * n), [(3, hc)] + [(2, hc)] * (2 * n - 2) + [(3, hc)])
+    carbons = [c3] * (2 * n)
+    hydrogens = [(3, hc)] + [(2, hc)] * (2 * n - 2) + [(3, hc)]
+    if retype_radius is not None:
+        # Alkane carbons n-1 and n form the new bond.
+        hops = [max(n - 1 - c, c - n) for c in range(2 * n)]
+        carbons = [c3x if h < retype_radius else c3 for h in hops]
+        hydrogens = [
+            (count, hcx if h + 1 < retype_radius else hc)
+            for (count, _), h in zip(hydrogens, hops)
+        ]
+    alkane = molecule(carbons, hydrogens)
     return (
         build_unified_graph([alkene(), alkene()], "reactant"),
         build_unified_graph([alkane], "product"),

@@ -188,6 +188,7 @@ class TestDeterminism:
             at_info = level == logging.INFO
             assert ("similarity matrix: 7 x 4" in caplog.messages) == at_info
             assert ("path refinement: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
+            assert ("hydrogen swap: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
             assert (
                 "conserved search: iteration 1, molecules 1 -> 1: 23 pairs, 124 expansions"
                 in caplog.messages

@@ -1,17 +1,20 @@
+import copy
 import itertools
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import CASE_STUDIES, make_graph, make_topology
+from conftest import CASE_STUDIES, alkene_dimerization, make_graph, make_topology
 from templater.cli import RunConfig, run_stages
 from templater.conserved_mapping import (
     HYDROGEN_SWAPPED,
     PATH_REFINED,
     AtomMapping,
     iterate_conserved,
+    validate_mapping,
 )
 from templater.graph_core import build_unified_graph
 from templater.similarity_assignment import (
@@ -301,6 +304,13 @@ def para_ring_system():
     return g_reac, g_prod
 
 
+def retyped_dimerizations():
+    """The alkene dimerization with every atom near the new bond retyped
+    (n=5, radius 4), at four atom orders: the heaviest real input of path
+    refinement, where nearly every atom reaches the similarity stage."""
+    return [alkene_dimerization(5, random.Random(seed), retype_radius=4) for seed in range(4)]
+
+
 def refine_oracle(mapping, g_reac, g_prod, weights=ScoringWeights()):
     """Path refinement as it was before it read the matrix.
 
@@ -422,6 +432,7 @@ class TestRefineSymmetricPaths:
         from test_acceptance import synthetic_reaction
 
         systems = [para_ring_system()] + [pair[:2] for pair in case_study_pairs()]
+        systems += retyped_dimerizations()
         rng = random.Random(777)
         for trial in range(50):
             reactants, products, _ = synthetic_reaction(rng, delete_leaves=(trial % 2 == 1))
@@ -449,6 +460,24 @@ class TestRefineSymmetricPaths:
             refined_any |= PATH_REFINED in refined.provenance.values()
         assert refined_any
 
+    def test_leaves_input_unchanged_and_keeps_injection(self):
+        systems = [para_ring_system()] + retyped_dimerizations()
+        shuffle_rng = random.Random(11)
+        refined_any = False
+        for g_reac, g_prod in systems:
+            mapping, matrix = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+            for start in (mapping, scrambled(mapping, g_reac, shuffle_rng)):
+                before = copy.deepcopy(start)
+                refined = refine_symmetric_paths(start, g_reac, g_prod, matrix)
+                assert start.pairs == before.pairs
+                assert start.reverse == before.reverse
+                assert start.provenance == before.provenance
+                validate_mapping(refined, g_reac, g_prod)
+                assert refined.reverse == {p: r for r, p in refined.pairs.items()}
+                assert refined.provenance.keys() == refined.pairs.keys()
+                refined_any |= PATH_REFINED in refined.provenance.values()
+        assert refined_any
+
 
 def methane_pair_system(cross: bool):
     """Two CH2 heavy atoms whose hydrogens may be paired crosswise."""
@@ -467,31 +496,49 @@ def methane_pair_system(cross: bool):
     return g_reac, g_prod, mapping
 
 
+def stray_hydrogen_system():
+    """Reactant CH with its H mapped far away; product CH2 with a free H."""
+    reactant = make_topology(
+        [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0)],
+        [(1, 2), (1, 3), (3, 4)],
+        MASSES,
+    )
+    product = make_topology(
+        [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0), (5, 3, 0.0)],
+        [(1, 2), (1, 3), (3, 4), (1, 5)],
+        MASSES,
+    )
+    g_reac = build_unified_graph([reactant], "reactant")
+    g_prod = build_unified_graph([product], "product")
+    mapping = AtomMapping()
+    mapping.add(1, 1, "similarity")
+    mapping.add(3, 3, "similarity")
+    mapping.add(2, 4, "similarity")  # H of atom 1 mapped onto atom 3's H
+    mapping.add(4, 2, "similarity")
+    return g_reac, g_prod, mapping
+
+
 class TestSwapHydrogens:
     def test_unequal_neighborhoods_reassign_strays(self):
-        # Reactant CH with its H mapped far away; product CH2 with a free H.
-        reactant = make_topology(
-            [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0)],
-            [(1, 2), (1, 3), (3, 4)],
-            MASSES,
-        )
-        product = make_topology(
-            [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0), (5, 3, 0.0)],
-            [(1, 2), (1, 3), (3, 4), (1, 5)],
-            MASSES,
-        )
-        g_reac = build_unified_graph([reactant], "reactant")
-        g_prod = build_unified_graph([product], "product")
-        mapping = AtomMapping()
-        mapping.add(1, 1, "similarity")
-        mapping.add(3, 3, "similarity")
-        mapping.add(2, 4, "similarity")  # H of atom 1 mapped onto atom 3's H
-        mapping.add(4, 2, "similarity")
+        g_reac, g_prod, mapping = stray_hydrogen_system()
         swapped = swap_hydrogens(mapping, g_reac, g_prod)
         assert swapped.pairs[2] in (2, 5)
         assert g_prod.has_edge(1, swapped.pairs[2])
         assert swapped.provenance[2] == HYDROGEN_SWAPPED
         assert len(swapped.pairs) == len(mapping.pairs)
+
+    def test_logs_counts_and_warns_at_sweep_cap(self, caplog, monkeypatch):
+        g_reac, g_prod, mapping = stray_hydrogen_system()
+        caplog.set_level(logging.INFO, logger="templater")
+        swap_hydrogens(mapping, g_reac, g_prod)
+        assert caplog.messages == ["hydrogen swap: 2 sweep(s), 1 swap(s)"]
+
+        caplog.clear()
+        monkeypatch.setattr("templater.similarity_assignment._MAX_SWEEPS", 1)
+        swap_hydrogens(mapping, g_reac, g_prod)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING, logging.INFO]
+        assert "1-sweep cap" in caplog.messages[0]
+        assert caplog.messages[1] == "hydrogen swap: 1 sweep(s), 1 swap(s)"
 
     def test_no_hydrogens_no_op(self):
         g1 = make_graph([(1, 1, 0.0), (2, 2, 0.0)], [(1, 2)], MASSES, "reactant")
