@@ -25,7 +25,6 @@ from templater.lammps_io import (
 from templater.reaction_analysis import ReactionReport, build_report
 from templater.similarity_assignment import (
     ScoringWeights,
-    build_cost_matrix,
     build_similarity_matrix,
     refine_symmetric_paths,
     similarity_score,
@@ -54,7 +53,6 @@ __all__ = [
     "SystemTopology",
     "UnifiedGraph",
     "assemble_templates",
-    "build_cost_matrix",
     "build_report",
     "build_similarity_matrix",
     "build_unified_graph",

@@ -183,7 +183,6 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
             g_prod,
             reactant_topologies,
             product_topologies,
-            cfg.cutoff,
         )
         logger.info(
             "templates: %d pre atoms, %d post atoms (cutoff %d)",
@@ -280,7 +279,7 @@ def _report_json(cfg: RunConfig, state: PipelineState) -> str:
     payload["templates"] = {
         "pre_atoms": state.templates.pre.atom_count,
         "post_atoms": state.templates.post.atom_count,
-        "cutoff": state.templates.cutoff,
+        "cutoff": cfg.cutoff,
         "edge_atoms": state.templates.edge_atoms,
         "equivalences": len(state.templates.equivalences),
         "count_convention": "pre template includes deleted atoms; post includes created",

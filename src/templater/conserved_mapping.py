@@ -42,8 +42,6 @@ class AtomMapping:
     pairs: dict[int, int] = field(default_factory=dict)
     reverse: dict[int, int] = field(default_factory=dict)
     provenance: dict[int, str] = field(default_factory=dict)
-    unmapped_reactant: set[int] = field(default_factory=set)
-    unmapped_product: set[int] = field(default_factory=set)
     search_expansions: int = 0
 
     def add(self, r_gid: int, p_gid: int, provenance: str) -> None:
@@ -72,14 +70,17 @@ class AtomMapping:
             pairs=dict(self.pairs),
             reverse=dict(self.reverse),
             provenance=dict(self.provenance),
-            unmapped_reactant=set(self.unmapped_reactant),
-            unmapped_product=set(self.unmapped_product),
             search_expansions=self.search_expansions,
         )
 
-    def refresh_unmapped(self, g_reac: UnifiedGraph, g_prod: UnifiedGraph) -> None:
-        self.unmapped_reactant = {g for g in g_reac.nodes if g not in self.pairs}
-        self.unmapped_product = {g for g in g_prod.nodes if g not in self.reverse}
+    def unmapped(
+        self, g_reac: UnifiedGraph, g_prod: UnifiedGraph
+    ) -> tuple[set[int], set[int]]:
+        """(reactant nodes without an image, product nodes without a preimage)."""
+        return (
+            {g for g in g_reac.nodes if g not in self.pairs},
+            {g for g in g_prod.nodes if g not in self.reverse},
+        )
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs.items())
@@ -216,7 +217,6 @@ def iterate_conserved(
             break
         for r_gid, p_gid in best[1]:
             mapping.add(r_gid, p_gid, conserved_tag(iteration))
-    mapping.refresh_unmapped(g_reac, g_prod)
     return mapping
 
 

@@ -33,9 +33,25 @@ search without changing the result.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections.abc import Callable, Hashable
 
 from templater.errors import BudgetExceeded
+
+
+_recursion_limit_lock = threading.Lock()
+
+
+def _allow_recursion(depth: int) -> None:
+    """Raise the interpreter's recursion limit, never lower it, so that
+    ``depth`` more frames fit on top of the caller's."""
+    frame, in_use = sys._getframe(), 0
+    while frame is not None:
+        frame, in_use = frame.f_back, in_use + 1
+    with _recursion_limit_lock:
+        if sys.getrecursionlimit() < in_use + depth:
+            sys.setrecursionlimit(in_use + depth)
 
 
 def _twin_masks(
@@ -205,6 +221,11 @@ def max_common_connected_subgraph(
         search(remainder, mapping)
 
     if classes:
+        # Every nested search call holds at least one reactant node fewer
+        # than its parent, so the calls nest at most len(labels_r) + 1 deep;
+        # the deepest one adds a few frames of its own (a comprehension,
+        # tuple comparisons while sorting).
+        _allow_recursion(len(labels_r) + 8)
         search(classes, [])
     return sorted(best_pairs), expansions
 

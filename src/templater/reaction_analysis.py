@@ -55,21 +55,11 @@ def centrality_delta(
     return round(abs(c_p - c_r), CENTRALITY_DELTA_DECIMALS)
 
 
-def classify_created_deleted(
-    mapping: AtomMapping, g_reac: UnifiedGraph, g_prod: UnifiedGraph
-) -> tuple[set[int], set[int]]:
-    """(created product nodes, deleted reactant nodes) of a final mapping."""
-    created = {g for g in g_prod.nodes if g not in mapping.reverse}
-    deleted = {g for g in g_reac.nodes if g not in mapping.pairs}
-    return created, deleted
-
-
 def select_initiators(
     bond_deltas: dict[int, frozenset],
     centrality_deltas: dict[int, float],
     mapping: AtomMapping,
     g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
 ) -> tuple[int, int]:
     """Pick one reactant-side initiator per reacting molecule.
 
@@ -124,10 +114,8 @@ def build_report(
     for r_gid, p_gid in mapping.sorted_pairs():
         bond_deltas[r_gid] = bond_delta((r_gid, p_gid), mapping, g_reac, g_prod)
         centrality_deltas[r_gid] = centrality_delta((r_gid, p_gid), g_reac, g_prod)
-    created, deleted = classify_created_deleted(mapping, g_reac, g_prod)
-    initiators = select_initiators(
-        bond_deltas, centrality_deltas, mapping, g_reac, g_prod
-    )
+    deleted, created = mapping.unmapped(g_reac, g_prod)
+    initiators = select_initiators(bond_deltas, centrality_deltas, mapping, g_reac)
     return ReactionReport(
         initiators=initiators,
         created=created,

@@ -198,39 +198,6 @@ def build_similarity_matrix(
     return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores)
 
 
-@dataclass
-class CostMatrix:
-    """Negated similarity scores, min-max normalized into [0, 1]."""
-
-    rows: list[int]
-    cols: list[int]
-    entries: np.ndarray
-    normalization: tuple[str, float, float]
-
-
-def build_cost_matrix(matrix: SimilarityMatrix) -> CostMatrix:
-    raw = -matrix.scores
-    low = float(raw.min())
-    high = float(raw.max())
-    if high == low:
-        entries = np.zeros_like(raw)
-        normalization = ("constant", low, 0.0)
-    else:
-        entries = (raw - low) / (high - low)
-        normalization = ("min-max", low, high - low)
-    return CostMatrix(
-        rows=list(matrix.rows), cols=list(matrix.cols), entries=entries, normalization=normalization
-    )
-
-
-@dataclass
-class AssignmentResult:
-    pairs: list[tuple[int, int]]
-    unmatched_rows: list[int]
-    unmatched_cols: list[int]
-    total_cost: float
-
-
 def _linear_sum_assignment(entries: np.ndarray) -> tuple[list[int], list[int]]:
     """Row and column indices of a minimum-cost matching of ``entries``.
 
@@ -315,25 +282,22 @@ def _linear_sum_assignment(entries: np.ndarray) -> tuple[list[int], list[int]]:
     return list(range(n_rows)), col4row
 
 
-def solve_assignment(cost: CostMatrix) -> AssignmentResult:
-    """Minimum-cost matching over min(rows, cols) pairs.
+def solve_assignment(matrix: SimilarityMatrix) -> list[tuple[int, int]]:
+    """Sorted (reactant gid, product gid) pairs of a maximum-similarity matching.
 
-    Unmatched rows are deletion candidates, unmatched columns creation
-    candidates.  Rectangular matrices are expected whenever atoms appear or
-    vanish.
+    The costs are the negated scores, min-max normalized into [0, 1] (all
+    zeros when the scores are constant), and the matching covers
+    min(rows, cols) pairs: rectangular matrices are expected whenever atoms
+    appear or vanish.  Non-finite scores raise ``ValueError``.
     """
-    row_ind, col_ind = _linear_sum_assignment(cost.entries)
-    pairs = [(cost.rows[i], cost.cols[j]) for i, j in zip(row_ind, col_ind)]
-    pairs.sort()
-    matched_rows = {cost.rows[i] for i in row_ind}
-    matched_cols = {cost.cols[j] for j in col_ind}
-    total = float(sum(cost.entries[i, j] for i, j in zip(row_ind, col_ind)))
-    return AssignmentResult(
-        pairs=pairs,
-        unmatched_rows=[r for r in cost.rows if r not in matched_rows],
-        unmatched_cols=[c for c in cost.cols if c not in matched_cols],
-        total_cost=total,
-    )
+    if not np.isfinite(matrix.scores).all():
+        raise ValueError("similarity scores must be finite")
+    raw = -matrix.scores
+    low = float(raw.min())
+    high = float(raw.max())
+    entries = np.zeros_like(raw) if high == low else (raw - low) / (high - low)
+    row_ind, col_ind = _linear_sum_assignment(entries)
+    return sorted((matrix.rows[i], matrix.cols[j]) for i, j in zip(row_ind, col_ind))
 
 
 def assign_similarity(
@@ -344,17 +308,13 @@ def assign_similarity(
 ) -> tuple[AtomMapping, SimilarityMatrix | None]:
     """Extend a conserved mapping over the unmapped remainder."""
     result = mapping.copy()
-    result.refresh_unmapped(g_reac, g_prod)
-    if not result.unmapped_reactant or not result.unmapped_product:
+    rows, cols = result.unmapped(g_reac, g_prod)
+    if not rows or not cols:
         return result, None
-    matrix = build_similarity_matrix(
-        g_reac, g_prod, result.unmapped_reactant, result.unmapped_product, weights
-    )
+    matrix = build_similarity_matrix(g_reac, g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
-    assignment = solve_assignment(build_cost_matrix(matrix))
-    for r_gid, p_gid in assignment.pairs:
+    for r_gid, p_gid in solve_assignment(matrix):
         result.add(r_gid, p_gid, SIMILARITY)
-    result.refresh_unmapped(g_reac, g_prod)
     return result, matrix
 
 
@@ -510,7 +470,6 @@ def swap_hydrogens(
             "hydrogen swap: stopped at the %d-sweep cap with pairs still changing", _MAX_SWEEPS
         )
     logger.info("hydrogen swap: %d sweep(s), %d swap(s)", sweeps, swaps)
-    result.refresh_unmapped(g_reac, g_prod)
     return result
 
 

@@ -10,6 +10,7 @@ the user's force field.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from templater.conserved_mapping import AtomMapping
@@ -62,7 +63,7 @@ def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:
 
 
 def carry_features(
-    pruned: set[int],
+    pruned: Container[int],
     interactions: list[tuple[int, tuple[int, ...]]],
     local_index: dict[int, int],
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -88,7 +89,6 @@ class ReactionTemplates:
     initiators: tuple[int, int]
     deleted: list[int]
     created: list[int]
-    cutoff: int
     pre_index_of: dict[int, int] = field(default_factory=dict)
     post_index_of: dict[int, int] = field(default_factory=dict)
 
@@ -104,44 +104,28 @@ class ReactionTemplates:
         )
 
 
-def _interactions_in_gid_space(
-    graph: UnifiedGraph, topologies: list[SystemTopology]
-) -> dict[str, list[tuple[int, tuple[int, ...]]]]:
-    out: dict[str, list[tuple[int, tuple[int, ...]]]] = {
-        "bonds": [],
-        "angles": [],
-        "dihedrals": [],
-        "impropers": [],
-    }
-    for component, topology in enumerate(topologies, start=1):
-        for name in out:
-            for type_id, members in getattr(topology, name):
-                out[name].append(
-                    (type_id, tuple(graph.gid_for(component, m) for m in members))
-                )
-    return out
+def _side_template(
+    graph: UnifiedGraph, topologies: list[SystemTopology], pruned: set[int]
+) -> tuple[MoleculeTemplateFile, dict[int, int]]:
+    """One side's template, plus its global id to template-local index map.
 
-
-def _template_atoms(
-    graph: UnifiedGraph, topologies: list[SystemTopology], ordered_gids: list[int]
-) -> list[TemplateAtom]:
-    records = {}
+    Atoms are numbered in global-id order.  Each interaction section holds
+    the kept interactions of the first data file, then of the next, each in
+    its file's order.
+    """
+    index = {gid: i for i, gid in enumerate(sorted(pruned), start=1)}
+    atoms = [None] * len(index)
+    sections: dict[str, list] = {"bonds": [], "angles": [], "dihedrals": [], "impropers": []}
     for component, topology in enumerate(topologies, start=1):
+        local = {}
         for atom in topology.atoms:
-            records[graph.gid_for(component, atom.atom_id)] = atom
-    atoms = []
-    for gid in ordered_gids:
-        record = records[gid]
-        atoms.append(
-            TemplateAtom(
-                type_id=record.type_id,
-                charge=record.charge,
-                x=record.x,
-                y=record.y,
-                z=record.z,
-            )
-        )
-    return atoms
+            i = index.get(graph.gid_for(component, atom.atom_id))
+            if i is not None:
+                local[atom.atom_id] = i
+                atoms[i - 1] = TemplateAtom(atom.type_id, atom.charge, atom.x, atom.y, atom.z)
+        for name, kept in sections.items():
+            kept.extend(carry_features(local.keys(), getattr(topology, name), local))
+    return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 
 def reaction_site_nodes(mapping: AtomMapping, report: ReactionReport) -> set[int]:
@@ -192,7 +176,6 @@ def assemble_templates(
     g_prod: UnifiedGraph,
     reactant_topologies: list[SystemTopology],
     product_topologies: list[SystemTopology],
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> ReactionTemplates:
     """Renumber the pruned sets and assemble both templates plus the map."""
     image = {mapping.pairs[r] for r in pre_pruned if r in mapping.pairs}
@@ -203,35 +186,15 @@ def assemble_templates(
     if not set(report.deleted) <= pre_pruned or not set(report.created) <= post_pruned:
         raise InconsistentPruning("created/deleted atoms missing from the templates")
 
-    pre_order = sorted(pre_pruned)
-    post_order = sorted(post_pruned)
-    pre_index = {gid: i for i, gid in enumerate(pre_order, start=1)}
-    post_index = {gid: i for i, gid in enumerate(post_order, start=1)}
-
-    reac_interactions = _interactions_in_gid_space(g_reac, reactant_topologies)
-    prod_interactions = _interactions_in_gid_space(g_prod, product_topologies)
-
-    pre_template = MoleculeTemplateFile(
-        atoms=_template_atoms(g_reac, reactant_topologies, pre_order),
-        bonds=carry_features(pre_pruned, reac_interactions["bonds"], pre_index),
-        angles=carry_features(pre_pruned, reac_interactions["angles"], pre_index),
-        dihedrals=carry_features(pre_pruned, reac_interactions["dihedrals"], pre_index),
-        impropers=carry_features(pre_pruned, reac_interactions["impropers"], pre_index),
-    )
-    post_template = MoleculeTemplateFile(
-        atoms=_template_atoms(g_prod, product_topologies, post_order),
-        bonds=carry_features(post_pruned, prod_interactions["bonds"], post_index),
-        angles=carry_features(post_pruned, prod_interactions["angles"], post_index),
-        dihedrals=carry_features(post_pruned, prod_interactions["dihedrals"], post_index),
-        impropers=carry_features(post_pruned, prod_interactions["impropers"], post_index),
-    )
+    pre_template, pre_index = _side_template(g_reac, reactant_topologies, pre_pruned)
+    post_template, post_index = _side_template(g_prod, product_topologies, post_pruned)
 
     equivalences = sorted(
         (pre_index[r], post_index[p])
         for r, p in mapping.pairs.items()
         if r in pre_pruned
     )
-    templates = ReactionTemplates(
+    return ReactionTemplates(
         pre=pre_template,
         post=post_template,
         equivalences=equivalences,
@@ -239,8 +202,6 @@ def assemble_templates(
         initiators=(pre_index[report.initiators[0]], pre_index[report.initiators[1]]),
         deleted=sorted(pre_index[g] for g in report.deleted),
         created=sorted(post_index[g] for g in report.created),
-        cutoff=cutoff,
         pre_index_of=pre_index,
         post_index_of=post_index,
     )
-    return templates

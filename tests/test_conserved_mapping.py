@@ -122,7 +122,7 @@ class TestIterateConserved:
         assert len(one.pairs) == 2
         two = iterate_conserved(g_reac, g_prod, iterations=2)
         assert len(two.pairs) == 4
-        assert two.unmapped_reactant == {3}
+        assert two.unmapped(g_reac, g_prod)[0] == {3}
         assert {two.provenance[r] for r in (1, 2)} == {"conserved-1"}
         assert {two.provenance[r] for r in (4, 5)} == {"conserved-2"}
 
@@ -131,7 +131,7 @@ class TestIterateConserved:
         g2 = make_graph([(1, 2, 0.0)], [], {2: O}, "product")
         mapping = iterate_conserved(g1, g2)
         assert mapping.pairs == {}
-        assert mapping.unmapped_reactant == {1}
+        assert mapping.unmapped(g1, g2)[0] == {1}
 
     def test_monotone_residual(self):
         rng = random.Random(7)
@@ -157,7 +157,7 @@ class TestIterateConserved:
             previous = None
             for iterations in (1, 2, 3):
                 mapping = iterate_conserved(g_reac, g_prod, iterations=iterations)
-                residual = len(mapping.unmapped_reactant)
+                residual = len(mapping.unmapped(g_reac, g_prod)[0])
                 if previous is not None:
                     assert residual <= previous
                 previous = residual

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -34,6 +35,18 @@ def test_budget_exceeded_raises():
             masks[j] |= 1 << i
     with pytest.raises(BudgetExceeded):
         max_common_connected_subgraph(labels, labels, masks, masks, 50)
+
+
+def test_long_path_maps_whole_without_recursion_error():
+    # The search nests one frame per matched pair, so a 1,200-pair mapping
+    # runs past Python's default recursion limit of 1,000.
+    n = 1200
+    labels = [i % 3 for i in range(n)]
+    masks = [(1 << i - 1 if i else 0) | (1 << i + 1 if i < n - 1 else 0) for i in range(n)]
+    limit = sys.getrecursionlimit()
+    pairs, _ = max_common_connected_subgraph(labels, labels, masks, masks, 10**7)
+    assert pairs == [(i, i) for i in range(n)]
+    assert sys.getrecursionlimit() >= limit
 
 
 def test_lexicographic_tie_break():

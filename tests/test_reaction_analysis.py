@@ -10,7 +10,6 @@ from templater.reaction_analysis import (
     bond_delta,
     build_report,
     centrality_delta,
-    classify_created_deleted,
     report_to_dict,
     report_to_text,
     select_initiators,
@@ -105,7 +104,7 @@ class TestCentralityDelta:
 class TestClassifyCreatedDeleted:
     def test_methyl_coupling_balanced(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        created, deleted = classify_created_deleted(mapping, g_reac, g_prod)
+        deleted, created = mapping.unmapped(g_reac, g_prod)
         assert created == set()
         assert deleted == set()
 
@@ -114,7 +113,7 @@ class TestClassifyCreatedDeleted:
         g_prod = make_graph([(1, 1, 0.0), (2, 4, 0.0)], [(1, 2)], MASSES, "product")
         mapping = AtomMapping()
         mapping.add(1, 1, "conserved-1")
-        created, deleted = classify_created_deleted(mapping, g_reac, g_prod)
+        deleted, created = mapping.unmapped(g_reac, g_prod)
         assert created == {2}
         assert deleted == {2}
 
@@ -163,7 +162,7 @@ class TestSelectInitiators:
             mapping.add(r, p, "similarity")
         deltas = {r: bond_delta((r, mapping.pairs[r]), mapping, g_reac, g_prod) for r in mapping.pairs}
         centralities = {r: centrality_delta((r, mapping.pairs[r]), g_reac, g_prod) for r in mapping.pairs}
-        initiators = select_initiators(deltas, centralities, mapping, g_reac, g_prod)
+        initiators = select_initiators(deltas, centralities, mapping, g_reac)
         assert initiators == (1, 3)
 
 

@@ -3,11 +3,13 @@ import itertools
 import logging
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import CASE_STUDIES, alkene_dimerization, make_graph, make_topology
+from templater import similarity_assignment
 from templater.cli import RunConfig, run_stages
 from templater.conserved_mapping import (
     HYDROGEN_SWAPPED,
@@ -18,11 +20,10 @@ from templater.conserved_mapping import (
 )
 from templater.graph_core import build_unified_graph
 from templater.similarity_assignment import (
-    CostMatrix,
     ScoringWeights,
+    SimilarityMatrix,
     _linear_sum_assignment,
     assign_similarity,
-    build_cost_matrix,
     build_similarity_matrix,
     refine_symmetric_paths,
     similarity_csv,
@@ -179,49 +180,62 @@ class TestSimilarityScore:
         )
 
 
+def score_matrix(scores, rows=None, cols=None):
+    scores = np.array(scores, dtype=float)
+    rows = list(range(scores.shape[0])) if rows is None else rows
+    cols = list(range(scores.shape[1])) if cols is None else cols
+    return SimilarityMatrix(rows=rows, cols=cols, scores=scores)
+
+
 class TestCostMatrix:
-    def _matrix(self, scores):
-        arr = np.array(scores, dtype=float)
-        return build_cost_matrix(
-            type("S", (), {"rows": list(range(arr.shape[0])), "cols": list(range(arr.shape[1])), "scores": arr})()
-        )
+    """The costs ``solve_assignment`` hands the solver: negated scores, min-max
+    normalized into [0, 1]."""
 
-    def test_min_max_algebra(self):
-        cost = self._matrix([[2.0, 0.0], [0.0, 2.0]])
-        assert cost.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        assert cost.normalization[0] == "min-max"
+    def _costs(self, monkeypatch, scores):
+        seen = []
 
-    def test_constant_matrix_all_zero(self):
-        cost = self._matrix([[1.5, 1.5], [1.5, 1.5]])
-        assert not cost.entries.any()
-        assert cost.normalization[0] == "constant"
+        def recording(entries):
+            seen.append(entries)
+            return _linear_sum_assignment(entries)
 
-    def test_one_by_one(self):
-        cost = self._matrix([[3.0]])
-        assert cost.entries.tolist() == [[0.0]]
+        monkeypatch.setattr(similarity_assignment, "_linear_sum_assignment", recording)
+        solve_assignment(score_matrix(scores))
+        return seen[0]
+
+    def test_min_max_algebra(self, monkeypatch):
+        costs = self._costs(monkeypatch, [[2.0, 0.0], [0.0, 2.0]])
+        assert costs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_constant_matrix_all_zero(self, monkeypatch):
+        costs = self._costs(monkeypatch, [[1.5, 1.5], [1.5, 1.5]])
+        assert costs.shape == (2, 2)
+        assert not costs.any()
+
+    def test_one_by_one(self, monkeypatch):
+        costs = self._costs(monkeypatch, [[3.0]])
+        assert costs.tolist() == [[0.0]]
 
 
 class TestSolveAssignment:
     def test_simple_two_by_two(self):
-        cost = CostMatrix(rows=[1, 2], cols=[1, 2], entries=np.array([[0.0, 1.0], [1.0, 0.0]]), normalization=("min-max", 0, 1))
-        result = solve_assignment(cost)
-        assert result.pairs == [(1, 1), (2, 2)]
-        assert result.total_cost == 0.0
+        matrix = score_matrix([[1.0, 0.0], [0.0, 1.0]], rows=[1, 2], cols=[1, 2])
+        pairs = solve_assignment(matrix)
+        assert pairs == [(1, 1), (2, 2)]
 
     def test_rectangular_contract(self):
-        entries = np.array([[0.1, 0.2], [0.3, 0.4], [0.0, 0.9]])
-        cost = CostMatrix(rows=[10, 20, 30], cols=[1, 2], entries=entries, normalization=("min-max", 0, 1))
-        result = solve_assignment(cost)
-        assert len(result.pairs) == 2
-        assert len(result.unmatched_rows) == 1
-        assert not result.unmatched_cols
+        scores = -np.array([[0.1, 0.2], [0.3, 0.4], [0.0, 0.9]])
+        pairs = solve_assignment(score_matrix(scores, rows=[10, 20, 30], cols=[1, 2]))
+        assert len(pairs) == 2
+        assert len({10, 20, 30} - {r for r, _ in pairs}) == 1
+        assert {p for _, p in pairs} == {1, 2}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
-        entries = np.array([[0.0, 1.0, 0.5], [1.0, bad, 0.0]])
-        cost = CostMatrix(rows=[1, 2], cols=[1, 2, 3], entries=entries, normalization=("min-max", 0, 1))
-        with pytest.raises(ValueError, match="finite"):
-            solve_assignment(cost)
+        matrix = score_matrix([[0.0, 1.0, 0.5], [1.0, bad, 0.0]], rows=[1, 2], cols=[1, 2, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                solve_assignment(matrix)
         with pytest.raises(ValueError, match="finite"):
             _linear_sum_assignment(np.full((3, 2), bad))
 
@@ -230,13 +244,13 @@ class TestSolveAssignment:
         for _ in range(120):
             n = rng.randint(2, 7)
             entries = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
-            cost = CostMatrix(rows=list(range(n)), cols=list(range(n)), entries=entries, normalization=("min-max", 0, 1))
-            result = solve_assignment(cost)
+            row_ind, col_ind = _linear_sum_assignment(entries)
+            total = sum(entries[i, j] for i, j in zip(row_ind, col_ind))
             best = min(
                 sum(entries[i, perm[i]] for i in range(n))
                 for perm in itertools.permutations(range(n))
             )
-            assert result.total_cost == pytest.approx(best, abs=1e-12)
+            assert total == pytest.approx(best, abs=1e-12)
 
     def test_matches_scipy_indices_exactly(self):
         # The port must pick scipy's optimum among ties, so the inputs are
@@ -270,11 +284,8 @@ class TestSolveAssignment:
         rng = random.Random(55)
         for scale in (2.0, 4.0, 0.5, 3.7):
             scores = np.array([[rng.random() for _ in range(5)] for _ in range(5)])
-            base = type("S", (), {"rows": list(range(5)), "cols": list(range(5)), "scores": scores})()
-            scaled = type("S", (), {"rows": list(range(5)), "cols": list(range(5)), "scores": scores * scale})()
-            assert (
-                solve_assignment(build_cost_matrix(base)).pairs
-                == solve_assignment(build_cost_matrix(scaled)).pairs
+            assert solve_assignment(score_matrix(scores)) == solve_assignment(
+                score_matrix(scores * scale)
             )
 
 

@@ -85,7 +85,6 @@ def small_reaction():
     mapping = AtomMapping()
     for r, p in ((1, 1), (2, 2), (3, 3), (4, 4)):
         mapping.add(r, p, "conserved-1")
-    mapping.refresh_unmapped(g_reac, g_prod)
     report = build_report(mapping, g_reac, g_prod)
     return g_reac, g_prod, [ab, cd], [product], mapping, report
 
@@ -95,7 +94,7 @@ class TestAssembleTemplates:
         g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
         pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
         templates = assemble_templates(
-            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos, 4
+            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos
         )
         assert templates.pre.atom_count == 4
         assert templates.post.atom_count == 4
@@ -110,7 +109,7 @@ class TestAssembleTemplates:
         g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
         pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
         templates = assemble_templates(
-            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos, 4
+            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos
         )
         assert [a.charge for a in templates.pre.atoms] == [0.1, -0.1, 0.2, -0.2]
         assert templates.pre.atoms[0].x == 1.0
@@ -120,7 +119,7 @@ class TestAssembleTemplates:
         with pytest.raises(InconsistentPruning):
             assemble_templates(
                 mapping, report, {1, 2}, {1, 2, 3, 4}, g_reac, g_prod,
-                reac_topos, prod_topos, 4,
+                reac_topos, prod_topos,
             )
 
     def test_splice_consistency_property(self, case_states):
