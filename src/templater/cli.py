@@ -17,7 +17,12 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from templater import errors
-from templater.conserved_mapping import AtomMapping, iterate_conserved
+from templater.conserved_mapping import (
+    DEFAULT_BUDGET,
+    DEFAULT_ITERATIONS,
+    AtomMapping,
+    iterate_conserved,
+)
 from templater.graph_core import UnifiedGraph, build_unified_graph, dot_export
 from templater.lammps_io import (
     SystemTopology,
@@ -32,6 +37,7 @@ from templater.reaction_analysis import (
     report_to_text,
 )
 from templater.similarity_assignment import (
+    DEFAULT_HYDROGEN_TOLERANCE,
     ScoringWeights,
     SimilarityMatrix,
     assign_similarity,
@@ -40,6 +46,7 @@ from templater.similarity_assignment import (
     swap_hydrogens,
 )
 from templater.template_builder import (
+    DEFAULT_CUTOFF,
     ReactionTemplates,
     assemble_templates,
     prune_reaction,
@@ -68,22 +75,24 @@ class RunConfig:
     reactants: list[str]
     products: list[str]
     out_dir: str = "."
-    alpha: float = 0.5
-    beta: float = 0.25
-    gamma: float = 0.25
-    iterations: int = 2
-    cutoff: int = 4
+    alpha: float = ScoringWeights.alpha
+    beta: float = ScoringWeights.beta
+    gamma: float = ScoringWeights.gamma
+    iterations: int = DEFAULT_ITERATIONS
+    cutoff: int = DEFAULT_CUTOFF
     export_dot: bool = False
     export_similarity_csv: bool = False
-    search_budget: int = 10_000_000
-    hydrogen_tolerance: float = 0.01
+    search_budget: int = DEFAULT_BUDGET
+    hydrogen_tolerance: float = DEFAULT_HYDROGEN_TOLERANCE
 
     def __post_init__(self) -> None:
         if not self.reactants or not self.products:
             raise ValueError("at least one reactant and one product file are required")
         weights = ScoringWeights(self.alpha, self.beta, self.gamma)
+        # normalized() holds the checks, so it runs on weights that already
+        # sum to 1 too; only weights that do not are replaced.
+        normalized = weights.normalized()
         if not weights.is_normalized:
-            normalized = weights.normalized()
             logger.warning(
                 "weights (%g, %g, %g) do not sum to 1; rescaled to (%g, %g, %g)",
                 self.alpha, self.beta, self.gamma,
@@ -360,8 +369,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             values[f.name] = file_values[f.name]
     if "reactants" not in values or "products" not in values:
         raise ValueError("--reactants and --products are required (flag or config file)")
-    if "out_dir" not in values:
-        values["out_dir"] = "."
     return RunConfig(**values)
 
 
@@ -375,12 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "run":
-            state = run_pipeline(cfg)
-            for name in sorted(state.written):
-                print(state.written[name])
-            return 0
-        texts = export_dot(cfg, args.stage)
-        written = _write_atomic(cfg.out_dir, texts)
+            written = run_pipeline(cfg).written
+        else:
+            written = _write_atomic(cfg.out_dir, export_dot(cfg, args.stage))
         for name in sorted(written):
             print(written[name])
         return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from templater.errors import NoCommonSubgraph, ValidationError
+from templater.errors import ValidationError
 from templater.graph_core import UnifiedGraph
 from templater.kernels import max_common_connected_subgraph
 
@@ -128,16 +128,16 @@ def max_common_subgraph(
     """Best connected common induced subgraph between two node restrictions.
 
     Returns the matched (reactant gid, product gid) pairs plus the number of
-    pair expansions spent.  Raises NoCommonSubgraph when no node pair agrees
-    on mass and type.  ``required_images`` constrains individual reactant
-    nodes to product nodes adjacent to all the given product gids; iteration
-    uses it to keep edges toward already-mapped pairs preserved.
+    pair expansions spent; ``([], 0)`` when no node pair agrees on mass and
+    type.  ``required_images`` constrains individual reactant nodes to
+    product nodes adjacent to all the given product gids; iteration uses it
+    to keep edges toward already-mapped pairs preserved.
     """
     nodes_r = sorted(include_r) if include_r is not None else g_r.sorted_gids()
     nodes_p = sorted(include_p) if include_p is not None else g_p.sorted_gids()
     labels_r, labels_p = _attribute_labels(g_r, nodes_r, g_p, nodes_p)
     if not set(labels_r) & set(labels_p):
-        raise NoCommonSubgraph("no node pair agrees on mass and type")
+        return [], 0
     masks_r = _adjacency_masks(g_r, nodes_r)
     masks_p = _adjacency_masks(g_p, nodes_p)
     allowed = None
@@ -196,12 +196,9 @@ def iterate_conserved(
                 rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
                 if not rest_p:
                     continue
-                try:
-                    pairs, expansions = max_common_subgraph(
-                        g_reac, g_prod, rest_r, rest_p, budget, required
-                    )
-                except NoCommonSubgraph:
-                    continue
+                pairs, expansions = max_common_subgraph(
+                    g_reac, g_prod, rest_r, rest_p, budget, required
+                )
                 mapping.search_expansions += expansions
                 logger.info(
                     "conserved search: iteration %d, molecules %d -> %d: "

@@ -43,14 +43,6 @@ class EmptyTopology(TemplaterError):
     """A topology with zero atoms was passed where a molecule is required."""
 
 
-class NoEdges(TemplaterError):
-    """Eigenvector centrality requested for a component without edges."""
-
-
-class NoCommonSubgraph(TemplaterError):
-    """No node pair agrees on mass and type; common subgraph undefined."""
-
-
 class BudgetExceeded(TemplaterError):
     """The subgraph search exceeded its node-expansion budget."""
 

@@ -11,12 +11,11 @@ read-only and safe to call concurrently.  Expensive per-node quantities
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from templater.errors import EmptyTopology, NoEdges
+from templater.errors import EmptyTopology
 from templater.lammps_io import SystemTopology
 
 @dataclass(frozen=True)
@@ -60,9 +59,6 @@ class UnifiedGraph:
 
     def neighbors(self, gid: int) -> tuple[int, ...]:
         return self._adjacency[gid]
-
-    def degree(self, gid: int) -> int:
-        return len(self._adjacency[gid])
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -135,24 +131,6 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
     return UnifiedGraph(side=side, nodes=nodes, edges=edges)
 
 
-def _connected_pieces(graph: UnifiedGraph, gids: tuple[int, ...]) -> list[list[int]]:
-    remaining = set(gids)
-    pieces = []
-    while remaining:
-        start = min(remaining)
-        queue = deque([start])
-        piece = {start}
-        while queue:
-            node = queue.popleft()
-            for nbr in graph.neighbors(node):
-                if nbr in remaining and nbr not in piece:
-                    piece.add(nbr)
-                    queue.append(nbr)
-        remaining -= piece
-        pieces.append(sorted(piece))
-    return pieces
-
-
 def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
     """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
 
@@ -161,18 +139,21 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
     makes the matrix primitive, so the top eigenvalue is simple even for
     bipartite molecules (any tree) and its eigenvector has one sign.  Should
     the component be disconnected, each connected piece is treated on its
-    own and edgeless single atoms receive 0.
+    own and atoms without bonds receive 0, as do all atoms of a molecule
+    with no bonds at all.
     """
     gids = graph.components.get(component)
     if gids is None:
         raise KeyError(f"no component {component} in graph")
-    if all(graph.degree(g) == 0 for g in gids):
-        raise NoEdges(f"component {component} has no edges")
 
     result: dict[int, float] = {}
-    for piece in _connected_pieces(graph, gids):
+    for start in gids:
+        if start in result:
+            continue
+        # The piece holding the smallest atom not yet solved.
+        piece = sorted(gid for shell in graph.shells(start) for gid in shell)
         if len(piece) == 1:
-            result[piece[0]] = 0.0
+            result[start] = 0.0
             continue
         index = {gid: i for i, gid in enumerate(piece)}
         matrix = np.eye(len(piece))
@@ -187,13 +168,10 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
 
 
 def centrality_by_node(graph: UnifiedGraph, component: int) -> dict[int, float]:
-    """Cached per-molecule centrality; 0.0 for components without edges."""
+    """Cached per-molecule centrality; 0.0 for atoms without bonds."""
     cached = graph._centrality.get(component)
     if cached is None:
-        try:
-            cached = eigenvector_centrality(graph, component)
-        except NoEdges:
-            cached = {gid: 0.0 for gid in graph.components[component]}
+        cached = eigenvector_centrality(graph, component)
         graph._centrality[component] = cached
     return cached
 

@@ -15,6 +15,7 @@ deterministic: identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from templater.errors import (
@@ -98,18 +99,13 @@ class SystemTopology:
     angles: list[tuple[int, tuple[int, int, int]]] = field(default_factory=list)
     dihedrals: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
     impropers: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
-    box: tuple[tuple[float, float], ...] | None = None
     type_counts: dict[str, int] = field(default_factory=dict)
-
-    def atom_ids(self) -> set[int]:
-        return {a.atom_id for a in self.atoms}
 
     def validate(self) -> None:
         """Check the structural invariants; raise a ParseError subclass."""
-        ids = [a.atom_id for a in self.atoms]
-        id_set = set(ids)
-        if len(id_set) != len(ids):
-            dup = sorted(i for i in id_set if ids.count(i) > 1)[0]
+        id_counts = Counter(a.atom_id for a in self.atoms)
+        if len(id_counts) != len(self.atoms):
+            dup = min(i for i, count in id_counts.items() if count > 1)
             raise MalformedLine(f"duplicate atom id {dup}")
         for a in self.atoms:
             if a.type_id not in self.masses:
@@ -122,7 +118,7 @@ class SystemTopology:
         ):
             for _type_id, members in entries:
                 for atom_id in members:
-                    if atom_id not in id_set:
+                    if atom_id not in id_counts:
                         raise DanglingReference(
                             f"{name} entry references missing atom id {atom_id}"
                         )
@@ -161,21 +157,24 @@ def _parse_header_line(stripped: str) -> tuple[str, int] | None:
     return None
 
 
-def _parse_box_line(stripped: str) -> tuple[str, tuple[float, float]] | None:
+def _is_box_line(stripped: str) -> bool:
+    """True for a well-formed box line; the pipeline never reads the box.
+
+    Bound lines need exactly two numbers; triclinic tilt lines take any
+    count.  A box line with bad values raises MalformedHeader.
+    """
     for keyword in _BOX_KEYWORDS:
         if stripped.endswith(keyword):
             values = stripped[: -len(keyword)].split()
             try:
-                floats = [float(v) for v in values]
+                for value in values:
+                    float(value)
             except ValueError:
                 raise MalformedHeader(f"unparsable box line: {stripped!r}")
-            if keyword == "xy xz yz":
-                # Triclinic tilt factors are tolerated and ignored.
-                return keyword, (0.0, 0.0)
-            if len(floats) != 2:
+            if keyword != "xy xz yz" and len(values) != 2:
                 raise MalformedHeader(f"unparsable box line: {stripped!r}")
-            return keyword, (floats[0], floats[1])
-    return None
+            return True
+    return False
 
 
 def _split_sections(text: str, known: frozenset[str]) -> list[tuple[str, int, list[tuple[int, str]]]]:
@@ -195,14 +194,9 @@ def _split_sections(text: str, known: frozenset[str]) -> list[tuple[str, int, li
         if stripped in known:
             sections.append((stripped, line_no, []))
             continue
-        first = stripped.split()[0]
-        if sections[-1][0] == "" and first[0].isalpha() and not _looks_numeric_row(stripped):
-            # Still in the header block: count/box lines are handled by the
-            # caller; anything alphabetic that is not one of them is checked
-            # there too.  Fall through.
-            sections[-1][2].append((line_no, stripped))
-            continue
-        if first[0].isalpha() and not _looks_numeric_row(stripped):
+        # An alphabetic line inside the header block is left to the caller,
+        # which knows the count and box lines; after it, it names a section.
+        if sections[-1][0] != "" and stripped[0].isalpha() and not _looks_numeric_row(stripped):
             raise UnknownSection(f"unrecognized section {stripped!r}", line_no)
         sections[-1][2].append((line_no, stripped))
     return sections
@@ -227,7 +221,6 @@ def parse_data_file(text: str) -> SystemTopology:
     sections = _split_sections(text, known)
 
     type_counts: dict[str, int] = {}
-    box: dict[str, tuple[float, float]] = {}
     masses: dict[int, float] = {}
     atoms: list[AtomRecord] = []
     interactions: dict[str, list] = {name: [] for name in _INTERACTION_SECTIONS}
@@ -240,10 +233,7 @@ def parse_data_file(text: str) -> SystemTopology:
                 if header is not None:
                     type_counts[header[0]] = header[1]
                     continue
-                box_entry = _parse_box_line(stripped)
-                if box_entry is not None:
-                    if box_entry[0] != "xy xz yz":
-                        box[box_entry[0]] = box_entry[1]
+                if _is_box_line(stripped):
                     continue
                 raise UnknownSection(f"unrecognized header line {stripped!r}", line_no)
         elif name in _SKIPPED_SECTIONS:
@@ -281,10 +271,6 @@ def parse_data_file(text: str) -> SystemTopology:
     if "Masses" not in seen:
         raise MalformedHeader("data file has no Masses section")
 
-    box_tuple = None
-    if box:
-        box_tuple = tuple(box.get(k, (0.0, 0.0)) for k in ("xlo xhi", "ylo yhi", "zlo zhi"))
-
     topology = SystemTopology(
         atoms=atoms,
         masses=masses,
@@ -292,7 +278,6 @@ def parse_data_file(text: str) -> SystemTopology:
         angles=interactions["Angles"],
         dihedrals=interactions["Dihedrals"],
         impropers=interactions["Impropers"],
-        box=box_tuple,
         type_counts=type_counts,
     )
     topology.validate()
@@ -347,7 +332,6 @@ class MoleculeTemplateFile:
     angles: list[tuple[int, tuple[int, int, int]]] = field(default_factory=list)
     dihedrals: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
     impropers: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
-    special_counts: list[tuple[int, int, int]] | None = None
 
     @property
     def atom_count(self) -> int:
@@ -369,8 +353,6 @@ class MoleculeTemplateFile:
                         raise ValidationError(
                             f"{name} references atom index {idx} outside 1..{n}"
                         )
-        if self.special_counts is not None and len(self.special_counts) != n:
-            raise ValidationError("Special Bond Counts length differs from atom count")
 
 
 def write_molecule_template(template: MoleculeTemplateFile, title: str = "molecule template") -> str:
@@ -421,18 +403,11 @@ def write_molecule_template(template: MoleculeTemplateFile, title: str = "molecu
             out.append(f"{i} {type_id} " + " ".join(str(m) for m in members))
         out.append("")
 
-    if template.special_counts is not None:
-        out.append("Special Bond Counts")
-        out.append("")
-        for i, (n1, n2, n3) in enumerate(template.special_counts, start=1):
-            out.append(f"{i} {n1} {n2} {n3}")
-        out.append("")
-
     return "\n".join(out)
 
 
 _TEMPLATE_SECTIONS = frozenset(
-    {"Coords", "Types", "Charges", "Bonds", "Angles", "Dihedrals", "Impropers", "Special Bond Counts"}
+    {"Coords", "Types", "Charges", "Bonds", "Angles", "Dihedrals", "Impropers"}
 )
 
 _TEMPLATE_COUNT_KEYWORDS = ("atoms", "bonds", "angles", "dihedrals", "impropers")
@@ -520,23 +495,12 @@ def parse_molecule_template(text: str) -> MoleculeTemplateFile:
             raise MalformedLine(f"non-contiguous {name} indices")
         return [(type_id, members) for _, type_id, members in result]
 
-    special = None
-    if "Special Bond Counts" in rows:
-        table = indexed("Special Bond Counts", 3)
-        if len(table) != n or None in table:
-            raise MalformedHeader("Special Bond Counts section length mismatch")
-        try:
-            special = [tuple(int(v) for v in row) for row in table]
-        except ValueError:
-            raise MalformedLine("bad Special Bond Counts entry")
-
     template = MoleculeTemplateFile(
         atoms=atoms,
         bonds=interactions("Bonds", 2),
         angles=interactions("Angles", 3),
         dihedrals=interactions("Dihedrals", 4),
         impropers=interactions("Impropers", 4),
-        special_counts=special,
     )
     template.validate()
     return template

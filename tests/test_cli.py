@@ -121,6 +121,31 @@ class TestRunCommand:
         assert cfg.beta == pytest.approx(0.25)
         assert cfg.gamma == pytest.approx(0.25)
 
+    def test_weights_summing_to_one_still_checked(self, tmp_path, capsys):
+        # 2 - 0.5 - 0.5 sums to 1, so no rescaling happens; the checks must
+        # still run.
+        with pytest.raises(ValueError, match="non-negative"):
+            RunConfig(
+                reactants=PC_REACTANTS, products=PC_PRODUCTS,
+                out_dir=str(tmp_path), alpha=2, beta=-0.5, gamma=-0.5,
+            )
+        out_dir = tmp_path / "out"
+        code = main(run_args(out_dir, ["--alpha", "2", "--beta", "-0.5", "--gamma", "-0.5"]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: scoring weights must be non-negative\n"
+        )
+        assert not out_dir.exists()
+
+    def test_prints_written_paths_sorted(self, tmp_path, capsys):
+        assert main(run_args(tmp_path, ["--export-dot"])) == 0
+        names = [
+            "mapped_products.dot", "mapped_reactants.dot", "post_template.mol",
+            "pre_template.mol", "reaction_map.txt", "report.json", "report.txt",
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [os.path.join(str(tmp_path), name) for name in names]
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_weight_error_exit(self, tmp_path, capsys, value):
         # float() parses these, and a NaN weight makes every cost NaN.
@@ -222,6 +247,19 @@ class TestExportDot:
         ])
         assert code == 0
         assert (tmp_path / "reactants.dot").exists()
+
+    def test_cli_prints_written_paths_sorted(self, tmp_path, capsys):
+        code = main([
+            "export-dot", "--stage", "mapped",
+            "--reactants", *PC_REACTANTS, "--products", *PC_PRODUCTS,
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [
+            os.path.join(str(tmp_path), name)
+            for name in ("mapped_products.dot", "mapped_reactants.dot")
+        ]
 
     def test_cli_unknown_stage_exit_code(self, tmp_path, capsys):
         code = main([

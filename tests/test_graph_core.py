@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, make_topology, path_topology
-from templater.errors import EmptyTopology, NoEdges
+from templater.errors import EmptyTopology
 from templater.graph_core import build_unified_graph, dot_export, eigenvector_centrality
 from templater.lammps_io import SystemTopology, parse_data_file
 
@@ -86,10 +86,28 @@ class TestEigenvectorCentrality:
         for leaf in (2, 3, 4):
             assert centrality[leaf] == pytest.approx(1 / math.sqrt(6), abs=1e-6)
 
-    def test_no_edges_raises(self):
-        graph = make_graph([(1, 1, 0.0)], [], C_MASS)
-        with pytest.raises(NoEdges):
-            eigenvector_centrality(graph, 1)
+    def test_no_edges_all_zero(self):
+        graph = make_graph([(1, 1, 0.0), (2, 1, 0.0)], [], C_MASS)
+        assert eigenvector_centrality(graph, 1) == {1: 0.0, 2: 0.0}
+
+    def test_disconnected_molecule_pieces(self):
+        # One molecule in three pieces, with interleaved ids: the path
+        # 1-4-7, the star centred on 2 with leaves 5, 6, 8, and atom 3 alone.
+        path = [(1, 4), (4, 7)]
+        star = [(2, 5), (2, 6), (2, 8)]
+        graph = make_graph([(i, 1, 0.0) for i in range(1, 9)], path + star, C_MASS)
+        centrality = eigenvector_centrality(graph, 1)
+        assert set(centrality) == set(range(1, 9))
+        assert centrality[3] == 0.0
+        for bonds in (path, star):
+            piece = sorted({gid for bond in bonds for gid in bond})
+            index = {gid: i for i, gid in enumerate(piece)}
+            adj = np.zeros((len(piece), len(piece)))
+            for a, b in bonds:
+                adj[index[a], index[b]] = adj[index[b], index[a]] = 1.0
+            principal = np.abs(np.linalg.eigh(adj)[1][:, -1])
+            vec = np.array([centrality[gid] for gid in piece])
+            assert np.max(np.abs(vec - principal)) <= 1e-6
 
     def test_fixed_point_residual_random_graphs(self):
         rng = random.Random(99)

@@ -10,6 +10,7 @@ from conftest import FIXTURE_DIR, fixture_path
 from templater.errors import (
     DanglingReference,
     MalformedHeader,
+    MalformedLine,
     MissingMass,
     ParseError,
     UnknownSection,
@@ -57,7 +58,25 @@ class TestParseDataFile:
         assert len(topology.atoms) == 2
         assert len(topology.bonds) == 1
         assert topology.masses == {1: 1.008}
-        assert topology.box == ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
+
+    @pytest.mark.parametrize("line", ["0.0 xlo xhi", "0.0 ten xlo xhi"])
+    def test_bad_box_line_rejected(self, line):
+        with pytest.raises(MalformedHeader, match="unparsable box line"):
+            parse_data_file(H2_DATA.replace("0.0 10.0 xlo xhi", line))
+
+    def test_triclinic_tilt_line_accepted(self):
+        text = H2_DATA.replace("0.0 10.0 zlo zhi", "0.0 10.0 zlo zhi\n0.0 0.0 0.0 xy xz yz")
+        assert len(parse_data_file(text).atoms) == 2
+
+    def test_duplicate_atom_ids_name_smallest(self):
+        atoms = "\n".join(
+            f"{atom_id} 1 1 0.0 {x}.0 0.0 0.0" for x, atom_id in enumerate((5, 2, 5, 2))
+        )
+        text = H2_DATA.replace("2 atoms", "4 atoms").replace(
+            "1 1 1 0.0 0.0 0.0 0.0\n2 1 1 0.0 0.74 0.0 0.0", atoms
+        )
+        with pytest.raises(MalformedLine, match="duplicate atom id 2$"):
+            parse_data_file(text)
 
     def test_bd_fixture_atom_count(self):
         # Butane-1,4-diol has 4 C + 2 O + 10 H.
@@ -199,13 +218,15 @@ class TestMoleculeTemplate:
         with pytest.raises(ValidationError):
             write_molecule_template(template)
 
-    def test_special_bond_counts_round_trip(self):
+    def test_special_bond_counts_rejected(self):
+        # Templates never carry this section, so the reader treats it as unknown.
         template = MoleculeTemplateFile(
             atoms=[TemplateAtom(1, 0.0, 0.0, 0.0, 0.0), TemplateAtom(1, 0.0, 0.74, 0.0, 0.0)],
             bonds=[(1, (1, 2))],
-            special_counts=[(1, 0, 0), (1, 0, 0)],
         )
-        assert parse_molecule_template(write_molecule_template(template)) == template
+        text = write_molecule_template(template) + "\nSpecial Bond Counts\n\n1 1 0 0\n2 1 0 0\n"
+        with pytest.raises(UnknownSection):
+            parse_molecule_template(text)
 
 
 class TestMapFile:
