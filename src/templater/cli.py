@@ -301,7 +301,10 @@ def _report_json(cfg: RunConfig, state: PipelineState) -> str:
         "search_expansions": state.mapping.search_expansions,
         "hydrogen_tolerance": cfg.hydrogen_tolerance,
         "cost_normalization": "min-max",
-        "tie_break": "lexicographically smallest pair list; smallest id",
+        "tie_break": (
+            "lexicographically smallest skeleton pair list, then leaves paired "
+            "by ascending id; smallest id"
+        ),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

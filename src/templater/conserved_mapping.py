@@ -6,9 +6,14 @@ the single best candidate wins each iteration and its pairs enter the
 mapping.  Two iterations cover conserved matter on both sides of a reaction
 site that splits a molecule.
 
-Matching criteria are mass and type only; charge never participates.  Ties
-between equally large subgraphs resolve to the lexicographically smallest
-sorted pair list, making results independent of search order.
+Matching criteria are mass and type only; charge never participates.
+Grouped leaves, such as the hydrogens of a CH2 or CH3, fold into counts on
+their heavy atom, and the search runs on the remaining skeleton with each
+pair weighted by the leaves it can match (see ``max_common_subgraph`` for
+why the count stays exact).  Ties between equally large subgraphs resolve
+to the lexicographically smallest sorted skeleton pair list, with the
+leaves of each pair matched in ascending id order, making results
+independent of search order.
 """
 
 from __future__ import annotations
@@ -91,15 +96,13 @@ def _attribute_labels(
 ) -> tuple[list[int], list[int]]:
     codes: dict[tuple[float, int], int] = {}
 
-    def code(mass: float, type_id: int) -> int:
-        key = (mass, type_id)
-        if key not in codes:
-            codes[key] = len(codes)
-        return codes[key]
+    def labels(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
+        return [
+            codes.setdefault((atom.mass, atom.type_id), len(codes))
+            for atom in map(graph.nodes.__getitem__, nodes)
+        ]
 
-    labels_r = [code(g_r.nodes[g].mass, g_r.nodes[g].type_id) for g in nodes_r]
-    labels_p = [code(g_p.nodes[g].mass, g_p.nodes[g].type_id) for g in nodes_p]
-    return labels_r, labels_p
+    return labels(g_r, nodes_r), labels(g_p, nodes_p)
 
 
 def _neighbour_mask(graph: UnifiedGraph, gid: int, index: dict[int, int]) -> int:
@@ -117,6 +120,46 @@ def _adjacency_masks(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
     return [_neighbour_mask(graph, gid, index) for gid in nodes]
 
 
+def _unfoldable(labels: list[int], masks: list[int]) -> set[int]:
+    """Labels that cannot fold on this side.
+
+    A label can fold when each of its nodes that has a neighbour has
+    exactly one, and that neighbour has at least two.  Equivalently, none
+    of its nodes has two or more neighbours, and none is the only
+    neighbour of a node; degrees come from the masks by popcount.
+    """
+    spoiled = set()
+    for label, mask in zip(labels, masks):
+        if mask & (mask - 1):
+            spoiled.add(label)
+        elif mask:
+            spoiled.add(labels[mask.bit_length() - 1])
+    return spoiled
+
+
+def _leaves(labels: list[int], masks: list[int], label: int) -> tuple[int, bool]:
+    """The mask of the nodes of a foldable ``label``, and whether some
+    node carries two or more of them as leaves."""
+    members = parents = 0
+    crowded = False
+    for node, (other, mask) in enumerate(zip(labels, masks)):
+        if other == label:
+            members |= 1 << node
+            crowded = crowded or bool(parents & mask)
+            parents |= mask
+    return members, crowded
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def max_common_subgraph(
     g_r: UnifiedGraph,
     g_p: UnifiedGraph,
@@ -132,11 +175,39 @@ def max_common_subgraph(
     type.  ``required_images`` constrains individual reactant nodes to
     product nodes adjacent to all the given product gids; iteration uses it
     to keep edges toward already-mapped pairs preserved.
+
+    Grouped leaves, such as the hydrogens of a CH2 or CH3, fold into counts
+    on their parent, and the kernel searches the remaining skeleton with
+    each pair weighted by the leaves it can match.  A label folds in one
+    search when, in the restricted node sets, on both sides:
+
+    - every node of the label that has a neighbour has exactly one, and
+      that neighbour has at least two;
+    - no reactant node of the label has required images;
+    - some node carries at least two leaves of the label.
+
+    Folded nodes without a neighbour leave the skeleton too.  The folded
+    result is exact.  In a connected mapping of two or more pairs a
+    matched leaf's only neighbour is matched too, and its image is a
+    neighbour of that neighbour's image with the leaf's label, so by the
+    first condition a leaf of it.  Every such mapping is therefore a
+    skeleton mapping S plus leaf pairs inside S's pairs, at most W(S) =
+    sum over (v, w) in S of 1 + sum over labels of min(leaves of v, leaves
+    of w) pairs, and pairing the leaves attains W(S).  The largest W is the
+    largest pair count.  When it is 1 or less no mapping has two pairs, and
+    the result is the smallest label-compatible allowed pair.
+
+    Ties: the kernel returns the smallest sorted skeleton pair list among
+    those of maximum weight, and the leaves of each matched pair are paired
+    in ascending id order.  The third condition keeps single leaves, such
+    as a united-atom CH3 at a chain end, in the skeleton, where they split
+    the kernel's classes.
     """
     nodes_r = sorted(include_r) if include_r is not None else g_r.sorted_gids()
     nodes_p = sorted(include_p) if include_p is not None else g_p.sorted_gids()
     labels_r, labels_p = _attribute_labels(g_r, nodes_r, g_p, nodes_p)
-    if not set(labels_r) & set(labels_p):
+    common = set(labels_r) & set(labels_p)
+    if not common:
         return [], 0
     masks_r = _adjacency_masks(g_r, nodes_r)
     masks_p = _adjacency_masks(g_p, nodes_p)
@@ -151,10 +222,58 @@ def max_common_subgraph(
             for image in required_images.get(r_gid, ()):
                 row &= _neighbour_mask(g_p, image, index_p)
             allowed.append(row)
+        common -= {
+            label for r_gid, label in zip(nodes_r, labels_r) if required_images.get(r_gid)
+        }
+    # The reactant and product node masks of each folding label: a label
+    # folds only where some node carries two or more of its leaves.
+    folded = []
+    for label in sorted(common - _unfoldable(labels_r, masks_r) - _unfoldable(labels_p, masks_p)):
+        members_r, crowded_r = _leaves(labels_r, masks_r, label)
+        members_p, crowded_p = _leaves(labels_p, masks_p, label)
+        if crowded_r or crowded_p:
+            folded.append((members_r, members_p))
+    counts_r = [[(m & members_r).bit_count() for m in masks_r] for members_r, _ in folded]
+    counts_p = [[(m & members_p).bit_count() for m in masks_p] for _, members_p in folded]
+    skeleton = (labels_r, labels_p, masks_r, masks_p)
+    if folded:
+        # Folded nodes keep their indices but lose their edges, and take a
+        # label the other side lacks, so the kernel never matches them: it
+        # searches the skeleton without renumbering a node.
+        gone_r = gone_p = 0
+        for members_r, members_p in folded:
+            gone_r |= members_r
+            gone_p |= members_p
+        skeleton = (
+            [-1 if gone_r >> i & 1 else label for i, label in enumerate(labels_r)],
+            [-2 if gone_p >> j & 1 else label for j, label in enumerate(labels_p)],
+            [m & ~gone_r for m in masks_r],
+            [m & ~gone_p for m in masks_p],
+        )
     pairs, expansions = max_common_connected_subgraph(
-        labels_r, labels_p, masks_r, masks_p, budget, allowed
+        *skeleton, budget, allowed, counts_r or None, counts_p or None
     )
-    return [(nodes_r[i], nodes_p[j]) for i, j in pairs], expansions
+    # A weight of 1 or less: at most one pair, and it matches no leaf.
+    if len(pairs) < 2 and not any(
+        r[v] and p[w] for v, w in pairs for r, p in zip(counts_r, counts_p)
+    ):
+        # The smallest label-compatible allowed pair over every node.
+        by_label: dict[int, int] = {}
+        for j, label in enumerate(labels_p):
+            by_label[label] = by_label.get(label, 0) | 1 << j
+        for i, label in enumerate(labels_r):
+            row = by_label.get(label, 0) & (-1 if allowed is None else allowed[i])
+            if row:
+                return [(nodes_r[i], nodes_p[(row & -row).bit_length() - 1])], expansions
+        return [], expansions
+    matched = [(nodes_r[v], nodes_p[w]) for v, w in pairs]
+    for members_r, members_p in folded:
+        for v, w in pairs:
+            matched.extend(
+                (nodes_r[a], nodes_p[b])
+                for a, b in zip(_bits(masks_r[v] & members_r), _bits(masks_p[w] & members_p))
+            )
+    return sorted(matched), expansions
 
 
 def iterate_conserved(

@@ -19,7 +19,14 @@ wider side, ties to the lowest reactant bit; it takes that class's lowest
 reactant node ``v`` and tries its product candidates in ascending bit
 order.
 
-Among all maximum-cardinality mappings the kernel returns the one whose
+Nodes may carry leaf counts: per folded label, how many leaves of that
+label hang off the node (``conserved_mapping`` folds hydrogens this way).
+A pair ``(v, w)`` then weighs 1 plus, summed over the labels, the smaller
+of the two nodes' counts: the leaves the pair can match.  The search
+maximizes the total weight instead of the pair count.  Without leaf counts
+every pair weighs 1, and the search is the plain cardinality search.
+
+Among all mappings of maximum weight the kernel returns the one whose
 sorted pair list is lexicographically smallest, so results are reproducible
 regardless of exploration order.  Work is metered in pair expansions against
 a caller-supplied budget.
@@ -55,13 +62,13 @@ def _allow_recursion(depth: int) -> None:
 
 
 def _twin_masks(
-    labels: list[int], adj: list[int], allowed_key: Callable[[int], Hashable]
+    labels: list[int], adj: list[int], key_of: Callable[[int], Hashable]
 ) -> list[int]:
     """Twin-group bitmask per node: the bits of every twin of it, itself too.
 
-    Twins share the label, the adjacency mask and ``allowed_key``.  The
-    constraint key is computed only inside groups of equal (label, mask),
-    so graphs without twins pay for one dictionary pass.
+    Twins share the label, the adjacency mask and ``key_of`` (constraints
+    and leaf counts).  The key is computed only inside groups of equal
+    (label, mask), so graphs without twins pay for one dictionary pass.
     """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for node, shape in enumerate(zip(labels, adj)):
@@ -69,12 +76,24 @@ def _twin_masks(
     masks = [1 << node for node in range(len(labels))]
     for members in by_shape.values():
         if len(members) > 1:
-            keys = [allowed_key(node) for node in members]
+            keys = [key_of(node) for node in members]
             groups: dict[Hashable, int] = {}
             for node, key in zip(members, keys):
                 groups[key] = groups.get(key, 0) | 1 << node
             for node, key in zip(members, keys):
                 masks[node] = groups[key]
+    return masks
+
+
+def _at_least(counts: list[int]) -> list[int]:
+    """Entry ``k - 1``: the mask of the nodes with at least ``k`` leaves,
+    for ``k`` up to the largest count."""
+    masks: list[int] = []
+    for node, count in enumerate(counts):
+        for k in range(count):
+            if k == len(masks):
+                masks.append(0)
+            masks[k] |= 1 << node
     return masks
 
 
@@ -85,21 +104,33 @@ def max_common_connected_subgraph(
     adj_p: list[int],
     budget: int,
     allowed: list[int] | None = None,
+    leaves_r: list[list[int]] | None = None,
+    leaves_p: list[list[int]] | None = None,
 ) -> tuple[list[tuple[int, int]], int]:
     """Find the best connected common induced subgraph mapping.
 
-    Two reactant nodes are twins when they have the same label, adjacency
-    mask and ``allowed`` row; two product nodes are twins when they have
-    the same label, adjacency mask and ``allowed`` column.  The search
-    branches the lowest node ``v`` of a class over only the first product
-    candidate of each twin group, and in the branch where ``v`` stays
-    unmatched it drops ``v``'s twins from the class too.  Both prunes are
-    exact: swapping two twins is a label-preserving automorphism that keeps
-    ``allowed``, and because ``v`` and the candidates are taken in
-    ascending order, a mapping either prune skips turns under that swap
-    into one of the same size with a strictly smaller sorted pair list.
-    The lexicographically smallest maximum mapping is therefore never
-    skipped; only the expansion count drops.
+    Two reactant nodes are twins when they have the same label, leaf
+    counts, adjacency mask and ``allowed`` row; two product nodes are twins
+    when they have the same label, leaf counts, adjacency mask and
+    ``allowed`` column.  The search branches the lowest node ``v`` of a
+    class over only the first product candidate of each twin group, and in
+    the branch where ``v`` stays unmatched it drops ``v``'s twins from the
+    class too.  Both prunes are exact: swapping two twins is a
+    label-preserving automorphism that keeps ``allowed`` and every pair
+    weight, and because ``v`` and the candidates are taken in ascending
+    order, a mapping either prune skips turns under that swap into one of
+    the same weight with a strictly smaller sorted pair list.  The
+    lexicographically smallest maximum mapping is therefore never skipped;
+    only the expansion count drops.
+
+    With leaf counts the bound of a class ``(g, h)`` adds, to ``min(|g|,
+    |h|)``, the sum over labels and ``k >= 1`` of ``min(|g & R[k]|, |h &
+    P[k]|)``, where ``R[k]`` and ``P[k]`` hold the reactant and product
+    nodes with at least ``k`` leaves of the label.  A pair ``(v, w)``
+    matches the smaller of the two counts of a label, one leaf for each
+    ``k`` at which ``v`` lies in ``R[k]`` and ``w`` in ``P[k]``, so no
+    matching inside the class matches more leaves than that sum.  Without
+    leaf counts the sum is empty and the bound is the plain one.
 
     Args:
         labels_r: attribute label per reactant node (0..n-1 index order).
@@ -110,11 +141,15 @@ def max_common_connected_subgraph(
         allowed: optional bitmask per reactant node restricting which
             product nodes it may pair with (external consistency
             constraints); None means everything is allowed.
+        leaves_r: optional leaf counts, one list per folded label with a
+            count per reactant node; None (with ``leaves_p``) weighs every
+            pair 1.
+        leaves_p: leaf counts per product node, in the same label order.
 
     Returns:
         (pairs, expansions) where pairs is the sorted list of matched
-        (reactant index, product index) pairs, empty when no node pair is
-        label-compatible.
+        (reactant index, product index) pairs of maximum total weight, empty
+        when no node pair is label-compatible.
     """
     # Initial classes: one per label present on both sides.
     by_label: dict[int, list[int]] = {}
@@ -125,16 +160,32 @@ def max_common_connected_subgraph(
         if entry is not None:
             entry[1] |= 1 << w
     classes = [(g, h, False) for g, h in by_label.values() if h]
-    if allowed is None:
-        twins_r = _twin_masks(labels_r, adj_r, lambda v: None)
-        twins_p = _twin_masks(labels_p, adj_p, lambda w: None)
-    else:
-        twins_r = _twin_masks(labels_r, adj_r, allowed.__getitem__)
-        twins_p = _twin_masks(
-            labels_p, adj_p, lambda w: tuple((row >> w) & 1 for row in allowed)
+    leaf_pairs = list(zip(leaves_r, leaves_p)) if leaves_r is not None else []
+
+    def key_r(v: int) -> Hashable:
+        return (
+            None if allowed is None else allowed[v],
+            tuple(counts_r[v] for counts_r, _ in leaf_pairs),
         )
 
+    def key_p(w: int) -> Hashable:
+        return (
+            None if allowed is None else tuple((row >> w) & 1 for row in allowed),
+            tuple(counts_p[w] for _, counts_p in leaf_pairs),
+        )
+
+    twins_r = _twin_masks(labels_r, adj_r, key_r)
+    twins_p = _twin_masks(labels_p, adj_p, key_p)
+    # (R[k], P[k]) per folded label and k >= 1, for the bound; a level
+    # empty on either side adds nothing and is left out.
+    levels = [
+        level
+        for counts_r, counts_p in leaf_pairs
+        for level in zip(_at_least(counts_r), _at_least(counts_p))
+    ]
+
     best_pairs: list[tuple[int, int]] = []
+    best_weight = 0
     best_key: list[tuple[int, int]] | None = None
     expansions = 0
 
@@ -160,15 +211,17 @@ def max_common_connected_subgraph(
                 refined.append((g_non, h_non, adjacent))
         return refined
 
-    def search(current: list[tuple[int, int, bool]], mapping: list[tuple[int, int]]) -> None:
-        nonlocal best_pairs, best_key, expansions
-        size = len(mapping)
+    def search(
+        current: list[tuple[int, int, bool]], mapping: list[tuple[int, int]], weight: int
+    ) -> None:
+        nonlocal best_pairs, best_weight, best_key, expansions
         # The sorted key of the best mapping is built only when a mapping
-        # of equal size has to be compared with it.
-        if size > len(best_pairs):
+        # of equal weight has to be compared with it.
+        if weight > best_weight:
             best_pairs = list(mapping)
+            best_weight = weight
             best_key = None
-        elif size == len(best_pairs):
+        elif weight == best_weight:
             key = sorted(mapping)
             if best_key is None:
                 best_key = sorted(best_pairs)
@@ -178,7 +231,7 @@ def max_common_connected_subgraph(
         # fewest nodes on its wider side, ties to the lowest reactant node.
         # Classes are disjoint, so the key is unique and their order in the
         # list never matters.
-        bound = size
+        bound = weight
         chosen = None
         chosen_key = None
         for cls in current:
@@ -191,11 +244,21 @@ def max_common_connected_subgraph(
             else:
                 bound += count_h
                 wide = count_g
-            if adjacent or not size:
+            if adjacent or not mapping:
                 key = (wide, g & -g)
                 if chosen_key is None or key < chosen_key:
                     chosen, chosen_key = cls, key
-        if bound < len(best_pairs) or chosen is None:
+        if chosen is None:
+            return
+        # The leaves the classes can still match, summed only while the
+        # bound so far would prune.
+        if bound < best_weight and levels:
+            for g, h, _ in current:
+                for row, col in levels:
+                    count_g = (g & row).bit_count()
+                    count_h = (h & col).bit_count()
+                    bound += count_g if count_g < count_h else count_h
+        if bound < best_weight:
             return
         g, h, adjacent = chosen
         v = (g & -g).bit_length() - 1
@@ -210,15 +273,18 @@ def max_common_connected_subgraph(
                 raise BudgetExceeded(
                     f"common-subgraph search exceeded {budget} pair expansions"
                 )
+            gain = 1
+            for counts_r, counts_p in leaf_pairs:
+                gain += min(counts_r[v], counts_p[w])
             mapping.append((v, w))
-            search(refine(current, v, w), mapping)
+            search(refine(current, v, w), mapping, weight + gain)
             mapping.pop()
         # Leave v unmatched, and with it its whole twin group.
         remainder = [cls for cls in current if cls is not chosen]
         rest = g & ~twins_r[v]
         if rest:
             remainder.append((rest, h, adjacent))
-        search(remainder, mapping)
+        search(remainder, mapping, weight)
 
     if classes:
         # Every nested search call holds at least one reactant node fewer
@@ -226,7 +292,10 @@ def max_common_connected_subgraph(
         # the deepest one adds a few frames of its own (a comprehension,
         # tuple comparisons while sorting).
         _allow_recursion(len(labels_r) + 8)
-        search(classes, [])
+        search(classes, [], 0)
+    # search refers to itself; dropping the name frees the search state now
+    # instead of at the next cycle collection.
+    del search
     return sorted(best_pairs), expansions
 
 

@@ -100,6 +100,77 @@ def alkene_dimerization(n, rng, retype_radius=None):
     )
 
 
+def ua_dimerization(n, rng):
+    """The united-atom form of ``alkene_dimerization``: each carbon carries
+    its hydrogens in its mass, so the only leaves are the chain ends (one
+    CH2= or CH3 each), with the atom ids of each molecule shuffled by rng."""
+    end, mid, ch2, ch3 = 1, 2, 3, 4
+    masses = {end: 14.027, mid: 13.019, ch2: 14.027, ch3: 15.035}
+
+    def chain(types):
+        ids = list(range(1, len(types) + 1))
+        rng.shuffle(ids)
+        atoms = sorted((ids[i], t, 0.0) for i, t in enumerate(types))
+        bonds = [(ids[i], ids[i + 1]) for i in range(len(types) - 1)]
+        return make_topology(atoms, bonds, masses)
+
+    def alkene():
+        return chain([end, mid] + [ch2] * (n - 3) + [ch3])
+
+    return (
+        build_unified_graph([alkene(), alkene()], "reactant"),
+        build_unified_graph([chain([ch3] + [ch2] * (2 * n - 2) + [ch3])], "product"),
+    )
+
+
+def kernel_form_graphs(labels_r, adj_r, labels_p, adj_p):
+    """Unified graphs of a kernel-form pair: node i becomes global id i + 1,
+    and label l type l + 1 with its own mass."""
+
+    def graph(labels, adj, side):
+        atoms = [(i + 1, label + 1, 0.0) for i, label in enumerate(labels)]
+        bonds = [
+            (i + 1, j + 1) for i in range(len(labels)) for j in range(i + 1, len(labels))
+            if (adj[i] >> j) & 1
+        ]
+        masses = {label + 1: 1.0 + label for label in set(labels_r) | set(labels_p)}
+        return make_graph(atoms, bonds, masses, side)
+
+    return graph(labels_r, adj_r, "reactant"), graph(labels_p, adj_p, "product")
+
+
+def all_atom_kernel_input(g_r, g_p, include_r, include_p, required=None):
+    """The kernel's input for the whole restricted problem, every atom a
+    node: (labels_r, labels_p, adj_r, adj_p, allowed) over the sorted
+    included gids, labels numbered by first appearance of (mass, type)."""
+    nodes_r, nodes_p = sorted(include_r), sorted(include_p)
+    codes: dict = {}
+
+    def labels(graph, nodes):
+        return [
+            codes.setdefault((graph.nodes[g].mass, graph.nodes[g].type_id), len(codes))
+            for g in nodes
+        ]
+
+    def neighbours(graph, gid, index):
+        return sum(1 << index[x] for x in graph.neighbors(gid) if x in index)
+
+    index_r = {g: i for i, g in enumerate(nodes_r)}
+    index_p = {g: j for j, g in enumerate(nodes_p)}
+    labels_r, labels_p = labels(g_r, nodes_r), labels(g_p, nodes_p)
+    adj_r = [neighbours(g_r, g, index_r) for g in nodes_r]
+    adj_p = [neighbours(g_p, g, index_p) for g in nodes_p]
+    allowed = None
+    if required:
+        allowed = []
+        for g in nodes_r:
+            row = (1 << len(nodes_p)) - 1
+            for image in required.get(g, ()):
+                row &= neighbours(g_p, image, index_p)
+            allowed.append(row)
+    return labels_r, labels_p, adj_r, adj_p, allowed
+
+
 def random_attributed_pair(rng: random.Random, max_nodes=10, labels=3, p_edge=0.35):
     """Random labelled graph pair in kernel form (labels plus bitmasks)."""
 
@@ -244,6 +315,24 @@ def mcs_oracle_pairs(labels_r, adj_r, labels_p, adj_p, allowed=None) -> list[tup
             if best is None or pairs < best:
                 best = pairs
     return best or []
+
+
+def weighted_oracle_pairs(labels_r, adj_r, labels_p, adj_p, weight):
+    """Exhaustive best connected common induced mapping under pair weights.
+
+    ``weight(v, w)`` weighs each pair; the result is the smallest sorted
+    pair list among the mappings of largest total weight, with that
+    weight; ``([], 0)`` when no pair is compatible.
+    """
+    best: list[tuple[int, int]] = []
+    best_weight = 0
+    for subset in connected_subsets(len(labels_r), adj_r):
+        for images in _embeddings(subset, labels_r, adj_r, labels_p, adj_p):
+            pairs = list(zip(subset, images))
+            total = sum(weight(v, w) for v, w in pairs)
+            if total > best_weight or (total == best_weight and pairs < best):
+                best, best_weight = pairs, total
+    return best, best_weight
 
 
 @pytest.fixture(scope="session")

@@ -215,7 +215,7 @@ class TestDeterminism:
             assert ("path refinement: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
             assert ("hydrogen swap: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
             assert (
-                "conserved search: iteration 1, molecules 1 -> 1: 23 pairs, 124 expansions"
+                "conserved search: iteration 1, molecules 1 -> 1: 23 pairs, 73 expansions"
                 in caplog.messages
             ) == at_info
         assert reports[logging.INFO] == reports[logging.WARNING]

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (
     alkene_dimerization,
+    all_atom_kernel_input,
     hydrogen_decorated_pair,
     random_allowed,
     random_attributed_pair,
+    ua_dimerization,
 )
 from templater import conserved_mapping
 from templater.errors import BudgetExceeded
@@ -152,26 +154,29 @@ def _digest(pairs):
 
 # Atom-order seed of the n=7 alkene dimerization -> (pair count, expansions,
 # digest of the pair list) of every kernel call that iterate_conserved makes.
+# The hydrogens fold into leaf counts, so each call searches the carbon
+# skeleton and returns 5 carbon pairs; their hydrogens make up the other 11
+# of the 16 conserved pairs per molecule.
 PINNED_ALKENE = {
     0: [
-        (16, 246, "52a38ff5e714aae6"),
-        (16, 197, "b33e40be7708904d"),
-        (16, 145, "d20b6acad04bcee2"),
+        (5, 87, "11801fac1faecb4c"),
+        (5, 32, "ca15b3472135ed9a"),
+        (5, 27, "f85b60a5da4bb43c"),
     ],
     1: [
-        (16, 464, "664fdeb0b7a662a3"),
-        (16, 541, "c5a91e0d29c064d9"),
-        (16, 303, "ab3d91fbbf11263d"),
+        (5, 96, "6dd0bfb391b88a91"),
+        (5, 102, "049efc5fbd0211b4"),
+        (5, 59, "36a1f915d8b026e5"),
     ],
     2: [
-        (16, 334, "a25e3cb6cda454f2"),
-        (16, 216, "467031aa7ac8d8ff"),
-        (16, 212, "43aecbe823b6c212"),
+        (5, 66, "d6c4a14c5b4e4970"),
+        (5, 91, "94191ed94b978d25"),
+        (5, 45, "b67e1b44b26f2619"),
     ],
     3: [
-        (16, 258, "a1045001f3af4117"),
-        (16, 407, "9b9ccedf6dcab17a"),
-        (16, 351, "f5a863b1b913a911"),
+        (5, 55, "75cd4f9db19b9620"),
+        (5, 92, "43698c2f66cbbf53"),
+        (5, 51, "e5414c29cbd9e1a1"),
     ],
 }
 
@@ -191,3 +196,35 @@ def test_search_pinned_on_alkene_dimerization(monkeypatch):
         conserved_mapping.iterate_conserved(*alkene_dimerization(7, random.Random(seed)))
         got[seed] = list(calls)
     assert got == PINNED_ALKENE
+
+
+def test_single_leaves_keep_the_all_atom_kernel_calls(monkeypatch):
+    # United-atom chains have one leaf per chain end and no atom with two
+    # leaves of a label, so nothing folds: every kernel call gets the whole
+    # restricted problem, exactly as the all-atom search builds it, and no
+    # leaf counts.
+    searches, calls = [], []
+    search = conserved_mapping.max_common_subgraph
+
+    def recording_search(g_r, g_p, include_r, include_p, budget, required):
+        searches.append((g_r, g_p, set(include_r), set(include_p), budget, dict(required)))
+        return search(g_r, g_p, include_r, include_p, budget, required)
+
+    def recording_kernel(*args):
+        calls.append(args)
+        return max_common_connected_subgraph(*args)
+
+    monkeypatch.setattr(conserved_mapping, "max_common_subgraph", recording_search)
+    monkeypatch.setattr(conserved_mapping, "max_common_connected_subgraph", recording_kernel)
+    for seed in range(2):
+        mapping = conserved_mapping.iterate_conserved(*ua_dimerization(12, random.Random(seed)))
+        assert len(mapping.pairs) == 20
+    expected = []
+    for g_r, g_p, include_r, include_p, budget, required in searches:
+        labels_r, labels_p, adj_r, adj_p, allowed = all_atom_kernel_input(
+            g_r, g_p, include_r, include_p, required
+        )
+        if set(labels_r) & set(labels_p):
+            expected.append((labels_r, labels_p, adj_r, adj_p, budget, allowed, None, None))
+    assert len(calls) == 6
+    assert calls == expected
