@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -88,6 +89,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.reactants or not self.products:
             raise ValueError("at least one reactant and one product file are required")
+        if self.search_budget < 0:
+            raise ValueError("search budget must be non-negative")
+        if not (math.isfinite(self.hydrogen_tolerance) and self.hydrogen_tolerance >= 0):
+            raise ValueError("hydrogen tolerance must be finite and non-negative")
         weights = ScoringWeights(self.alpha, self.beta, self.gamma)
         # normalized() holds the checks, so it runs on weights that already
         # sum to 1 too; only weights that do not are replaced.
@@ -350,6 +355,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a config file value must be, per RunConfig field annotation; bools
+# are ints to Python but never a count or a weight here.
+_CONFIG_VALUE_TYPES = {
+    "list[str]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": (
+        "a number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     file_values = {}
@@ -363,6 +385,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"config file {args.config} has unknown keys: {', '.join(unknown)}"
             )
+        for f in fields(RunConfig):
+            if f.name in file_values:
+                expected, accepts = _CONFIG_VALUE_TYPES[f.type]
+                if not accepts(file_values[f.name]):
+                    raise ValueError(
+                        f"config file {args.config}: {f.name} must be {expected}"
+                    )
     values = {}
     for f in fields(RunConfig):
         cli_value = getattr(args, f.name, None)

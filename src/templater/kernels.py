@@ -36,29 +36,17 @@ explores only one representative of each twin group, and drops a whole
 group with one precomputed mask (see ``max_common_connected_subgraph`` for
 why this is exact), which keeps their permutations from multiplying the
 search without changing the result.
+
+The search is depth first on a stack of its own rather than on Python's
+call stack, so a conserved chain of any length needs neither a raised
+recursion limit nor a deeper C stack.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterator
 
 from templater.errors import BudgetExceeded
-
-
-_recursion_limit_lock = threading.Lock()
-
-
-def _allow_recursion(depth: int) -> None:
-    """Raise the interpreter's recursion limit, never lower it, so that
-    ``depth`` more frames fit on top of the caller's."""
-    frame, in_use = sys._getframe(), 0
-    while frame is not None:
-        frame, in_use = frame.f_back, in_use + 1
-    with _recursion_limit_lock:
-        if sys.getrecursionlimit() < in_use + depth:
-            sys.setrecursionlimit(in_use + depth)
 
 
 def _twin_masks(
@@ -188,6 +176,7 @@ def max_common_connected_subgraph(
     best_weight = 0
     best_key: list[tuple[int, int]] | None = None
     expansions = 0
+    mapping: list[tuple[int, int]] = []
 
     def refine(
         current: list[tuple[int, int, bool]], v: int, w: int
@@ -211,9 +200,14 @@ def max_common_connected_subgraph(
                 refined.append((g_non, h_non, adjacent))
         return refined
 
+    # A search node yields its children as (classes, weight), with the pair
+    # that leads to each child appended to the shared ``mapping`` meanwhile.
+    # The loop below runs each child to the end before resuming its parent:
+    # depth first, on its own stack of generators, so no depth of the search
+    # nests Python frames.
     def search(
-        current: list[tuple[int, int, bool]], mapping: list[tuple[int, int]], weight: int
-    ) -> None:
+        current: list[tuple[int, int, bool]], weight: int
+    ) -> Iterator[tuple[list[tuple[int, int, bool]], int]]:
         nonlocal best_pairs, best_weight, best_key, expansions
         # The sorted key of the best mapping is built only when a mapping
         # of equal weight has to be compared with it.
@@ -277,25 +271,23 @@ def max_common_connected_subgraph(
             for counts_r, counts_p in leaf_pairs:
                 gain += min(counts_r[v], counts_p[w])
             mapping.append((v, w))
-            search(refine(current, v, w), mapping, weight + gain)
+            yield refine(current, v, w), weight + gain
             mapping.pop()
         # Leave v unmatched, and with it its whole twin group.
         remainder = [cls for cls in current if cls is not chosen]
         rest = g & ~twins_r[v]
         if rest:
             remainder.append((rest, h, adjacent))
-        search(remainder, mapping, weight)
+        yield remainder, weight
 
     if classes:
-        # Every nested search call holds at least one reactant node fewer
-        # than its parent, so the calls nest at most len(labels_r) + 1 deep;
-        # the deepest one adds a few frames of its own (a comprehension,
-        # tuple comparisons while sorting).
-        _allow_recursion(len(labels_r) + 8)
-        search(classes, [], 0)
-    # search refers to itself; dropping the name frees the search state now
-    # instead of at the next cycle collection.
-    del search
+        stack = [search(classes, 0)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(search(*child))
     return sorted(best_pairs), expansions
 
 

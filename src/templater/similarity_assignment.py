@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,59 +54,6 @@ class ScoringWeights:
     @property
     def is_normalized(self) -> bool:
         return abs(self.alpha + self.beta + self.gamma - 1.0) < 1e-9
-
-
-def _shell_overlap(
-    g_a: UnifiedGraph, shell_a: tuple[int, ...], g_b: UnifiedGraph, shell_b: tuple[int, ...]
-) -> tuple[int, int]:
-    """Multiset intersection sizes of the type and mass populations."""
-    types_a = Counter(g_a.nodes[n].type_id for n in shell_a)
-    types_b = Counter(g_b.nodes[n].type_id for n in shell_b)
-    masses_a = Counter(g_a.nodes[n].mass for n in shell_a)
-    masses_b = Counter(g_b.nodes[n].mass for n in shell_b)
-    n_type = sum(min(count, types_b[t]) for t, count in types_a.items())
-    n_mass = sum(min(count, masses_b[m]) for m, count in masses_a.items())
-    return n_type, n_mass
-
-
-def similarity_score(
-    v_r: int,
-    v_p: int,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    weights: ScoringWeights = ScoringWeights(),
-) -> float:
-    """Depth-weighted similarity of an unmapped reactant/product node pair.
-
-    The comparison depth is the smaller of the two within-molecule
-    eccentricities, clamped to at least 1 so isolated atoms still compare
-    their root attributes.  Every depth contributes the (constant) root
-    type and mass indicators plus the shell overlap counts, the latter
-    normalized by the larger of the two shell sizes at that depth.  The
-    per-depth normalization keeps the overlap term bounded, so root
-    attribute agreement stays decisive instead of being drowned by
-    whichever side sits in the bigger molecule.
-    """
-    shells_r = g_reac.shells(v_r)
-    shells_p = g_prod.shells(v_p)
-    depth = max(1, min(len(shells_r), len(shells_p)) - 1)
-    node_r = g_reac.nodes[v_r]
-    node_p = g_prod.nodes[v_p]
-    delta_t = 1.0 if node_r.type_id == node_p.type_id else 0.0
-    delta_m = 1.0 if node_r.mass == node_p.mass else 0.0
-
-    total = 0.0
-    for k in range(1, depth + 1):
-        shell_r = shells_r[k] if k < len(shells_r) else ()
-        shell_p = shells_p[k] if k < len(shells_p) else ()
-        n_type, n_mass = _shell_overlap(g_reac, shell_r, g_prod, shell_p)
-        overlap = (n_type + n_mass) / max(len(shell_r), len(shell_p), 1)
-        total += (
-            weights.alpha * delta_t
-            + weights.beta * delta_m
-            + weights.gamma * overlap
-        )
-    return total
 
 
 @dataclass
@@ -153,12 +99,23 @@ def build_similarity_matrix(
     cols: set[int],
     weights: ScoringWeights = ScoringWeights(),
 ) -> SimilarityMatrix:
-    """Score every row/column pair at once; each cell equals ``similarity_score``.
+    """Depth-weighted similarity of every unmapped reactant row against
+    every product column.
+
+    The comparison depth of a pair is the smaller of the two within-molecule
+    eccentricities, clamped to at least 1 so isolated atoms still compare
+    their root attributes.  Every depth contributes the (constant) root
+    type and mass indicators plus the shell overlap counts, the latter
+    normalized by the larger of the two shell sizes at that depth.  The
+    per-depth normalization keeps the overlap term bounded, so root
+    attribute agreement stays decisive instead of being drowned by
+    whichever side sits in the bigger molecule.
 
     Shells become per-depth histograms over one label index holding type ids
     and exact masses as separate labels, so a shell overlap is
-    ``np.minimum(h_r, h_p).sum(-1)``.  Depths are added up in the order the
-    scalar function adds them, which keeps every cell bit-identical to it.
+    ``np.minimum(h_r, h_p).sum(-1)``.  Depths are added up one at a time in
+    ascending order, so every cell is bit-identical to a scalar loop over
+    the depths (the tests keep one as the reference).
     """
     row_ids = sorted(rows)
     col_ids = sorted(cols)
@@ -196,6 +153,18 @@ def build_similarity_matrix(
         overlap = shared / np.maximum(np.maximum.outer(size_r[k], size_p[k]), 1)
         scores += np.where(k < depth, root + weights.gamma * overlap, 0.0)
     return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores)
+
+
+def similarity_score(
+    v_r: int,
+    v_p: int,
+    g_reac: UnifiedGraph,
+    g_prod: UnifiedGraph,
+    weights: ScoringWeights = ScoringWeights(),
+) -> float:
+    """Similarity of one reactant/product node pair: the one cell of
+    ``build_similarity_matrix`` for it."""
+    return float(build_similarity_matrix(g_reac, g_prod, {v_r}, {v_p}, weights).scores[0, 0])
 
 
 def _linear_sum_assignment(entries: np.ndarray) -> tuple[list[int], list[int]]:

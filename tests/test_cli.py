@@ -154,6 +154,25 @@ class TestRunCommand:
         assert "ValueError: scoring weights must be finite" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--hydrogen-tolerance", "-1", "hydrogen tolerance must be finite and non-negative"),
+            ("--hydrogen-tolerance", "nan", "hydrogen tolerance must be finite and non-negative"),
+            ("--hydrogen-tolerance", "inf", "hydrogen tolerance must be finite and non-negative"),
+            ("--search-budget", "-1", "search budget must be non-negative"),
+        ],
+        ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "budget-negative"],
+    )
+    def test_out_of_range_knob_error_exit(self, tmp_path, capsys, flag, value, message):
+        # A negative or NaN tolerance used to switch the hydrogen swap off
+        # silently, and a negative budget failed as an exhausted search.
+        out_dir = tmp_path / "out"
+        code = main(run_args(out_dir, [flag, value]))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out_dir.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
             "reactants": PC_REACTANTS,
@@ -175,8 +194,22 @@ class TestRunCommand:
         [
             ({"cuttoff": 2, "exportdot": True}, "has unknown keys: cuttoff, exportdot"),
             ([2], "must hold a JSON object"),
+            ({"reactants": "ht.data"}, "reactants must be a list of strings"),
+            ({"products": ["a.data", 3]}, "products must be a list of strings"),
+            ({"out_dir": 5}, "out_dir must be a string"),
+            ({"cutoff": "4"}, "cutoff must be an integer"),
+            ({"iterations": 2.0}, "iterations must be an integer"),
+            ({"search_budget": True}, "search_budget must be an integer"),
+            ({"alpha": "0.5"}, "alpha must be a number"),
+            ({"hydrogen_tolerance": False}, "hydrogen_tolerance must be a number"),
+            ({"export_dot": 1}, "export_dot must be true or false"),
+            ({"export_similarity_csv": "yes"}, "export_similarity_csv must be true or false"),
         ],
-        ids=["unknown-keys", "not-an-object"],
+        ids=[
+            "unknown-keys", "not-an-object", "reactants-string", "products-non-string",
+            "out-dir-number", "cutoff-string", "iterations-float", "budget-bool",
+            "weight-string", "tolerance-bool", "export-dot-int", "export-csv-string",
+        ],
     )
     def test_config_file_rejected(self, tmp_path, capsys, config, message):
         # A misspelt key used to be dropped: the run went on with the default.

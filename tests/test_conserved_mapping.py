@@ -286,6 +286,38 @@ class TestLargeMolecules:
                 assert len(mapping.pairs) == 6 * n - 10
                 validate_mapping(mapping, g_reac, g_prod)
 
+    def test_gem_dimethyl_chain_maps_whole_within_small_budget(self):
+        # A polyisobutylene-like chain of 12 -CH2-C(CH3)2- units against
+        # itself.  Folding the hydrogens leaves the two methyl carbons of
+        # each unit as skeleton twins.  Without twin pruning the search took
+        # 30,758 expansions here, doubling with every unit; with it, 105.
+        units = 12
+        types, bonds = [], []
+
+        def atom(type_id, parent=None):
+            types.append(type_id)
+            if parent is not None:
+                bonds.append((parent, len(types)))
+            return len(types)
+
+        backbone = None
+        for _ in range(units):
+            ch2 = atom(1, backbone)
+            atom(2, ch2)
+            atom(2, ch2)
+            backbone = atom(1, ch2)
+            for _ in range(2):
+                methyl = atom(1, backbone)
+                for _ in range(3):
+                    atom(2, methyl)
+        atoms = [(i, t, 0.0) for i, t in enumerate(types, start=1)]
+        masses = {1: C, 2: 1.008}
+        g_r = make_graph(atoms, bonds, masses, "reactant")
+        g_p = make_graph(atoms, bonds, masses, "product")
+        pairs, _ = max_common_subgraph(g_r, g_p, budget=1000)
+        assert len(pairs) == 12 * units == 144
+        assert_common_subgraph(pairs, g_r, g_p, {})
+
     def test_too_small_budget_still_raises(self, monkeypatch):
         # One expansion short of the largest search still fails.
         spent = []

@@ -40,15 +40,25 @@ def test_budget_exceeded_raises():
 
 
 def test_long_path_maps_whole_without_recursion_error():
-    # The search nests one frame per matched pair, so a 1,200-pair mapping
-    # runs past Python's default recursion limit of 1,000.
+    # A 1,200-pair mapping is deeper than Python's default recursion limit
+    # of 1,000.  The search must neither raise the limit nor need a higher
+    # one: it also runs with the limit just above the caller's depth.
     n = 1200
     labels = [i % 3 for i in range(n)]
     masks = [(1 << i - 1 if i else 0) | (1 << i + 1 if i < n - 1 else 0) for i in range(n)]
     limit = sys.getrecursionlimit()
     pairs, _ = max_common_connected_subgraph(labels, labels, masks, masks, 10**7)
     assert pairs == [(i, i) for i in range(n)]
-    assert sys.getrecursionlimit() >= limit
+    assert sys.getrecursionlimit() == limit
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 10)
+    try:
+        pairs, _ = max_common_connected_subgraph(labels, labels, masks, masks, 10**7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pairs == [(i, i) for i in range(n)]
 
 
 def test_lexicographic_tie_break():

@@ -4,6 +4,7 @@ import logging
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from templater.conserved_mapping import (
     iterate_conserved,
     validate_mapping,
 )
-from templater.graph_core import build_unified_graph
+from templater.graph_core import UnifiedGraph, build_unified_graph
 from templater.similarity_assignment import (
     ScoringWeights,
     SimilarityMatrix,
@@ -60,6 +61,50 @@ def similarity_score_oracle(v_r, v_p, g_reac, g_prod, weights=ScoringWeights()):
         score += weights.alpha * dt + weights.beta * dm
         score += weights.gamma * (np_overlap + nm_overlap) / denom
     return score
+
+
+def _shell_overlap(
+    g_a: UnifiedGraph, shell_a: tuple[int, ...], g_b: UnifiedGraph, shell_b: tuple[int, ...]
+) -> tuple[int, int]:
+    """Multiset intersection sizes of the type and mass populations."""
+    types_a = Counter(g_a.nodes[n].type_id for n in shell_a)
+    types_b = Counter(g_b.nodes[n].type_id for n in shell_b)
+    masses_a = Counter(g_a.nodes[n].mass for n in shell_a)
+    masses_b = Counter(g_b.nodes[n].mass for n in shell_b)
+    n_type = sum(min(count, types_b[t]) for t, count in types_a.items())
+    n_mass = sum(min(count, masses_b[m]) for m, count in masses_a.items())
+    return n_type, n_mass
+
+
+def similarity_score_reference(
+    v_r: int,
+    v_p: int,
+    g_reac: UnifiedGraph,
+    g_prod: UnifiedGraph,
+    weights: ScoringWeights = ScoringWeights(),
+) -> float:
+    """The scalar scorer the matrix replaced, one pair and one depth at a
+    time (see ``build_similarity_matrix``): every cell must equal it exactly."""
+    shells_r = g_reac.shells(v_r)
+    shells_p = g_prod.shells(v_p)
+    depth = max(1, min(len(shells_r), len(shells_p)) - 1)
+    node_r = g_reac.nodes[v_r]
+    node_p = g_prod.nodes[v_p]
+    delta_t = 1.0 if node_r.type_id == node_p.type_id else 0.0
+    delta_m = 1.0 if node_r.mass == node_p.mass else 0.0
+
+    total = 0.0
+    for k in range(1, depth + 1):
+        shell_r = shells_r[k] if k < len(shells_r) else ()
+        shell_p = shells_p[k] if k < len(shells_p) else ()
+        n_type, n_mass = _shell_overlap(g_reac, shell_r, g_prod, shell_p)
+        overlap = (n_type + n_mass) / max(len(shell_r), len(shell_p), 1)
+        total += (
+            weights.alpha * delta_t
+            + weights.beta * delta_m
+            + weights.gamma * overlap
+        )
+    return total
 
 
 # Masses equal to type ids (and shared by two types): a type and a mass
@@ -164,11 +209,12 @@ class TestSimilarityScore:
             assert matrix.scores.shape == (len(g1.nodes), len(g2.nodes))
             for i, v_r in enumerate(matrix.rows):
                 for j, v_p in enumerate(matrix.cols):
-                    score = similarity_score(v_r, v_p, g1, g2, weights)
+                    score = similarity_score_reference(v_r, v_p, g1, g2, weights)
                     assert score == pytest.approx(
                         similarity_score_oracle(v_r, v_p, g1, g2, weights), abs=1e-12
                     )
                     assert matrix.scores[i, j] == score
+                    assert similarity_score(v_r, v_p, g1, g2, weights) == score
 
     def test_symmetric_overlap(self):
         g1 = make_graph([(1, 1, 0.0), (2, 3, 0.0)], [(1, 2)], MASSES, "reactant")
@@ -326,7 +372,8 @@ def refine_oracle(mapping, g_reac, g_prod, weights=ScoringWeights()):
     """Path refinement as it was before it read the matrix.
 
     Every objective evaluation re-scores pairs with the scalar
-    ``similarity_score`` and keeps the conserved anchors' similarity terms.
+    ``similarity_score_reference`` and keeps the conserved anchors'
+    similarity terms.
     """
 
     def objective(current, nodes):
@@ -335,7 +382,7 @@ def refine_oracle(mapping, g_reac, g_prod, weights=ScoringWeights()):
             p = current.pairs.get(r)
             if p is None:
                 continue
-            total += similarity_score(r, p, g_reac, g_prod, weights)
+            total += similarity_score_reference(r, p, g_reac, g_prod, weights)
             for x in g_reac.neighbors(r):
                 image = current.pairs.get(x)
                 if image is not None and g_prod.has_edge(p, image):
