@@ -89,6 +89,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.reactants or not self.products:
             raise ValueError("at least one reactant and one product file are required")
+        if self.cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
         if self.search_budget < 0:
             raise ValueError("search budget must be non-negative")
         if not (math.isfinite(self.hydrogen_tolerance) and self.hydrogen_tolerance >= 0):

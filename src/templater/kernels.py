@@ -44,9 +44,21 @@ recursion limit nor a deeper C stack.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Hashable
 
 from templater.errors import BudgetExceeded
+
+# A mapping as a linked list of pairs, newest first, so that every search
+# node below a pair shares the cells above it.
+Cell = tuple[tuple[int, int], "Cell"] | None
+
+
+def _pairs(cell: Cell) -> list[tuple[int, int]]:
+    pairs = []
+    while cell is not None:
+        pair, cell = cell
+        pairs.append(pair)
+    return pairs
 
 
 def _twin_masks(
@@ -172,11 +184,10 @@ def max_common_connected_subgraph(
         for level in zip(_at_least(counts_r), _at_least(counts_p))
     ]
 
-    best_pairs: list[tuple[int, int]] = []
+    best: Cell = None
     best_weight = 0
     best_key: list[tuple[int, int]] | None = None
     expansions = 0
-    mapping: list[tuple[int, int]] = []
 
     def refine(
         current: list[tuple[int, int, bool]], v: int, w: int
@@ -200,27 +211,24 @@ def max_common_connected_subgraph(
                 refined.append((g_non, h_non, adjacent))
         return refined
 
-    # A search node yields its children as (classes, weight), with the pair
-    # that leads to each child appended to the shared ``mapping`` meanwhile.
-    # The loop below runs each child to the end before resuming its parent:
-    # depth first, on its own stack of generators, so no depth of the search
-    # nests Python frames.
-    def search(
-        current: list[tuple[int, int, bool]], weight: int
-    ) -> Iterator[tuple[list[tuple[int, int, bool]], int]]:
-        nonlocal best_pairs, best_weight, best_key, expansions
+    # Each entry is a search node: its classes, its weight and its mapping.
+    # Children are pushed so that they pop depth first, candidates in
+    # ascending order and the unmatched branch last.
+    stack: list[tuple[list[tuple[int, int, bool]], int, Cell]] = [(classes, 0, None)]
+    while stack:
+        current, weight, mapping = stack.pop()
         # The sorted key of the best mapping is built only when a mapping
         # of equal weight has to be compared with it.
         if weight > best_weight:
-            best_pairs = list(mapping)
+            best = mapping
             best_weight = weight
             best_key = None
         elif weight == best_weight:
-            key = sorted(mapping)
+            key = sorted(_pairs(mapping))
             if best_key is None:
-                best_key = sorted(best_pairs)
+                best_key = sorted(_pairs(best))
             if key < best_key:
-                best_pairs = best_key = key
+                best, best_key = mapping, key
         # One pass sums the bound and picks the eligible class with the
         # fewest nodes on its wider side, ties to the lowest reactant node.
         # Classes are disjoint, so the key is unique and their order in the
@@ -238,12 +246,12 @@ def max_common_connected_subgraph(
             else:
                 bound += count_h
                 wide = count_g
-            if adjacent or not mapping:
+            if adjacent or mapping is None:
                 key = (wide, g & -g)
                 if chosen_key is None or key < chosen_key:
                     chosen, chosen_key = cls, key
         if chosen is None:
-            return
+            continue
         # The leaves the classes can still match, summed only while the
         # bound so far would prune.
         if bound < best_weight and levels:
@@ -253,11 +261,18 @@ def max_common_connected_subgraph(
                     count_h = (h & col).bit_count()
                     bound += count_g if count_g < count_h else count_h
         if bound < best_weight:
-            return
+            continue
         g, h, adjacent = chosen
         v = (g & -g).bit_length() - 1
+        # Leave v unmatched, and with it its whole twin group.
+        remainder = [cls for cls in current if cls is not chosen]
+        rest = g & ~twins_r[v]
+        if rest:
+            remainder.append((rest, h, adjacent))
+        stack.append((remainder, weight, mapping))
         # Match v to the first candidate of each product twin group in turn,
         # in ascending order.
+        children = []
         candidates = h if allowed is None else h & allowed[v]
         while candidates:
             w = (candidates & -candidates).bit_length() - 1
@@ -270,25 +285,9 @@ def max_common_connected_subgraph(
             gain = 1
             for counts_r, counts_p in leaf_pairs:
                 gain += min(counts_r[v], counts_p[w])
-            mapping.append((v, w))
-            yield refine(current, v, w), weight + gain
-            mapping.pop()
-        # Leave v unmatched, and with it its whole twin group.
-        remainder = [cls for cls in current if cls is not chosen]
-        rest = g & ~twins_r[v]
-        if rest:
-            remainder.append((rest, h, adjacent))
-        yield remainder, weight
-
-    if classes:
-        stack = [search(classes, 0)]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(search(*child))
-    return sorted(best_pairs), expansions
+            children.append((refine(current, v, w), weight + gain, ((v, w), mapping)))
+        stack.extend(reversed(children))
+    return sorted(_pairs(best)), expansions
 
 
 # There is one kernel, in pure Python.  The benchmark harness

@@ -9,7 +9,6 @@ the user's force field.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Container
 from dataclasses import dataclass, field
 
@@ -39,17 +38,9 @@ def prune_to_cutoff(
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     kept = set(always_include)
-    distances = {gid: 0 for gid in sites}
-    queue = deque(sorted(sites))
-    while queue:
-        node = queue.popleft()
-        if distances[node] >= cutoff:
-            continue
-        for nbr in graph.neighbors(node):
-            if nbr not in distances:
-                distances[nbr] = distances[node] + 1
-                queue.append(nbr)
-    kept.update(distances)
+    for site in sites:
+        for shell in graph.shells(site)[: cutoff + 1]:
+            kept.update(shell)
     return kept
 
 

@@ -173,6 +173,28 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
+    @pytest.mark.parametrize(
+        "name, message",
+        [("cutoff", "cutoff must be >= 1"), ("iterations", "iterations must be >= 1")],
+        ids=["cutoff", "iterations"],
+    )
+    def test_zero_count_rejected_before_reading(self, tmp_path, capsys, name, message, from_file):
+        # These used to pass the config and fail as FileNotFoundError (exit 2)
+        # on inputs that do not exist, or deep in the pipeline on ones that do.
+        out_dir = tmp_path / "out"
+        missing = str(tmp_path / "missing.data")
+        args = ["run", "--reactants", missing, "--products", missing, "--out", str(out_dir)]
+        if from_file:
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps({name: 0}))
+            args += ["--config", str(config_path)]
+        else:
+            args += [f"--{name}", "0"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out_dir.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
             "reactants": PC_REACTANTS,

@@ -37,6 +37,39 @@ class TestPruneToCutoff:
             assert previous <= current
             previous = current
 
+    def test_sites_in_two_molecules_match_hop_distance(self):
+        # A branched chain and a ring in one graph, sites in both; the
+        # reference is Floyd-Warshall hop distance over every bond.
+        branched = make_topology(
+            [(i, 1, 0.0) for i in range(1, 9)],
+            [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (7, 8)],
+            {1: C},
+        )
+        ring = make_topology(
+            [(i, 1, 0.0) for i in range(1, 8)],
+            [(i, i % 7 + 1) for i in range(1, 8)],
+            {1: C},
+        )
+        graph = build_unified_graph([branched, ring], "reactant")
+        nodes = graph.sorted_gids()
+        far = len(nodes)
+        dist = {(a, b): 0 if a == b else far for a in nodes for b in nodes}
+        for a in nodes:
+            for b in graph.neighbors(a):
+                dist[a, b] = 1
+        for k in nodes:
+            for a in nodes:
+                for b in nodes:
+                    dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+        site_sets = [
+            {graph.gid_for(1, 3), graph.gid_for(2, 1)},
+            {graph.gid_for(1, 1), graph.gid_for(1, 8), graph.gid_for(2, 5)},
+        ]
+        for sites in site_sets:
+            for cutoff in range(1, 6):
+                expected = {n for n in nodes if min(dist[s, n] for s in sites) <= cutoff}
+                assert prune_to_cutoff(graph, sites, cutoff) == expected
+
     def test_requires_sites(self):
         graph = build_unified_graph([path_topology(3)], "reactant")
         with pytest.raises(ValueError):
