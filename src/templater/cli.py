@@ -69,6 +69,56 @@ EXIT_CODES = {
 }
 
 
+# What a RunConfig value must be, per field annotation; bools are ints to
+# Python but never a count or a weight here.
+_CONFIG_VALUE_TYPES = {
+    "list[str]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": (
+        "a number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+# The range each RunConfig field must lie in, in check order.
+_NEED_BOTH_SIDES = "at least one reactant and one product file are required"
+_CONFIG_VALUE_RANGES = {
+    "reactants": (bool, _NEED_BOTH_SIDES),
+    "products": (bool, _NEED_BOTH_SIDES),
+    "cutoff": (lambda v: v >= 1, "cutoff must be >= 1"),
+    "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
+    "search_budget": (lambda v: v >= 0, "search budget must be non-negative"),
+    "hydrogen_tolerance": (
+        lambda v: math.isfinite(v) and v >= 0,
+        "hydrogen tolerance must be finite and non-negative",
+    ),
+}
+
+
+def _check_values(values: dict[str, object]) -> None:
+    """Raise ValueError on the first RunConfig value of the wrong type or range.
+
+    ``values`` may hold any subset of the fields.  Every type is checked
+    before any range, so the range tests only see values of the right type.
+    The weights are checked last and together, those missing taking their
+    defaults.
+    """
+    for f in fields(RunConfig):
+        if f.name in values:
+            expected, accepts = _CONFIG_VALUE_TYPES[f.type]
+            if not accepts(values[f.name]):
+                raise ValueError(f"{f.name} must be {expected}")
+    for name, (accepts, message) in _CONFIG_VALUE_RANGES.items():
+        if name in values and not accepts(values[name]):
+            raise ValueError(message)
+    ScoringWeights(**{w: values[w] for w in ("alpha", "beta", "gamma") if w in values}).normalized()
+
+
 @dataclass
 class RunConfig:
     """Everything one pipeline run depends on."""
@@ -87,21 +137,9 @@ class RunConfig:
     hydrogen_tolerance: float = DEFAULT_HYDROGEN_TOLERANCE
 
     def __post_init__(self) -> None:
-        if not self.reactants or not self.products:
-            raise ValueError("at least one reactant and one product file are required")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.search_budget < 0:
-            raise ValueError("search budget must be non-negative")
-        if not (math.isfinite(self.hydrogen_tolerance) and self.hydrogen_tolerance >= 0):
-            raise ValueError("hydrogen tolerance must be finite and non-negative")
-        weights = ScoringWeights(self.alpha, self.beta, self.gamma)
-        # normalized() holds the checks, so it runs on weights that already
-        # sum to 1 too; only weights that do not are replaced.
-        normalized = weights.normalized()
-        if not weights.is_normalized:
+        _check_values(vars(self))
+        if not self.weights.is_normalized:
+            normalized = self.weights.normalized()
             logger.warning(
                 "weights (%g, %g, %g) do not sum to 1; rescaled to (%g, %g, %g)",
                 self.alpha, self.beta, self.gamma,
@@ -359,23 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# What a config file value must be, per RunConfig field annotation; bools
-# are ints to Python but never a count or a weight here.
-_CONFIG_VALUE_TYPES = {
-    "list[str]": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
-    ),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": (
-        "a number",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    ),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     file_values = {}
@@ -389,13 +410,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"config file {args.config} has unknown keys: {', '.join(unknown)}"
             )
-        for f in fields(RunConfig):
-            if f.name in file_values:
-                expected, accepts = _CONFIG_VALUE_TYPES[f.type]
-                if not accepts(file_values[f.name]):
-                    raise ValueError(
-                        f"config file {args.config}: {f.name} must be {expected}"
-                    )
+        # The file is checked whole, flags or not, so its errors can name it.
+        try:
+            _check_values(file_values)
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
     values = {}
     for f in fields(RunConfig):
         cli_value = getattr(args, f.name, None)

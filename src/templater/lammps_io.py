@@ -16,6 +16,7 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from templater.errors import (
@@ -30,13 +31,21 @@ from templater.errors import (
 # Charges and coordinates use a fixed width so diffs stay stable.
 _FLOAT_FMT = "{:.6f}"
 
+# The interaction sections, in file order.  Each section name maps to its
+# header count keyword (also the dataclass field holding its rows), its
+# singular noun and the number of atom ids per row.
+INTERACTION_SECTIONS = {
+    "Bonds": ("bonds", "bond", 2),
+    "Angles": ("angles", "angle", 3),
+    "Dihedrals": ("dihedrals", "dihedral", 4),
+    "Impropers": ("impropers", "improper", 4),
+}
+
+# Header counts a molecule template may declare.
+_COUNT_KEYWORDS = ("atoms", *(keyword for keyword, _, _ in INTERACTION_SECTIONS.values()))
+
 # Header count phrases in data files, keyed by the trailing keyword text.
-_HEADER_KEYWORDS = (
-    "atoms",
-    "bonds",
-    "angles",
-    "dihedrals",
-    "impropers",
+_HEADER_KEYWORDS = _COUNT_KEYWORDS + (
     "atom types",
     "bond types",
     "angle types",
@@ -50,9 +59,6 @@ _HEADER_KEYWORDS = (
 )
 
 _BOX_KEYWORDS = ("xlo xhi", "ylo yhi", "zlo zhi", "xy xz yz")
-
-# Sections we parse, with the number of atom ids per interaction line.
-_INTERACTION_SECTIONS = {"Bonds": 2, "Angles": 3, "Dihedrals": 4, "Impropers": 4}
 
 # Sections accepted and skipped untouched (pass-through per the format).
 _SKIPPED_SECTIONS = frozenset(
@@ -110,25 +116,17 @@ class SystemTopology:
         for a in self.atoms:
             if a.type_id not in self.masses:
                 raise MissingMass(f"atom type {a.type_id} has no Masses entry")
-        for name, entries in (
-            ("Bonds", self.bonds),
-            ("Angles", self.angles),
-            ("Dihedrals", self.dihedrals),
-            ("Impropers", self.impropers),
-        ):
+        found = {"atoms": len(self.atoms)}
+        for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
+            entries = getattr(self, keyword)
+            found[keyword] = len(entries)
             for _type_id, members in entries:
                 for atom_id in members:
                     if atom_id not in id_counts:
                         raise DanglingReference(
                             f"{name} entry references missing atom id {atom_id}"
                         )
-        for keyword, expected in (
-            ("atoms", len(self.atoms)),
-            ("bonds", len(self.bonds)),
-            ("angles", len(self.angles)),
-            ("dihedrals", len(self.dihedrals)),
-            ("impropers", len(self.impropers)),
-        ):
+        for keyword, expected in found.items():
             declared = self.type_counts.get(keyword)
             if declared is not None and declared != expected:
                 raise MalformedHeader(
@@ -217,13 +215,13 @@ def parse_data_file(text: str) -> SystemTopology:
     charges defaulting to 0.  Comments and blank lines are ignored and the
     section order is arbitrary.
     """
-    known = frozenset({"Masses", "Atoms"}) | frozenset(_INTERACTION_SECTIONS) | _SKIPPED_SECTIONS
+    known = frozenset({"Masses", "Atoms"}) | frozenset(INTERACTION_SECTIONS) | _SKIPPED_SECTIONS
     sections = _split_sections(text, known)
 
     type_counts: dict[str, int] = {}
     masses: dict[int, float] = {}
     atoms: list[AtomRecord] = []
-    interactions: dict[str, list] = {name: [] for name in _INTERACTION_SECTIONS}
+    interactions: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
     seen: set[str] = set()
 
     for name, header_line_no, body in sections:
@@ -254,7 +252,7 @@ def parse_data_file(text: str) -> SystemTopology:
                 atoms.append(_parse_atom_line(stripped, line_no))
         else:
             seen.add(name)
-            arity = _INTERACTION_SECTIONS[name]
+            keyword, _, arity = INTERACTION_SECTIONS[name]
             for line_no, stripped in body:
                 parts = stripped.split()
                 if len(parts) < 2 + arity:
@@ -264,22 +262,14 @@ def parse_data_file(text: str) -> SystemTopology:
                     members = tuple(int(p) for p in parts[2 : 2 + arity])
                 except ValueError:
                     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
-                interactions[name].append((type_id, members))
+                interactions[keyword].append((type_id, members))
 
     if "Atoms" not in seen:
         raise MalformedHeader("data file has no Atoms section")
     if "Masses" not in seen:
         raise MalformedHeader("data file has no Masses section")
 
-    topology = SystemTopology(
-        atoms=atoms,
-        masses=masses,
-        bonds=interactions["Bonds"],
-        angles=interactions["Angles"],
-        dihedrals=interactions["Dihedrals"],
-        impropers=interactions["Impropers"],
-        type_counts=type_counts,
-    )
+    topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
     topology.validate()
     return topology
 
@@ -341,76 +331,48 @@ class MoleculeTemplateFile:
         n = self.atom_count
         if n == 0:
             raise ValidationError("template has no atoms")
-        for name, entries in (
-            ("bond", self.bonds),
-            ("angle", self.angles),
-            ("dihedral", self.dihedrals),
-            ("improper", self.impropers),
-        ):
-            for _type_id, members in entries:
+        for keyword, noun, _ in INTERACTION_SECTIONS.values():
+            for _type_id, members in getattr(self, keyword):
                 for idx in members:
                     if not 1 <= idx <= n:
                         raise ValidationError(
-                            f"{name} references atom index {idx} outside 1..{n}"
+                            f"{noun} references atom index {idx} outside 1..{n}"
                         )
+
+
+def _section(out: list[str], name: str, rows: Iterable[str]) -> None:
+    """Append one section: its name, a blank line, the rows, a blank line."""
+    out.extend((name, "", *rows, ""))
 
 
 def write_molecule_template(template: MoleculeTemplateFile, title: str = "molecule template") -> str:
     """Serialize a molecule template; sections with zero entries are omitted."""
     template.validate()
-    out = [f"# {title}", ""]
-    out.append(f"{template.atom_count} atoms")
-    for keyword, entries in (
-        ("bonds", template.bonds),
-        ("angles", template.angles),
-        ("dihedrals", template.dihedrals),
-        ("impropers", template.impropers),
-    ):
+    sections = [
+        (name, keyword, getattr(template, keyword))
+        for name, (keyword, _, _) in INTERACTION_SECTIONS.items()
+    ]
+    out = [f"# {title}", "", f"{template.atom_count} atoms"]
+    out.extend(f"{len(entries)} {keyword}" for _, keyword, entries in sections if entries)
+    out.append("")
+
+    atoms = list(enumerate(template.atoms, start=1))
+    _section(out, "Coords", (
+        f"{i} " + " ".join(_FLOAT_FMT.format(v) for v in (atom.x, atom.y, atom.z))
+        for i, atom in atoms
+    ))
+    _section(out, "Types", (f"{i} {atom.type_id}" for i, atom in atoms))
+    _section(out, "Charges", (f"{i} {_FLOAT_FMT.format(atom.charge)}" for i, atom in atoms))
+    for name, _, entries in sections:
         if entries:
-            out.append(f"{len(entries)} {keyword}")
-    out.append("")
-
-    out.append("Coords")
-    out.append("")
-    for i, atom in enumerate(template.atoms, start=1):
-        coords = " ".join(_FLOAT_FMT.format(v) for v in (atom.x, atom.y, atom.z))
-        out.append(f"{i} {coords}")
-    out.append("")
-
-    out.append("Types")
-    out.append("")
-    for i, atom in enumerate(template.atoms, start=1):
-        out.append(f"{i} {atom.type_id}")
-    out.append("")
-
-    out.append("Charges")
-    out.append("")
-    for i, atom in enumerate(template.atoms, start=1):
-        out.append(f"{i} {_FLOAT_FMT.format(atom.charge)}")
-    out.append("")
-
-    for name, entries in (
-        ("Bonds", template.bonds),
-        ("Angles", template.angles),
-        ("Dihedrals", template.dihedrals),
-        ("Impropers", template.impropers),
-    ):
-        if not entries:
-            continue
-        out.append(name)
-        out.append("")
-        for i, (type_id, members) in enumerate(entries, start=1):
-            out.append(f"{i} {type_id} " + " ".join(str(m) for m in members))
-        out.append("")
-
+            _section(out, name, (
+                f"{i} {type_id} " + " ".join(str(m) for m in members)
+                for i, (type_id, members) in enumerate(entries, start=1)
+            ))
     return "\n".join(out)
 
 
-_TEMPLATE_SECTIONS = frozenset(
-    {"Coords", "Types", "Charges", "Bonds", "Angles", "Dihedrals", "Impropers"}
-)
-
-_TEMPLATE_COUNT_KEYWORDS = ("atoms", "bonds", "angles", "dihedrals", "impropers")
+_TEMPLATE_SECTIONS = frozenset({"Coords", "Types", "Charges"}) | frozenset(INTERACTION_SECTIONS)
 
 
 def parse_molecule_template(text: str) -> MoleculeTemplateFile:
@@ -423,7 +385,7 @@ def parse_molecule_template(text: str) -> MoleculeTemplateFile:
         if name == "":
             for line_no, stripped in body:
                 header = _parse_header_line(stripped)
-                if header is None or header[0] not in _TEMPLATE_COUNT_KEYWORDS:
+                if header is None or header[0] not in _COUNT_KEYWORDS:
                     raise UnknownSection(f"unrecognized header line {stripped!r}", line_no)
                 counts[header[0]] = header[1]
             continue
@@ -475,12 +437,12 @@ def parse_molecule_template(text: str) -> MoleculeTemplateFile:
     except ValueError:
         raise MalformedLine("non-numeric atom data")
 
-    def interactions(name: str, arity: int) -> list[tuple[int, tuple[int, ...]]]:
+    def interactions(name: str, keyword: str, arity: int) -> list[tuple[int, tuple[int, ...]]]:
         table = rows.get(name, [])
-        declared = counts.get(name.lower(), 0)
+        declared = counts.get(keyword, 0)
         if len(table) != declared:
             raise MalformedHeader(
-                f"header declares {declared} {name.lower()}, found {len(table)}"
+                f"header declares {declared} {keyword}, found {len(table)}"
             )
         result = []
         for line_no, parts in table:
@@ -495,13 +457,10 @@ def parse_molecule_template(text: str) -> MoleculeTemplateFile:
             raise MalformedLine(f"non-contiguous {name} indices")
         return [(type_id, members) for _, type_id, members in result]
 
-    template = MoleculeTemplateFile(
-        atoms=atoms,
-        bonds=interactions("Bonds", 2),
-        angles=interactions("Angles", 3),
-        dihedrals=interactions("Dihedrals", 4),
-        impropers=interactions("Impropers", 4),
-    )
+    template = MoleculeTemplateFile(atoms=atoms, **{
+        keyword: interactions(name, keyword, arity)
+        for name, (keyword, _, arity) in INTERACTION_SECTIONS.items()
+    })
     template.validate()
     return template
 
@@ -561,29 +520,13 @@ def write_map_file(map_file: ReactionMapFile, title: str = "reaction map") -> st
         out.append(f"{len(map_file.create_ids)} createIDs")
     out.append("")
 
-    out.append("InitiatorIDs")
-    out.append("")
-    for initiator in map_file.initiators:
-        out.append(str(initiator))
-    out.append("")
-
+    _section(out, "InitiatorIDs", map(str, map_file.initiators))
     for name, ids in (
         ("EdgeIDs", map_file.edge_ids),
         ("DeleteIDs", map_file.delete_ids),
         ("CreateIDs", map_file.create_ids),
     ):
-        if not ids:
-            continue
-        out.append(name)
-        out.append("")
-        for atom_id in sorted(ids):
-            out.append(str(atom_id))
-        out.append("")
-
-    out.append("Equivalences")
-    out.append("")
-    for pre, post in sorted(map_file.equivalences):
-        out.append(f"{pre} {post}")
-    out.append("")
-
+        if ids:
+            _section(out, name, map(str, sorted(ids)))
+    _section(out, "Equivalences", (f"{pre} {post}" for pre, post in sorted(map_file.equivalences)))
     return "\n".join(out)

@@ -16,6 +16,7 @@ from templater.conserved_mapping import AtomMapping
 from templater.errors import InconsistentPruning
 from templater.graph_core import UnifiedGraph
 from templater.lammps_io import (
+    INTERACTION_SECTIONS,
     MoleculeTemplateFile,
     ReactionMapFile,
     SystemTopology,
@@ -106,7 +107,7 @@ def _side_template(
     """
     index = {gid: i for i, gid in enumerate(sorted(pruned), start=1)}
     atoms = [None] * len(index)
-    sections: dict[str, list] = {"bonds": [], "angles": [], "dihedrals": [], "impropers": []}
+    sections: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
     for component, topology in enumerate(topologies, start=1):
         local = {}
         for atom in topology.atoms:

@@ -185,15 +185,42 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         missing = str(tmp_path / "missing.data")
         args = ["run", "--reactants", missing, "--products", missing, "--out", str(out_dir)]
+        prefix = ""
         if from_file:
             config_path = tmp_path / "cfg.json"
             config_path.write_text(json.dumps({name: 0}))
             args += ["--config", str(config_path)]
+            prefix = f"config file {config_path}: "
         else:
             args += [f"--{name}", "0"]
         assert main(args) == 1
-        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert capsys.readouterr().err == f"error: ValueError: {prefix}{message}\n"
         assert not out_dir.exists()
+
+    def test_flag_error_beside_config_file_names_no_file(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"iterations": 2}))
+        out_dir = tmp_path / "out"
+        code = main(run_args(out_dir, ["--config", str(config_path), "--cutoff", "0"]))
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: cutoff must be >= 1\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"reactants": "r.data"}, "reactants must be a list of strings"),
+            ({"cutoff": 2.5}, "cutoff must be an integer"),
+        ],
+        ids=["reactants-string", "cutoff-float"],
+    )
+    def test_library_config_type_checked(self, tmp_path, overrides, message):
+        # A bare string used to be read as a list of one-character paths, and
+        # a float cutoff failed deep in the pipeline.
+        values = {"reactants": PC_REACTANTS, "products": PC_PRODUCTS, "out_dir": str(tmp_path)}
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{**values, **overrides})
+        assert str(info.value) == message
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = {
@@ -226,11 +253,15 @@ class TestRunCommand:
             ({"hydrogen_tolerance": False}, "hydrogen_tolerance must be a number"),
             ({"export_dot": 1}, "export_dot must be true or false"),
             ({"export_similarity_csv": "yes"}, "export_similarity_csv must be true or false"),
+            ({"search_budget": -1}, "search budget must be non-negative"),
+            ({"hydrogen_tolerance": -1}, "hydrogen tolerance must be finite and non-negative"),
+            ({"alpha": -1}, "scoring weights must be non-negative"),
         ],
         ids=[
             "unknown-keys", "not-an-object", "reactants-string", "products-non-string",
             "out-dir-number", "cutoff-string", "iterations-float", "budget-bool",
             "weight-string", "tolerance-bool", "export-dot-int", "export-csv-string",
+            "budget-negative", "tolerance-negative", "weight-negative",
         ],
     )
     def test_config_file_rejected(self, tmp_path, capsys, config, message):

@@ -51,6 +51,53 @@ Bonds
 1 1 1 2
 """
 
+# Four atoms in a chain with one row in each interaction section.
+CHAIN4_DATA = """# four-atom chain
+
+4 atoms
+1 bonds
+1 angles
+1 dihedrals
+1 impropers
+
+Masses
+
+1 12.011
+
+Atoms # full
+
+1 1 1 0.0 0.0 0.0 0.0
+2 1 1 0.0 1.5 0.0 0.0
+3 1 1 0.0 3.0 0.0 0.0
+4 1 1 0.0 4.5 0.0 0.0
+
+Bonds
+
+1 1 1 2
+
+Angles
+
+1 1 1 2 3
+
+Dihedrals
+
+1 1 1 2 3 4
+
+Impropers
+
+1 1 1 2 3 4
+"""
+
+# Each interaction section: its name, header keyword and field, singular
+# noun and atom ids per row.
+SECTIONS = [
+    ("Bonds", "bonds", "bond", 2),
+    ("Angles", "angles", "angle", 3),
+    ("Dihedrals", "dihedrals", "dihedral", 4),
+    ("Impropers", "impropers", "improper", 4),
+]
+SECTION_IDS = [name for name, _, _, _ in SECTIONS]
+
 
 class TestParseDataFile:
     def test_minimal_h2(self):
@@ -91,9 +138,13 @@ class TestParseDataFile:
             topology = parse_data_file(handle.read())
         assert len(topology.atoms) == 29
 
-    def test_dangling_bond_reference(self):
-        text = H2_DATA.replace("1 1 1 2", "1 1 1 99")
-        with pytest.raises(DanglingReference):
+    @pytest.mark.parametrize("name, keyword, noun, arity", SECTIONS, ids=SECTION_IDS)
+    def test_dangling_reference(self, name, keyword, noun, arity):
+        row = " ".join(str(i) for i in range(1, arity + 1))
+        dangling = row[:-1] + "99"
+        text = CHAIN4_DATA.replace(f"{name}\n\n1 1 {row}\n", f"{name}\n\n1 1 {dangling}\n")
+        assert text != CHAIN4_DATA
+        with pytest.raises(DanglingReference, match=f"^{name} entry references missing atom id 99$"):
             parse_data_file(text)
 
     def test_missing_mass(self):
@@ -110,6 +161,13 @@ class TestParseDataFile:
     def test_header_count_mismatch(self):
         text = H2_DATA.replace("2 atoms", "3 atoms")
         with pytest.raises(MalformedHeader):
+            parse_data_file(text)
+
+    @pytest.mark.parametrize("name, keyword, noun, arity", SECTIONS, ids=SECTION_IDS)
+    def test_interaction_count_mismatch(self, name, keyword, noun, arity):
+        text = CHAIN4_DATA.replace(f"\n1 {keyword}\n", f"\n2 {keyword}\n")
+        assert text != CHAIN4_DATA
+        with pytest.raises(MalformedHeader, match=f"^header declares 2 {keyword}, found 1$"):
             parse_data_file(text)
 
     def test_molecular_style_defaults_charge(self):
@@ -210,12 +268,13 @@ class TestMoleculeTemplate:
         with pytest.raises(MalformedHeader):
             parse_molecule_template(truncated)
 
-    def test_out_of_range_interaction_rejected(self):
+    @pytest.mark.parametrize("name, keyword, noun, arity", SECTIONS, ids=SECTION_IDS)
+    def test_out_of_range_interaction_rejected(self, name, keyword, noun, arity):
         template = MoleculeTemplateFile(
             atoms=[TemplateAtom(1, 0.0, 0.0, 0.0, 0.0)],
-            bonds=[(1, (1, 2))],
+            **{keyword: [(1, (1,) * (arity - 1) + (2,))]},
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{noun} references atom index 2 outside 1..1$"):
             write_molecule_template(template)
 
     def test_special_bond_counts_rejected(self):
