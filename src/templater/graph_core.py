@@ -134,13 +134,22 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
 def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
     """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
 
-    Each connected piece is solved exactly with the dense symmetric
-    eigensolver on A + I.  The shift leaves the eigenvectors unchanged and
-    makes the matrix primitive, so the top eigenvalue is simple even for
-    bipartite molecules (any tree) and its eigenvector has one sign.  Should
-    the component be disconnected, each connected piece is treated on its
-    own and atoms without bonds receive 0, as do all atoms of a molecule
-    with no bonds at all.
+    Each connected piece is solved exactly on M = A + I.  The shift leaves
+    the eigenvectors unchanged and makes the matrix primitive, so by
+    Perron-Frobenius its top eigenvalue is simple even for bipartite
+    molecules (any tree) and its eigenvector x is positive.  The symmetric
+    eigenvalue solver gives that eigenvalue alone, and one dense linear
+    solve of the bordered system
+
+        [[top*I - M, 1], [1^T, 0]] [x; mu] = [0; 1]
+
+    gives x.  The system is nonsingular because x spans the null space of
+    top*I - M and 1^T x != 0.  Its conditioning is set by the gap between
+    the two largest eigenvalues, as is the accuracy of the eigenvector of a
+    full eigendecomposition, which costs about twice as much from a few
+    dozen atoms up.  Should the component be disconnected, each connected
+    piece is treated on its own and atoms without bonds receive 0, as do
+    all atoms of a molecule with no bonds at all.
     """
     gids = graph.components.get(component)
     if gids is None:
@@ -155,15 +164,28 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         if len(piece) == 1:
             result[start] = 0.0
             continue
+        n = len(piece)
         index = {gid: i for i, gid in enumerate(piece)}
-        matrix = np.eye(len(piece))
+        # M is built inside the bordered array and turned into top*I - M in
+        # place: separate arrays for M, I and their difference triple the
+        # memory of the solve.
+        bordered = np.zeros((n + 1, n + 1))
+        matrix = bordered[:n, :n]
+        # The diagonal of M, a view into the flat bordered array.
+        diagonal = bordered.reshape(-1)[: n * (n + 2) : n + 2]
+        diagonal[:] = 1.0
         for gid in piece:
             for nbr in graph.neighbors(gid):
                 if nbr in index:
                     matrix[index[gid], index[nbr]] = 1.0
-        vector = np.abs(np.linalg.eigh(matrix)[1][:, -1])
-        for gid in piece:
-            result[gid] = float(vector[index[gid]])
+        top = np.linalg.eigvalsh(matrix)[-1]
+        np.negative(matrix, out=matrix)
+        diagonal += top
+        bordered[:n, n] = bordered[n, :n] = 1.0
+        rhs = np.zeros(n + 1)
+        rhs[n] = 1.0
+        x = np.linalg.solve(bordered, rhs)[:n]
+        result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
     return result
 
 

@@ -8,9 +8,38 @@ from conftest import make_graph, make_topology, path_topology
 from templater.errors import EmptyTopology
 from templater.graph_core import build_unified_graph, dot_export, eigenvector_centrality
 from templater.lammps_io import SystemTopology, parse_data_file
+from templater.reaction_analysis import CENTRALITY_DELTA_DECIMALS
 
 H_MASS = {1: 1.008}
 C_MASS = {1: 12.011}
+
+
+def shuffled_chain(n, rng):
+    """An n-site chain whose atom ids run along it in random order."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    bonds = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    atoms = [(i, 1, 0.0) for i in range(1, n + 1)]
+    return build_unified_graph([make_topology(atoms, bonds, C_MASS)], "product")
+
+
+def assert_matches_dense_oracle(graph, component):
+    """The centrality of a connected molecule against the principal eigenvector
+    of A + I from the dense symmetric eigensolver: equal to 1e-12, and equal
+    after the rounding that ``centrality_delta`` applies."""
+    gids = graph.components[component]
+    index = {gid: i for i, gid in enumerate(gids)}
+    shifted = np.eye(len(gids))
+    for a, b in graph.edges:
+        if a in index:
+            shifted[index[a], index[b]] = shifted[index[b], index[a]] = 1.0
+    principal = np.abs(np.linalg.eigh(shifted)[1][:, -1])
+    centrality = eigenvector_centrality(graph, component)
+    vec = np.array([centrality[gid] for gid in gids])
+    assert np.max(np.abs(vec - principal)) <= 1e-12
+    assert [round(c, CENTRALITY_DELTA_DECIMALS) for c in vec] == [
+        round(c, CENTRALITY_DELTA_DECIMALS) for c in principal
+    ]
 
 
 def h2_topology():
@@ -141,6 +170,19 @@ class TestEigenvectorCentrality:
             eigenvalues, eigenvectors = np.linalg.eigh(adj)
             principal = np.abs(eigenvectors[:, -1])
             assert np.max(np.abs(vec - principal)) <= 1e-6
+            assert_matches_dense_oracle(graph, 1)
+
+    def test_dense_oracle_case_study_molecules(self, case_states):
+        for state in case_states.values():
+            for graph in (state.g_reac, state.g_prod):
+                for component in graph.components:
+                    assert_matches_dense_oracle(graph, component)
+
+    def test_dense_oracle_long_shuffled_chain(self):
+        # Both solvers land within about 2e-13 of the closed form
+        # sin(j pi / 769), normalised, whose values all lie at least 1.9e-12
+        # from a rounding boundary at 9 decimals.
+        assert_matches_dense_oracle(shuffled_chain(768, random.Random(7)), 1)
 
 
 def hop_distances(graph, sources):

@@ -1,12 +1,15 @@
 import json
+import random
 
 import pytest
 
-from conftest import make_graph, make_topology
+from conftest import alkene_dimerization, fixture_path, make_graph, make_topology, ua_dimerization
 from templater.conserved_mapping import AtomMapping, iterate_conserved
 from templater.errors import NoReactionDetected, UnsupportedReaction
-from templater.graph_core import build_unified_graph
+from templater.graph_core import build_unified_graph, centrality_by_node
+from templater.lammps_io import parse_data_file
 from templater.reaction_analysis import (
+    CENTRALITY_DELTA_DECIMALS,
     bond_delta,
     build_report,
     centrality_delta,
@@ -29,6 +32,28 @@ def identity_system(n=4):
     for i in range(1, n + 1):
         mapping.add(i, i, "conserved-1")
     return g_reac, g_prod, mapping
+
+
+def mirror_images(graph):
+    """Pairs (atom, mirror image) of a head-to-head dimer whose heavy atoms
+    form one unbranched chain: heavy atom k from one end mirrors heavy atom
+    k from the other, and every hydrogen on one mirrors every hydrogen on
+    the other."""
+    heavy = {gid for gid, node in graph.nodes.items() if node.mass > 2.0}
+
+    def heavy_neighbors(gid):
+        return [x for x in graph.neighbors(gid) if x in heavy]
+
+    chain = [min(gid for gid in heavy if len(heavy_neighbors(gid)) == 1)]
+    while len(chain) < len(heavy):
+        chain.append(next(x for x in heavy_neighbors(chain[-1]) if x not in chain[-2:]))
+    pairs = []
+    for a, b in zip(chain, reversed(chain)):
+        pairs.append((a, b))
+        hydrogens_a = [x for x in graph.neighbors(a) if x not in heavy]
+        hydrogens_b = [x for x in graph.neighbors(b) if x not in heavy]
+        pairs.extend((h, k) for h in hydrogens_a for k in hydrogens_b)
+    return pairs
 
 
 def methyl_coupling_system():
@@ -99,6 +124,37 @@ class TestCentralityDelta:
         g_reac = make_graph(atoms, bonds, MASSES, "reactant")
         g_prod = make_graph(atoms, bonds, MASSES, "product")
         assert centrality_delta((2, 3), g_reac, g_prod) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestCentralityTies:
+    """Atoms that symmetry makes equal tie exactly after rounding, although
+    their centralities differ in the last bits (in shuffled atom orders no
+    mirror pair of the UA chain compares equal unrounded)."""
+
+    @pytest.mark.parametrize("dimer", ["ua-192", "octane", "all-atom-shuffled"])
+    def test_mirror_images_tie(self, dimer):
+        if dimer == "ua-192":
+            g_reac, g_prod = ua_dimerization(96, random.Random(3))
+        elif dimer == "octane":
+            with open(fixture_path("butene.data")) as handle:
+                butene = parse_data_file(handle.read())
+            with open(fixture_path("octane.data")) as handle:
+                octane = parse_data_file(handle.read())
+            g_reac = build_unified_graph([butene, butene], "reactant")
+            g_prod = build_unified_graph([octane], "product")
+        else:
+            g_reac, g_prod = alkene_dimerization(20, random.Random(3))
+        centrality = centrality_by_node(g_prod, 1)
+        pairs = mirror_images(g_prod)
+        assert len({a for a, _ in pairs}) == len(g_prod.nodes)
+        for a, b in pairs:
+            assert round(centrality[a], CENTRALITY_DELTA_DECIMALS) == round(
+                centrality[b], CENTRALITY_DELTA_DECIMALS
+            )
+            for r in g_reac.nodes:
+                assert centrality_delta((r, a), g_reac, g_prod) == centrality_delta(
+                    (r, b), g_reac, g_prod
+                )
 
 
 class TestClassifyCreatedDeleted:
