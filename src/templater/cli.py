@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from templater import errors
 from templater.conserved_mapping import (
@@ -353,7 +354,52 @@ def _report_json(cfg: RunConfig, state: PipelineState) -> str:
             "by ascending id; smallest id"
         ),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload) + "\n"
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``newline`` is the line break plus the indent of the line ``value``
+    starts on.  Types are tested in the order ``json``'s encoder tests them,
+    so subclasses (bool in int, numpy floats in float) encode as it does.
+    With ``indent`` set, CPython before 3.13 encodes in pure Python and
+    yields every token separately; this joins each container once.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -134,13 +134,6 @@ class SystemTopology:
                 )
 
 
-def _strip_comment(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
-
-
 def _parse_header_line(stripped: str) -> tuple[str, int] | None:
     """Return (keyword, count) if the line is a recognized count header."""
     for keyword in _HEADER_KEYWORDS:
@@ -182,21 +175,24 @@ def _split_sections(text: str, known: frozenset[str]) -> list[tuple[str, int, li
     ``""``.  Section names are matched case-sensitively against ``known``;
     anything else that looks like a section header raises UnknownSection.
     """
-    lines = text.split("\n")
-    sections: list[tuple[str, int, list[tuple[int, str]]]] = [("", 0, [])]
+    body: list[tuple[int, str]] = []
+    sections = [("", 0, body)]
+    in_header = True
     # The first line of the file is a comment by convention.
-    for line_no, raw in enumerate(lines[1:], start=2):
-        stripped = _strip_comment(raw)
+    for line_no, raw in enumerate(text.split("\n")[1:], start=2):
+        stripped = raw.partition("#")[0].strip()
         if not stripped:
             continue
         if stripped in known:
-            sections.append((stripped, line_no, []))
+            body = []
+            sections.append((stripped, line_no, body))
+            in_header = False
             continue
         # An alphabetic line inside the header block is left to the caller,
         # which knows the count and box lines; after it, it names a section.
-        if sections[-1][0] != "" and stripped[0].isalpha() and not _looks_numeric_row(stripped):
+        if not in_header and stripped[0].isalpha() and not _looks_numeric_row(stripped):
             raise UnknownSection(f"unrecognized section {stripped!r}", line_no)
-        sections[-1][2].append((line_no, stripped))
+        body.append((line_no, stripped))
     return sections
 
 
@@ -253,16 +249,15 @@ def parse_data_file(text: str) -> SystemTopology:
         else:
             seen.add(name)
             keyword, _, arity = INTERACTION_SECTIONS[name]
+            rows = interactions[keyword]
             for line_no, stripped in body:
                 parts = stripped.split()
                 if len(parts) < 2 + arity:
                     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
                 try:
-                    type_id = int(parts[1])
-                    members = tuple(int(p) for p in parts[2 : 2 + arity])
+                    rows.append((int(parts[1]), tuple(map(int, parts[2 : 2 + arity]))))
                 except ValueError:
                     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
-                interactions[keyword].append((type_id, members))
 
     if "Atoms" not in seen:
         raise MalformedHeader("data file has no Atoms section")
@@ -278,25 +273,9 @@ def _parse_atom_line(stripped: str, line_no: int) -> AtomRecord:
     parts = stripped.split()
     try:
         if len(parts) in (7, 10):  # full: id mol type q x y z [image flags]
-            return AtomRecord(
-                atom_id=int(parts[0]),
-                mol_id=int(parts[1]),
-                type_id=int(parts[2]),
-                charge=float(parts[3]),
-                x=float(parts[4]),
-                y=float(parts[5]),
-                z=float(parts[6]),
-            )
+            return AtomRecord(int(parts[0]), int(parts[1]), int(parts[2]), *map(float, parts[3:7]))
         if len(parts) in (6, 9):  # molecular: id mol type x y z [image flags]
-            return AtomRecord(
-                atom_id=int(parts[0]),
-                mol_id=int(parts[1]),
-                type_id=int(parts[2]),
-                charge=0.0,
-                x=float(parts[3]),
-                y=float(parts[4]),
-                z=float(parts[5]),
-            )
+            return AtomRecord(int(parts[0]), int(parts[1]), int(parts[2]), 0.0, *map(float, parts[3:6]))
     except ValueError:
         pass
     raise MalformedLine(f"bad Atoms entry {stripped!r}", line_no)

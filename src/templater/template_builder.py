@@ -65,8 +65,8 @@ def carry_features(
     """
     kept = []
     for type_id, members in interactions:
-        if all(m in pruned for m in members):
-            kept.append((type_id, tuple(local_index[m] for m in members)))
+        if all(map(pruned.__contains__, members)):
+            kept.append((type_id, tuple(map(local_index.__getitem__, members))))
     return kept
 
 
@@ -116,7 +116,7 @@ def _side_template(
                 local[atom.atom_id] = i
                 atoms[i - 1] = TemplateAtom(atom.type_id, atom.charge, atom.x, atom.y, atom.z)
         for name, kept in sections.items():
-            kept.extend(carry_features(local.keys(), getattr(topology, name), local))
+            kept.extend(carry_features(local, getattr(topology, name), local))
     return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 

@@ -1,15 +1,21 @@
+import enum
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CASE_STUDIES, fixture_path
 import templater
-from templater.cli import RunConfig, export_dot, main, run_pipeline
+from templater.cli import RunConfig, _json_text, export_dot, main, run_pipeline
 from templater.errors import UnknownStage
+from templater.reaction_analysis import report_to_dict
 
 PC_REACTANTS, PC_PRODUCTS = CASE_STUDIES["polycondensation"]
 
@@ -365,6 +371,66 @@ class TestLibraryEntryPoint:
             "pre_template.mol", "post_template.mol", "reaction_map.txt",
             "report.txt", "report.json",
         }
+
+
+class Count(enum.IntEnum):
+    ONE = 1
+    HUGE = 2**70
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from(list(Count)),
+    st.text(),
+    st.text(alphabet='"\\\x00\x07\x1f\x7f\n\t\u00e9\u2603\U0001f600'),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestReportJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [[], {}, (), [[]], {"a": {}}, [{}, ()], "", 0])
+    def test_empty_and_bare_values(self, value):
+        assert _json_text(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"atoms": {1}}, [frozenset()], {"a": b"x"}])
+    def test_unsupported_value_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            reference_json(value)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}]])
+    def test_non_string_key_raises_type_error(self, value):
+        # json.dumps would write the first two keys as strings; a report has none.
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    def test_case_study_payloads(self, case_states):
+        for name, state in case_states.items():
+            payload = report_to_dict(state.report, state.mapping, state.g_reac, state.g_prod)
+            assert _json_text(payload) == reference_json(payload), name
 
 
 # Runs the CLI with every scipy import made to fail, recording each attempt,

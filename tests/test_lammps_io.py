@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,18 @@ from templater.errors import (
     ValidationError,
 )
 from templater.lammps_io import (
+    _SKIPPED_SECTIONS,
+    _TEMPLATE_SECTIONS,
+    INTERACTION_SECTIONS,
+    AtomRecord,
     MoleculeTemplateFile,
     ReactionMapFile,
+    SystemTopology,
     TemplateAtom,
+    _is_box_line,
+    _looks_numeric_row,
+    _parse_header_line,
+    _split_sections,
     parse_data_file,
     parse_molecule_template,
     write_map_file,
@@ -382,3 +393,273 @@ class TestFixtureDrift:
         for name in names:
             with open(tmp_path / name, "rb") as fresh, open(fixture_path(name), "rb") as committed:
                 assert fresh.read() == committed.read(), name
+
+
+# The data-file reader as it was before it was tuned for speed, kept
+# verbatim (names aside) as the oracle of the current one: every text must
+# give an equal topology, or the same error with the same line number.
+
+def _strip_comment_reference(line: str) -> str:
+    hash_pos = line.find("#")
+    if hash_pos >= 0:
+        line = line[:hash_pos]
+    return line.strip()
+
+
+def _split_sections_reference(text: str, known: frozenset[str]) -> list[tuple[str, int, list[tuple[int, str]]]]:
+    """Split file body into (section name, header line no, body lines).
+
+    The leading block (before the first section) is returned under the name
+    ``""``.  Section names are matched case-sensitively against ``known``;
+    anything else that looks like a section header raises UnknownSection.
+    """
+    lines = text.split("\n")
+    sections: list[tuple[str, int, list[tuple[int, str]]]] = [("", 0, [])]
+    # The first line of the file is a comment by convention.
+    for line_no, raw in enumerate(lines[1:], start=2):
+        stripped = _strip_comment_reference(raw)
+        if not stripped:
+            continue
+        if stripped in known:
+            sections.append((stripped, line_no, []))
+            continue
+        # An alphabetic line inside the header block is left to the caller,
+        # which knows the count and box lines; after it, it names a section.
+        if sections[-1][0] != "" and stripped[0].isalpha() and not _looks_numeric_row(stripped):
+            raise UnknownSection(f"unrecognized section {stripped!r}", line_no)
+        sections[-1][2].append((line_no, stripped))
+    return sections
+
+
+def parse_data_file_reference(text: str) -> SystemTopology:
+    """Parse a LAMMPS data file into a validated SystemTopology.
+
+    The canonical atom style is ``full``; ``molecular`` is accepted with
+    charges defaulting to 0.  Comments and blank lines are ignored and the
+    section order is arbitrary.
+    """
+    known = frozenset({"Masses", "Atoms"}) | frozenset(INTERACTION_SECTIONS) | _SKIPPED_SECTIONS
+    sections = _split_sections_reference(text, known)
+
+    type_counts: dict[str, int] = {}
+    masses: dict[int, float] = {}
+    atoms: list[AtomRecord] = []
+    interactions: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
+    seen: set[str] = set()
+
+    for name, header_line_no, body in sections:
+        if name == "":
+            for line_no, stripped in body:
+                header = _parse_header_line(stripped)
+                if header is not None:
+                    type_counts[header[0]] = header[1]
+                    continue
+                if _is_box_line(stripped):
+                    continue
+                raise UnknownSection(f"unrecognized header line {stripped!r}", line_no)
+        elif name in _SKIPPED_SECTIONS:
+            continue
+        elif name in seen:
+            raise MalformedHeader(f"duplicate section {name!r}", header_line_no)
+        elif name == "Masses":
+            seen.add(name)
+            for line_no, stripped in body:
+                parts = stripped.split()
+                try:
+                    masses[int(parts[0])] = float(parts[1])
+                except (IndexError, ValueError):
+                    raise MalformedLine(f"bad Masses entry {stripped!r}", line_no)
+        elif name == "Atoms":
+            seen.add(name)
+            for line_no, stripped in body:
+                atoms.append(_parse_atom_line_reference(stripped, line_no))
+        else:
+            seen.add(name)
+            keyword, _, arity = INTERACTION_SECTIONS[name]
+            for line_no, stripped in body:
+                parts = stripped.split()
+                if len(parts) < 2 + arity:
+                    raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
+                try:
+                    type_id = int(parts[1])
+                    members = tuple(int(p) for p in parts[2 : 2 + arity])
+                except ValueError:
+                    raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
+                interactions[keyword].append((type_id, members))
+
+    if "Atoms" not in seen:
+        raise MalformedHeader("data file has no Atoms section")
+    if "Masses" not in seen:
+        raise MalformedHeader("data file has no Masses section")
+
+    topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
+    topology.validate()
+    return topology
+
+
+def _parse_atom_line_reference(stripped: str, line_no: int) -> AtomRecord:
+    parts = stripped.split()
+    try:
+        if len(parts) in (7, 10):  # full: id mol type q x y z [image flags]
+            return AtomRecord(
+                atom_id=int(parts[0]),
+                mol_id=int(parts[1]),
+                type_id=int(parts[2]),
+                charge=float(parts[3]),
+                x=float(parts[4]),
+                y=float(parts[5]),
+                z=float(parts[6]),
+            )
+        if len(parts) in (6, 9):  # molecular: id mol type x y z [image flags]
+            return AtomRecord(
+                atom_id=int(parts[0]),
+                mol_id=int(parts[1]),
+                type_id=int(parts[2]),
+                charge=0.0,
+                x=float(parts[3]),
+                y=float(parts[4]),
+                z=float(parts[5]),
+            )
+    except ValueError:
+        pass
+    raise MalformedLine(f"bad Atoms entry {stripped!r}", line_no)
+
+
+DATA_SECTIONS = frozenset({"Masses", "Atoms"}) | frozenset(INTERACTION_SECTIONS) | _SKIPPED_SECTIONS
+
+
+def read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+FIXTURE_TEXTS = {name: read_text(fixture_path(name)) for name in sorted(os.listdir(FIXTURE_DIR))}
+
+GARBAGE = ("x", "-", "1.5", "-3", "1e400", "0x1F", "#", "Atoms", "")
+SECTION_LINES = (
+    "Masses", "Atoms", "Atoms # full", "Bonds", "Angles", "Dihedrals", "Impropers",
+    "Coords", "Types", "Charges", "Pair Coeffs", "Velocities", "Bondz", "atoms", "Foo Bar",
+)
+EDIT_KINDS = (
+    "garbage", "drop", "duplicate", "comment", "extra", "image", "molecular", "section", "tabs",
+)
+edits = st.tuples(
+    st.sampled_from(EDIT_KINDS), st.integers(0, 10**6), st.integers(0, 10**6)
+)
+
+
+def atom_rows(lines: list[str]) -> list[int]:
+    """Indices of the non-blank lines of the first Atoms section."""
+    rows = []
+    inside = False
+    for k, line in enumerate(lines):
+        if line.startswith("Atoms"):
+            inside = True
+        elif inside and line[:1].isalpha():
+            break
+        elif inside and line.strip():
+            rows.append(k)
+    return rows
+
+
+def mutate(text: str, changes, crlf: bool) -> str:
+    """Apply (kind, line pick, argument) edits to a data or template file."""
+    lines = text.split("\n")
+    for kind, at, arg in changes:
+        i = at % len(lines)
+        if kind in ("image", "molecular"):
+            # One row or all rows of the Atoms section, whichever style it has.
+            rows = atom_rows(lines)
+            if rows and arg % 2:
+                rows = [rows[at % len(rows)]]
+            for k in rows:
+                tokens = lines[k].split()
+                if kind == "image":
+                    tokens += ["0", "1", "-1"]
+                else:
+                    del tokens[3:4]
+                lines[k] = " ".join(tokens)
+            continue
+        tokens = lines[i].split()
+        if kind == "garbage" and tokens:
+            slot, choice = divmod(arg, len(GARBAGE))
+            tokens[slot % len(tokens)] = GARBAGE[choice]
+            lines[i] = " ".join(tokens)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "comment":
+            lines[i] += " # comment 1 2"
+        elif kind == "extra":
+            lines[i] += f" {arg % 7}"
+        elif kind == "section":
+            lines.insert(i, SECTION_LINES[arg % len(SECTION_LINES)])
+        elif kind == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+    return ("\r\n" if crlf else "\n").join(lines)
+
+
+def outcome(parse, *args):
+    """What a reader made of the input: its result, or its error."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def load_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    path = os.path.join(os.path.dirname(FIXTURE_DIR), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParserOracle:
+    def test_fixtures_match_reference(self):
+        for name, text in FIXTURE_TEXTS.items():
+            assert parse_data_file(text) == parse_data_file_reference(text), name
+
+    def test_generated_workload_files_match_reference(self, tmp_path):
+        workloads = load_workloads()
+        checked = 0
+        for kind in workloads.GENERATED:
+            for seed in (1, 2):
+                directory = tmp_path / f"{kind}-{seed}"
+                directory.mkdir()
+                for instance in workloads.generated(kind, seed, str(directory)):
+                    for path in instance.reactants + instance.products:
+                        text = read_text(path)
+                        assert parse_data_file(text) == parse_data_file_reference(text), path
+                        checked += 1
+        assert checked == 2 * 3 * (72 + 72 + 24)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FIXTURE_TEXTS)),
+        changes=st.lists(edits, min_size=1, max_size=3),
+        crlf=st.booleans(),
+    )
+    def test_mutated_fixtures_match_reference(self, name, changes, crlf):
+        text = mutate(FIXTURE_TEXTS[name], changes, crlf)
+        assert outcome(parse_data_file, text) == outcome(parse_data_file_reference, text)
+        for known in (DATA_SECTIONS, _TEMPLATE_SECTIONS):
+            assert outcome(_split_sections, text, known) == outcome(
+                _split_sections_reference, text, known
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        changes=st.lists(edits, min_size=0, max_size=3),
+        crlf=st.booleans(),
+    )
+    def test_mutated_templates_split_as_reference(self, seed, changes, crlf):
+        # parse_molecule_template reads through the same section splitter.
+        text = mutate(write_molecule_template(random_template(random.Random(seed))), changes, crlf)
+        assert outcome(_split_sections, text, _TEMPLATE_SECTIONS) == outcome(
+            _split_sections_reference, text, _TEMPLATE_SECTIONS
+        )
