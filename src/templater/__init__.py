@@ -26,10 +26,8 @@ from templater.reaction_analysis import ReactionReport, build_report
 from templater.similarity_assignment import (
     ScoringWeights,
     build_similarity_matrix,
-    refine_symmetric_paths,
     similarity_score,
     solve_assignment,
-    swap_hydrogens,
 )
 from templater.template_builder import (
     ReactionTemplates,
@@ -63,12 +61,10 @@ __all__ = [
     "parse_data_file",
     "parse_molecule_template",
     "prune_to_cutoff",
-    "refine_symmetric_paths",
     "run_pipeline",
     "run_stages",
     "similarity_score",
     "solve_assignment",
-    "swap_hydrogens",
     "validate_mapping",
     "write_map_file",
     "write_molecule_template",

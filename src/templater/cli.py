@@ -39,13 +39,10 @@ from templater.reaction_analysis import (
     report_to_text,
 )
 from templater.similarity_assignment import (
-    DEFAULT_HYDROGEN_TOLERANCE,
     ScoringWeights,
     SimilarityMatrix,
     assign_similarity,
-    refine_symmetric_paths,
     similarity_csv,
-    swap_hydrogens,
 )
 from templater.template_builder import (
     DEFAULT_CUTOFF,
@@ -55,6 +52,9 @@ from templater.template_builder import (
 )
 
 logger = logging.getLogger("templater")
+
+# The benchmark tracer (perfbench/tracing.py) looks these two up; nothing calls them.
+refine_symmetric_paths = swap_hydrogens = None
 
 STAGES = ("reactants", "products", "mapped")
 
@@ -94,10 +94,6 @@ _CONFIG_VALUE_RANGES = {
     "cutoff": (lambda v: v >= 1, "cutoff must be >= 1"),
     "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
     "search_budget": (lambda v: v >= 0, "search budget must be non-negative"),
-    "hydrogen_tolerance": (
-        lambda v: math.isfinite(v) and v >= 0,
-        "hydrogen tolerance must be finite and non-negative",
-    ),
 }
 
 
@@ -135,7 +131,6 @@ class RunConfig:
     export_dot: bool = False
     export_similarity_csv: bool = False
     search_budget: int = DEFAULT_BUDGET
-    hydrogen_tolerance: float = DEFAULT_HYDROGEN_TOLERANCE
 
     def __post_init__(self) -> None:
         _check_values(vars(self))
@@ -203,9 +198,8 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
 
     logger.info(
         "knobs: weights (%g, %g, %g), cutoff %d, iterations %d, budget %d, "
-        "hydrogen tolerance %g, cost normalization min-max",
-        cfg.alpha, cfg.beta, cfg.gamma, cfg.cutoff, cfg.iterations,
-        cfg.search_budget, cfg.hydrogen_tolerance,
+        "cost normalization min-max",
+        cfg.alpha, cfg.beta, cfg.gamma, cfg.cutoff, cfg.iterations, cfg.search_budget,
     )
     mapping = iterate_conserved(
         g_reac, g_prod, iterations=cfg.iterations, budget=cfg.search_budget
@@ -217,8 +211,6 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
 
     mapping, similarity = assign_similarity(mapping, g_reac, g_prod, cfg.weights)
     logger.info("similarity assignment: %d pairs total", len(mapping.pairs))
-    mapping = refine_symmetric_paths(mapping, g_reac, g_prod, similarity)
-    mapping = swap_hydrogens(mapping, g_reac, g_prod, cfg.hydrogen_tolerance)
     state.mapping = mapping
     state.similarity = similarity
 
@@ -347,7 +339,6 @@ def _report_json(cfg: RunConfig, state: PipelineState) -> str:
         "cutoff": cfg.cutoff,
         "search_budget": cfg.search_budget,
         "search_expansions": state.mapping.search_expansions,
-        "hydrogen_tolerance": cfg.hydrogen_tolerance,
         "cost_normalization": "min-max",
         "tie_break": (
             "lexicographically smallest skeleton pair list, then leaves paired "
@@ -424,8 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="conserved-search iterations")
         p.add_argument("--search-budget", type=int, default=None,
                        help="pair-expansion cap for the subgraph search")
-        p.add_argument("--hydrogen-tolerance", type=float, default=None,
-                       help="mass window around 1.008 for hydrogen swapping")
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
 

@@ -31,9 +31,8 @@ DEFAULT_ITERATIONS = 2
 DEFAULT_BUDGET = 10_000_000
 
 CONSERVED = "conserved"
+ANCHORED = "anchored"
 SIMILARITY = "similarity"
-PATH_REFINED = "path-refined"
-HYDROGEN_SWAPPED = "hydrogen-swapped"
 
 
 def conserved_tag(iteration: int) -> str:
@@ -57,15 +56,6 @@ class AtomMapping:
         self.pairs[r_gid] = p_gid
         self.reverse[p_gid] = r_gid
         self.provenance[r_gid] = provenance
-
-    def repair(self, r_gid: int, p_gid: int | None, provenance: str) -> None:
-        """Point r_gid at a new image (or unmap it), keeping the injection."""
-        old = self.pairs.pop(r_gid, None)
-        if old is not None:
-            del self.reverse[old]
-        self.provenance.pop(r_gid, None)
-        if p_gid is not None:
-            self.add(r_gid, p_gid, provenance)
 
     def is_conserved(self, r_gid: int) -> bool:
         return self.provenance.get(r_gid, "").startswith(CONSERVED)

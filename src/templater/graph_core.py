@@ -200,9 +200,8 @@ def centrality_by_node(graph: UnifiedGraph, component: int) -> dict[int, float]:
 
 _ROLE_STYLE = {
     "conserved": ("black", "white"),
+    "anchored": ("red", "black"),
     "similarity": ("red", "black"),
-    "path-refined": ("red", "black"),
-    "hydrogen-swapped": ("red", "black"),
     "created": ("green", "black"),
     "deleted": ("blue", "white"),
     "initiator": ("orange", "black"),
@@ -213,8 +212,8 @@ def dot_export(graph: UnifiedGraph, roles: dict[int, str] | None = None, name: s
     """Render the graph as DOT text with mapping-role colors.
 
     Node labels are the source atom ids; the fill color encodes the mapping
-    role (conserved black, similarity red, created green, deleted blue,
-    initiators orange).
+    role (conserved black, anchored and similarity red, created green,
+    deleted blue, initiators orange).
     """
     roles = roles or {}
     out = [f'graph "{name or graph.side}" {{']

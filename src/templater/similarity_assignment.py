@@ -1,36 +1,25 @@
-"""Similarity scoring, optimal assignment and the two repair passes.
+"""Similarity scoring and the anchored assignment.
 
 Unmapped node pairs are scored by a depth-weighted sum of root attribute
 agreement and neighbor-shell overlap, turned into a normalized cost matrix
-and matched by linear sum assignment.  Two deterministic refinement passes
-then repair artifacts of symmetric molecules: image swaps that restore bond
-consistency between attribute-identical atoms, and re-pairing of hydrogen
-neighbors across matched heavy atoms.
+and matched by linear sum assignment.  The map grows outward from mapped
+atoms: each round rewards a pair for every bond it keeps to a mapped
+neighbour, which resolves symmetric paths and interchangeable hydrogens.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from templater.conserved_mapping import (
-    HYDROGEN_SWAPPED,
-    PATH_REFINED,
-    SIMILARITY,
-    AtomMapping,
-)
+from templater.conserved_mapping import ANCHORED, SIMILARITY, AtomMapping
 from templater.graph_core import UnifiedGraph
 
 logger = logging.getLogger("templater")
-
-HYDROGEN_MASS = 1.008
-DEFAULT_HYDROGEN_TOLERANCE = 0.01
-
-_IMPROVEMENT_EPS = 1e-12
-_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -60,13 +49,19 @@ class ScoringWeights:
 class SimilarityMatrix:
     """Scores for every unmapped reactant row against product column.
 
-    This is the one place pairs are scored: the assignment reads it, and so
-    does path refinement.
+    This is the one place pairs are scored: every anchored round and every
+    seed reads a block of it.
     """
 
     rows: list[int]
     cols: list[int]
     scores: np.ndarray
+
+    def block(self, rows: list[int], cols: list[int]) -> "SimilarityMatrix":
+        """The scores of some of its rows and columns, each list sorted."""
+        at_rows = [bisect_left(self.rows, r) for r in rows]
+        at_cols = [bisect_left(self.cols, p) for p in cols]
+        return SimilarityMatrix(rows, cols, self.scores[at_rows][:, at_cols])
 
 
 def _shell_histograms(
@@ -269,177 +264,101 @@ def solve_assignment(matrix: SimilarityMatrix) -> list[tuple[int, int]]:
     return sorted((matrix.rows[i], matrix.cols[j]) for i, j in zip(row_ind, col_ind))
 
 
+def _best_pair(matrix: SimilarityMatrix, accept: np.ndarray | None = None) -> tuple[int, int] | None:
+    """The highest-scoring pair of ``solve_assignment(matrix)`` among those
+    ``accept`` marks (all when it is None); ties go to the smallest
+    (reactant gid, product gid), and None means that no pair is marked."""
+    ranked = []
+    for r, p in solve_assignment(matrix):
+        i, j = matrix.rows.index(r), matrix.cols.index(p)
+        if accept is None or accept[i, j]:
+            ranked.append((-matrix.scores[i, j], r, p))
+    return min(ranked)[1:] if ranked else None
+
+
+def _anchored_pair(
+    matrix: SimilarityMatrix,
+    bonus: float,
+    mapping: AtomMapping,
+    free_rows: set[int],
+    g_reac: UnifiedGraph,
+    g_prod: UnifiedGraph,
+) -> tuple[int, int] | None:
+    """The pair one anchored round accepts, or None.
+
+    The rows are the free reactant atoms with a mapped neighbour, the
+    columns the free product neighbours of those neighbours' images.  A
+    cell's anchor count is the number of the row's mapped neighbours whose
+    image is bonded to the column, and each counted anchor adds ``bonus``
+    (more than the whole similarity span) to the cell's similarity, so
+    kept bonds outrank similarity, and atoms of different mass may pair,
+    as a united-atom ``=CH-`` does with its ``CH2`` image.
+
+    A round accepts one pair, the best anchored pair of its matching, so
+    the next round sees it: two paths growing toward each other from
+    different anchors, as around a para-substituted ring, then meet with
+    their bonds kept.
+    """
+    counts: dict[int, dict[int, int]] = {}
+    for r in sorted(free_rows):
+        images = [mapping.pairs[x] for x in g_reac.neighbors(r) if x in mapping.pairs]
+        if images:
+            row = counts[r] = {}
+            for image in images:
+                for q in g_prod.neighbors(image):
+                    if q not in mapping.reverse:
+                        row[q] = row.get(q, 0) + 1
+    rows = list(counts)
+    cols = sorted({q for row in counts.values() for q in row})
+    if not cols:
+        return None
+    anchors = np.array([[counts[r].get(q, 0) for q in cols] for r in rows])
+    scores = matrix.block(rows, cols).scores + bonus * anchors
+    return _best_pair(SimilarityMatrix(rows, cols, scores), anchors > 0)
+
+
 def assign_similarity(
     mapping: AtomMapping,
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
     weights: ScoringWeights = ScoringWeights(),
 ) -> tuple[AtomMapping, SimilarityMatrix | None]:
-    """Extend a conserved mapping over the unmapped remainder."""
+    """Extend a conserved mapping over the unmapped remainder.
+
+    The similarity matrix is built once over the whole remainder, and the
+    map grows outward from mapped atoms in anchored rounds (see
+    ``_anchored_pair``), whose pairs take the ``anchored`` provenance.
+    When a round accepts nothing while both sides still have free atoms,
+    the best pair of the plain assignment of what is left seeds the next
+    rounds, with the ``similarity`` provenance.  Rewarding kept bonds this
+    way favours maps with the fewest bond edits, and settles symmetric
+    paths and interchangeable hydrogens.
+    """
     result = mapping.copy()
     rows, cols = result.unmapped(g_reac, g_prod)
     if not rows or not cols:
         return result, None
     matrix = build_similarity_matrix(g_reac, g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
-    for r_gid, p_gid in solve_assignment(matrix):
-        result.add(r_gid, p_gid, SIMILARITY)
+    bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0
+    rounds = anchored = seeds = 0
+    while rows and cols:
+        rounds += 1
+        pair = _anchored_pair(matrix, bonus, result, rows, g_reac, g_prod)
+        if pair is not None:
+            anchored += 1
+            result.add(*pair, ANCHORED)
+        else:
+            seeds += 1
+            pair = _best_pair(matrix.block(sorted(rows), sorted(cols)))
+            result.add(*pair, SIMILARITY)
+        rows.discard(pair[0])
+        cols.discard(pair[1])
+    logger.info(
+        "anchored assignment: %d round(s), %d anchored pair(s), %d seed(s)",
+        rounds, anchored, seeds,
+    )
     return result, matrix
-
-
-def refine_symmetric_paths(
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    matrix: SimilarityMatrix | None,
-) -> AtomMapping:
-    """Resolve mappings of structurally indistinguishable alternatives.
-
-    Images of two equal-mass, non-conserved reactant nodes are swapped
-    whenever that strictly raises the combined similarity-plus-connectivity
-    objective around them, and the hill climb repeats until no swap helps.
-    Conserved pairs act as fixed anchors: they are never re-paired but their
-    preserved edges reward candidates consistent with them.  The pass keeps
-    the injection, never changes cardinality, and is idempotent.
-
-    Similarities are read from ``matrix``, the one ``assign_similarity``
-    returned: every non-conserved pair a swap can form is one of its cells.
-    ``None`` (nothing was left to assign) means there is nothing to move.
-
-    A swap only changes the terms of the two nodes and their mapped
-    neighbours, so each trial exchanges the two images in place, sums the
-    objective over those nodes, and exchanges them back; the mapping is
-    repaired only for an accepted swap.
-    """
-    result = mapping.copy()
-    movable = sorted(r for r in result.pairs if not result.is_conserved(r))
-    if not movable:
-        return result
-    row_of = {r: i for i, r in enumerate(matrix.rows)}
-    col_of = {p: j for j, p in enumerate(matrix.cols)}
-    scores = matrix.scores.tolist()
-    pairs = result.pairs
-    movable_set = set(movable)
-    partners = [
-        [v for v in movable[i + 1 :] if g_reac.nodes[v].mass == g_reac.nodes[u].mass]
-        for i, u in enumerate(movable)
-    ]
-
-    def objective(nodes: set[int]) -> float:
-        """Similarity of movable pairs plus one unit per preserved edge, over nodes.
-
-        Conserved anchors add only their edges: a swap never changes their
-        similarity, so it would be the same term on both sides of a comparison.
-        The accept test compares two such sums against a 1e-12 margin, so the
-        order of the terms (``nodes``, then ``g_reac.neighbors``) is part of
-        which swaps win a near tie.
-        """
-        total = 0.0
-        for r in nodes:
-            p = pairs[r]
-            if r in movable_set:
-                total += scores[row_of[r]][col_of[p]]
-            images = g_prod.neighbors(p)
-            for x in g_reac.neighbors(r):
-                if pairs.get(x) in images:
-                    total += 1.0
-        return total
-
-    sweeps = swaps = 0
-    improved = True
-    while improved:
-        improved = False
-        sweeps += 1
-        for u, candidates in zip(movable, partners):
-            for v in candidates:
-                affected = {u, v}
-                affected.update(x for x in g_reac.neighbors(u) if x in pairs)
-                affected.update(x for x in g_reac.neighbors(v) if x in pairs)
-                before = objective(affected)
-                image_u, image_v = pairs[u], pairs[v]
-                pairs[u], pairs[v] = image_v, image_u
-                after = objective(affected)
-                pairs[u], pairs[v] = image_u, image_v
-                if after > before + _IMPROVEMENT_EPS:
-                    improved = True
-                    swaps += 1
-                    result.repair(u, None, "")
-                    result.repair(v, image_u, PATH_REFINED)
-                    result.repair(u, image_v, PATH_REFINED)
-    logger.info("path refinement: %d sweep(s), %d swap(s)", sweeps, swaps)
-    return result
-
-
-def _is_hydrogen_like(graph: UnifiedGraph, gid: int, tolerance: float) -> bool:
-    return abs(graph.nodes[gid].mass - HYDROGEN_MASS) <= tolerance
-
-
-def swap_hydrogens(
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    tolerance: float = DEFAULT_HYDROGEN_TOLERANCE,
-) -> AtomMapping:
-    """Re-pair hydrogen-like neighbors across matched heavy-atom pairs.
-
-    For every matched pair whose neighborhood sizes disagree, hydrogen-like
-    reactant neighbors mapped away from the partner's neighborhood are
-    re-pointed at hydrogen-like product neighbors lacking a local preimage,
-    smallest source ids first.  Displaced images move to the displaced
-    preimages, so cardinality and the injection are preserved; conserved
-    pairs are never touched.  Runs to a fixpoint, making the pass
-    idempotent on molecular graphs (hydrogens have a single neighbor); a
-    pass still changing pairs after ``_MAX_SWEEPS`` sweeps stops with a
-    warning.
-    """
-    result = mapping.copy()
-    changed = True
-    sweeps = swaps = 0
-    while changed and sweeps < _MAX_SWEEPS:
-        changed = False
-        sweeps += 1
-        for r in sorted(result.pairs):
-            p = result.pairs[r]
-            nbrs_r = g_reac.neighbors(r)
-            nbrs_p = g_prod.neighbors(p)
-            if len(nbrs_r) == len(nbrs_p):
-                continue
-            local_images = set(nbrs_p)
-            local_preimages = set(nbrs_r)
-            stray = [
-                h
-                for h in nbrs_r
-                if _is_hydrogen_like(g_reac, h, tolerance)
-                and h in result.pairs
-                and not result.is_conserved(h)
-                and result.pairs[h] not in local_images
-            ]
-            open_slots = []
-            for h_p in nbrs_p:
-                if not _is_hydrogen_like(g_prod, h_p, tolerance):
-                    continue
-                pre = result.reverse.get(h_p)
-                if pre is None:
-                    open_slots.append(h_p)
-                elif pre not in local_preimages and not result.is_conserved(pre):
-                    open_slots.append(h_p)
-            for h_r, h_p in zip(sorted(stray), sorted(open_slots)):
-                displaced_image = result.pairs[h_r]
-                displaced_pre = result.reverse.get(h_p)
-                result.repair(h_r, None, "")
-                if displaced_pre is not None:
-                    result.repair(displaced_pre, None, "")
-                result.add(h_r, h_p, HYDROGEN_SWAPPED)
-                if displaced_pre is not None:
-                    result.add(displaced_pre, displaced_image, HYDROGEN_SWAPPED)
-                changed = True
-                swaps += 1
-    if changed:
-        logger.warning(
-            "hydrogen swap: stopped at the %d-sweep cap with pairs still changing", _MAX_SWEEPS
-        )
-    logger.info("hydrogen swap: %d sweep(s), %d swap(s)", sweeps, swaps)
-    return result
 
 
 def similarity_csv(matrix: SimilarityMatrix, g_reac: UnifiedGraph, g_prod: UnifiedGraph) -> str:

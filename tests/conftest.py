@@ -123,6 +123,48 @@ def ua_dimerization(n, rng):
     )
 
 
+def bond_edits(mapping, g_reac, g_prod) -> tuple[int, int]:
+    """(broken, formed) bond counts of an atom map.
+
+    A reactant bond is broken unless both its atoms are mapped and their
+    images are bonded; a product bond is formed unless both its atoms have
+    preimages and those are bonded.  Bonds to deleted or created atoms
+    count.  The fewest edits is the minimum chemical distance of the map.
+    """
+    broken = sum(
+        1
+        for a, b in g_reac.edges
+        if not (
+            a in mapping.pairs
+            and b in mapping.pairs
+            and g_prod.has_edge(mapping.pairs[a], mapping.pairs[b])
+        )
+    )
+    formed = sum(
+        1
+        for a, b in g_prod.edges
+        if not (
+            a in mapping.reverse
+            and b in mapping.reverse
+            and g_reac.has_edge(mapping.reverse[a], mapping.reverse[b])
+        )
+    )
+    return broken, formed
+
+
+def alkene_c1(g_reac) -> set[int]:
+    """Reactant gids of the C1 carbon of each alkene of
+    ``alkene_dimerization`` or ``ua_dimerization``: the type-1 atom (``c2``
+    or the united-atom ``CH2=``) bonded to one heavy atom.  They form the
+    new bond, so they are the true initiators."""
+    return {
+        gid
+        for gid, node in g_reac.nodes.items()
+        if node.type_id == 1
+        and sum(g_reac.nodes[x].mass > 2.0 for x in g_reac.neighbors(gid)) == 1
+    }
+
+
 def kernel_form_graphs(labels_r, adj_r, labels_p, adj_p):
     """Unified graphs of a kernel-form pair: node i becomes global id i + 1,
     and label l type l + 1 with its own mass."""

@@ -346,17 +346,11 @@ class TestCriterion8EndToEndConservation:
 
             from templater.conserved_mapping import iterate_conserved, validate_mapping
             from templater.reaction_analysis import build_report
-            from templater.similarity_assignment import (
-                assign_similarity,
-                refine_symmetric_paths,
-                swap_hydrogens,
-            )
+            from templater.similarity_assignment import assign_similarity
             from templater.template_builder import assemble_templates, prune_reaction
 
             mapping = iterate_conserved(g_reac, g_prod)
-            mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
-            mapping = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
-            mapping = swap_hydrogens(mapping, g_reac, g_prod)
+            mapping, _ = assign_similarity(mapping, g_reac, g_prod)
             validate_mapping(mapping, g_reac, g_prod)
             report = build_report(mapping, g_reac, g_prod)
 

@@ -73,6 +73,7 @@ class TestRunCommand:
         assert payload["counts"]["conserved"] == 36
         assert payload["config"]["cost_normalization"] == "min-max"
         assert payload["config"]["weights"] == [0.5, 0.25, 0.25]
+        assert "hydrogen_tolerance" not in payload["config"]
         assert payload["templates"]["cutoff"] == 4
         assert len(payload["initiators"]) == 2
 
@@ -163,20 +164,25 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--hydrogen-tolerance", "-1", "hydrogen tolerance must be finite and non-negative"),
-            ("--hydrogen-tolerance", "nan", "hydrogen tolerance must be finite and non-negative"),
-            ("--hydrogen-tolerance", "inf", "hydrogen tolerance must be finite and non-negative"),
             ("--search-budget", "-1", "search budget must be non-negative"),
         ],
-        ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "budget-negative"],
+        ids=["budget-negative"],
     )
     def test_out_of_range_knob_error_exit(self, tmp_path, capsys, flag, value, message):
-        # A negative or NaN tolerance used to switch the hydrogen swap off
-        # silently, and a negative budget failed as an exhausted search.
+        # A negative budget used to fail as an exhausted search.
         out_dir = tmp_path / "out"
         code = main(run_args(out_dir, [flag, value]))
         assert code == 1
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out_dir.exists()
+
+    def test_hydrogen_tolerance_flag_rejected(self, tmp_path, capsys):
+        # The flag went with the hydrogen swap it tuned; argparse exits 2.
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(run_args(out_dir, ["--hydrogen-tolerance", "0.01"]))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --hydrogen-tolerance 0.01" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
@@ -256,11 +262,12 @@ class TestRunCommand:
             ({"iterations": 2.0}, "iterations must be an integer"),
             ({"search_budget": True}, "search_budget must be an integer"),
             ({"alpha": "0.5"}, "alpha must be a number"),
-            ({"hydrogen_tolerance": False}, "hydrogen_tolerance must be a number"),
+            # The hydrogen tolerance went with the hydrogen swap it tuned.
+            ({"hydrogen_tolerance": False}, "has unknown keys: hydrogen_tolerance"),
             ({"export_dot": 1}, "export_dot must be true or false"),
             ({"export_similarity_csv": "yes"}, "export_similarity_csv must be true or false"),
             ({"search_budget": -1}, "search budget must be non-negative"),
-            ({"hydrogen_tolerance": -1}, "hydrogen tolerance must be finite and non-negative"),
+            ({"hydrogen_tolerance": -1}, "has unknown keys: hydrogen_tolerance"),
             ({"alpha": -1}, "scoring weights must be non-negative"),
         ],
         ids=[
@@ -304,8 +311,10 @@ class TestDeterminism:
             reports[level] = read_outputs(out_dir)["report.json"]
             at_info = level == logging.INFO
             assert ("similarity matrix: 7 x 4" in caplog.messages) == at_info
-            assert ("path refinement: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
-            assert ("hydrogen swap: 1 sweep(s), 0 swap(s)" in caplog.messages) == at_info
+            assert (
+                "anchored assignment: 4 round(s), 4 anchored pair(s), 0 seed(s)"
+                in caplog.messages
+            ) == at_info
             assert (
                 "conserved search: iteration 1, molecules 1 -> 1: 23 pairs, 73 expansions"
                 in caplog.messages

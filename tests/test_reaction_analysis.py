@@ -17,7 +17,7 @@ from templater.reaction_analysis import (
     report_to_text,
     select_initiators,
 )
-from templater.similarity_assignment import assign_similarity, swap_hydrogens
+from templater.similarity_assignment import assign_similarity
 
 C = 12.011
 MASSES = {1: C, 2: 15.999, 3: 1.008, 4: 14.007}
@@ -73,7 +73,6 @@ def methyl_coupling_system():
     g_prod = build_unified_graph([ethane], "product")
     mapping = iterate_conserved(g_reac, g_prod)
     mapping, _ = assign_similarity(mapping, g_reac, g_prod)
-    mapping = swap_hydrogens(mapping, g_reac, g_prod)
     return g_reac, g_prod, mapping
 
 

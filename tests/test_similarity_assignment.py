@@ -9,16 +9,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import CASE_STUDIES, alkene_dimerization, make_graph, make_topology
+from conftest import (
+    CASE_STUDIES,
+    alkene_c1,
+    alkene_dimerization,
+    bond_edits,
+    make_graph,
+    make_topology,
+    ua_dimerization,
+)
 from templater import similarity_assignment
 from templater.cli import RunConfig, run_stages
 from templater.conserved_mapping import (
-    HYDROGEN_SWAPPED,
-    PATH_REFINED,
-    AtomMapping,
+    ANCHORED,
+    SIMILARITY,
     iterate_conserved,
     validate_mapping,
 )
+from templater.reaction_analysis import build_report
 from templater.graph_core import UnifiedGraph, build_unified_graph
 from templater.similarity_assignment import (
     ScoringWeights,
@@ -26,11 +34,9 @@ from templater.similarity_assignment import (
     _linear_sum_assignment,
     assign_similarity,
     build_similarity_matrix,
-    refine_symmetric_paths,
     similarity_csv,
     similarity_score,
     solve_assignment,
-    swap_hydrogens,
 )
 
 C = 12.011
@@ -335,304 +341,267 @@ class TestSolveAssignment:
             )
 
 
-def para_ring_system():
-    """Para-substituted 6-ring with two equivalent paths between anchors.
+# Retyped copies of carbon and hydrogen (same mass, new type id), as a force
+# field assigns near a reaction site: they keep atoms out of the conserved
+# search, so the anchored rounds have to place them.
+SCENARIO_MASSES = {**MASSES, 5: C, 6: H}
+RING_BONDS = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7), (4, 8)]
 
-    Atoms 1 and 4 are the substituted positions (types A and B); the ring
-    halves 2-3 and 6-5 are interchangeable by symmetry.  The product is the
-    same molecule with every ring atom retyped, forcing the whole ring into
-    the similarity stage, anchored by two conserved substituents.
-    """
-    masses = {1: C, 2: 15.999, 3: 14.007, 4: C, 5: 31.0, 6: 32.0}
-    reactant = make_topology(
-        [(1, 1, 0.0), (2, 1, 0.0), (3, 1, 0.0), (4, 1, 0.0), (5, 1, 0.0), (6, 1, 0.0),
-         (7, 5, 0.0), (8, 6, 0.0)],
-        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7), (4, 8)],
-        {**masses, 5: 31.0, 6: 32.0},
+# name: (reactant (atoms as (id, type), bonds), product likewise, the
+# product ids each reactant id may map onto, minimal bond edits)
+SCENARIOS = {
+    # A para-substituted 6-ring whose ring atoms are all retyped: the two
+    # ring halves between the substituents 7 and 8 are interchangeable.
+    "para-ring": (
+        ([(i, 1) for i in range(1, 7)] + [(7, 2), (8, 4)], RING_BONDS),
+        ([(i, 5) for i in range(1, 7)] + [(7, 2), (8, 4)], RING_BONDS),
+        {1: {1}, 4: {4}, 7: {7}, 8: {8}},
+        (0, 0),
+    ),
+    # C-O-N with the carbon retyped: one answer, no symmetry.
+    "asymmetric": (
+        ([(1, 1), (2, 2), (3, 4)], [(1, 2), (2, 3)]),
+        ([(1, 5), (2, 2), (3, 4)], [(1, 2), (2, 3)]),
+        {1: {1}, 2: {2}, 3: {3}},
+        (0, 0),
+    ),
+    # H2 sits on carbon 1; the product gives carbon 1 a second hydrogen, and
+    # every hydrogen is retyped, so H2 must not stray onto nitrogen 3's H4.
+    "stray-hydrogen": (
+        ([(1, 1), (2, 3), (3, 4), (4, 3)], [(1, 2), (1, 3), (3, 4)]),
+        ([(1, 1), (2, 6), (3, 4), (4, 6), (5, 6)], [(1, 2), (1, 3), (3, 4), (1, 5)]),
+        {1: {1}, 2: {2, 5}, 3: {3}, 4: {4}},
+        (0, 1),
+    ),
+    # O-CH2-CH2-N with retyped hydrogens: each CH2's hydrogens must land on
+    # its own image, not crosswise on the other CH2.
+    "crosswise-ch2": (
+        (
+            [(1, 2), (2, 1), (3, 1), (4, 4), (5, 3), (6, 3), (7, 3), (8, 3)],
+            [(1, 2), (2, 3), (3, 4), (2, 5), (2, 6), (3, 7), (3, 8)],
+        ),
+        (
+            [(1, 2), (2, 1), (3, 1), (4, 4), (5, 6), (6, 6), (7, 6), (8, 6)],
+            [(1, 2), (2, 3), (3, 4), (2, 5), (2, 6), (3, 7), (3, 8)],
+        ),
+        {2: {2}, 3: {3}, 5: {5, 6}, 6: {5, 6}, 7: {7, 8}, 8: {7, 8}},
+        (0, 0),
+    ),
+    # A CH2 whose carbon is retyped and gains a hydrogen: its hydrogens are
+    # the conserved pairs, and the carbon is mapped around them.
+    "conserved-hydrogens": (
+        ([(1, 1), (2, 3), (3, 3)], [(1, 2), (1, 3)]),
+        ([(1, 5), (2, 3), (3, 3), (4, 3)], [(1, 2), (1, 3), (1, 4)]),
+        {1: {1}},
+        (0, 1),
+    ),
+    # No hydrogen at all: the conserved search maps every reactant atom and
+    # the assignment has nothing left to do.
+    "no-hydrogens": (
+        ([(1, 1), (2, 2)], [(1, 2)]),
+        ([(1, 1), (2, 2), (3, 2)], [(1, 2), (1, 3)]),
+        {1: {1}, 2: {2, 3}},
+        (0, 1),
+    ),
+}
+
+
+def scenario_graphs(name, rng=None):
+    """Graphs of a scenario, with the product ids shuffled by rng when one
+    is given, and the product gid that each listed product id became."""
+    (r_atoms, r_bonds), (p_atoms, p_bonds), _, _ = SCENARIOS[name]
+    ids = [a for a, _ in p_atoms]
+    shuffled = list(ids)
+    if rng is not None:
+        rng.shuffle(shuffled)
+    gid = dict(zip(ids, shuffled))
+    g_reac = make_graph([(a, t, 0.0) for a, t in r_atoms], r_bonds, SCENARIO_MASSES, "reactant")
+    g_prod = make_graph(
+        sorted((gid[a], t, 0.0) for a, t in p_atoms),
+        [(gid[a], gid[b]) for a, b in p_bonds],
+        SCENARIO_MASSES,
+        "product",
     )
-    product = make_topology(
-        [(1, 4, 0.0), (2, 4, 0.0), (3, 4, 0.0), (4, 4, 0.0), (5, 4, 0.0), (6, 4, 0.0),
-         (7, 5, 0.0), (8, 6, 0.0)],
-        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7), (4, 8)],
-        {**masses, 5: 31.0, 6: 32.0},
-    )
-    g_reac = build_unified_graph([reactant], "reactant")
-    g_prod = build_unified_graph([product], "product")
-    return g_reac, g_prod
+    return g_reac, g_prod, gid
+
+
+def mapped_scenario(name, seed):
+    """Map a scenario through ``iterate_conserved`` and ``assign_similarity``
+    (seed 0 keeps the listed product ids, others shuffle them) and require
+    its minimal bond edits and its expected pairs.  Returns the graphs, the
+    conserved mapping and the result."""
+    g_reac, g_prod, gid = scenario_graphs(name, random.Random(seed) if seed else None)
+    conserved = iterate_conserved(g_reac, g_prod)
+    mapping, _ = assign_similarity(conserved, g_reac, g_prod)
+    _, _, expected, edits = SCENARIOS[name]
+    assert bond_edits(mapping, g_reac, g_prod) == edits, (name, seed)
+    for r, images in expected.items():
+        assert mapping.pairs[r] in {gid[p] for p in images}, (name, seed, r)
+    return g_reac, g_prod, conserved, mapping
+
+
+ORDERS = range(8)
 
 
 def retyped_dimerizations():
     """The alkene dimerization with every atom near the new bond retyped
-    (n=5, radius 4), at four atom orders: the heaviest real input of path
-    refinement, where nearly every atom reaches the similarity stage."""
+    (n=5, radius 4), at four atom orders: nearly every atom reaches the
+    similarity stage."""
     return [alkene_dimerization(5, random.Random(seed), retype_radius=4) for seed in range(4)]
 
 
-def refine_oracle(mapping, g_reac, g_prod, weights=ScoringWeights()):
-    """Path refinement as it was before it read the matrix.
-
-    Every objective evaluation re-scores pairs with the scalar
-    ``similarity_score_reference`` and keeps the conserved anchors'
-    similarity terms.
-    """
-
-    def objective(current, nodes):
-        total = 0.0
-        for r in nodes:
-            p = current.pairs.get(r)
-            if p is None:
-                continue
-            total += similarity_score_reference(r, p, g_reac, g_prod, weights)
-            for x in g_reac.neighbors(r):
-                image = current.pairs.get(x)
-                if image is not None and g_prod.has_edge(p, image):
-                    total += 1.0
-        return total
-
-    result = mapping.copy()
-    movable = sorted(r for r in result.pairs if not result.is_conserved(r))
-    improved = True
-    while improved:
-        improved = False
-        for i, u in enumerate(movable):
-            for v in movable[i + 1 :]:
-                if g_reac.nodes[u].mass != g_reac.nodes[v].mass:
-                    continue
-                affected = {u, v}
-                affected.update(x for x in g_reac.neighbors(u) if x in result.pairs)
-                affected.update(x for x in g_reac.neighbors(v) if x in result.pairs)
-                before = objective(result, affected)
-                image_u, image_v = result.pairs[u], result.pairs[v]
-                prov_u, prov_v = result.provenance[u], result.provenance[v]
-                result.repair(u, None, "")
-                result.repair(v, image_u, PATH_REFINED)
-                result.repair(u, image_v, PATH_REFINED)
-                after = objective(result, affected)
-                if after > before + 1e-12:
-                    improved = True
-                else:
-                    result.repair(u, None, "")
-                    result.repair(v, image_v, prov_v)
-                    result.repair(u, image_u, prov_u)
-    return result
-
-
-def scrambled(mapping, g_reac, rng):
-    """The mapping with images shuffled among non-conserved atoms of equal mass."""
-    groups = {}
-    for r in sorted(mapping.pairs):
-        if not mapping.is_conserved(r):
-            groups.setdefault(g_reac.nodes[r].mass, []).append(r)
-    shuffled = mapping.copy()
-    for members in groups.values():
-        images = [mapping.pairs[r] for r in members]
-        rng.shuffle(images)
-        for r in members:
-            shuffled.repair(r, None, "")
-        for r, image in zip(members, images):
-            shuffled.add(r, image, "similarity")
-    return shuffled
-
-
-def crosswise(mapping, a, b):
-    """The mapping with the images of a and b exchanged."""
-    broken = mapping.copy()
-    image_a, image_b = broken.pairs[a], broken.pairs[b]
-    broken.repair(a, None, "")
-    broken.repair(b, image_a, "similarity")
-    broken.repair(a, image_b, "similarity")
-    return broken
-
-
 class TestRefineSymmetricPaths:
+    """Symmetric paths between mapped anchors, settled by the anchored rounds
+    of ``assign_similarity``: each pair is rewarded for the bonds it keeps
+    to mapped neighbours."""
+
     def test_edge_consistency_resolves_equivalent_paths(self):
-        g_reac, g_prod = para_ring_system()
-        mapping = iterate_conserved(g_reac, g_prod)
-        assert set(mapping.pairs) == {7, 8}
-        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
-        # Force a crosswise ring assignment, then require repair.
-        broken = crosswise(mapping, 2, 6)
-        refined = refine_symmetric_paths(broken, g_reac, g_prod, matrix)
-        for a, b in g_reac.edges:
-            if a in refined.pairs and b in refined.pairs:
-                assert g_prod.has_edge(refined.pairs[a], refined.pairs[b])
-        assert any(refined.provenance[r] == PATH_REFINED for r in (2, 6))
+        for seed in ORDERS:
+            g_reac, g_prod, conserved, mapping = mapped_scenario("para-ring", seed)
+            assert set(conserved.pairs) == {7, 8}
+            assert {mapping.provenance[r] for r in range(1, 7)} == {ANCHORED}
 
     def test_no_op_on_asymmetric_molecule(self):
-        g1 = make_graph([(1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)], [(1, 2), (2, 3)], MASSES, "reactant")
-        g2 = make_graph([(1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)], [(1, 2), (2, 3)], MASSES, "product")
-        mapping = AtomMapping()
-        for i in (1, 2, 3):
-            mapping.add(i, i, "similarity")
-        matrix = build_similarity_matrix(g1, g2, {1, 2, 3}, {1, 2, 3})
-        refined = refine_symmetric_paths(mapping, g1, g2, matrix)
-        assert refined.pairs == mapping.pairs
+        for seed in ORDERS:
+            mapped_scenario("asymmetric", seed)
 
     def test_preserves_cardinality_and_conserved_pairs(self):
-        g_reac, g_prod = para_ring_system()
-        mapping = iterate_conserved(g_reac, g_prod)
-        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
-        refined = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
-        assert len(refined.pairs) == len(mapping.pairs)
-        for r in mapping.pairs:
-            if mapping.is_conserved(r):
-                assert refined.pairs[r] == mapping.pairs[r]
+        for name in SCENARIOS:
+            for seed in ORDERS:
+                g_reac, g_prod, conserved, mapping = mapped_scenario(name, seed)
+                rows, cols = conserved.unmapped(g_reac, g_prod)
+                assert len(mapping.pairs) == len(conserved.pairs) + min(len(rows), len(cols))
+                for r, p in conserved.pairs.items():
+                    assert mapping.pairs[r] == p
+                    assert mapping.provenance[r] == conserved.provenance[r]
 
     def test_idempotent(self):
-        g_reac, g_prod = para_ring_system()
-        mapping = iterate_conserved(g_reac, g_prod)
-        mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
-        once = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
-        twice = refine_symmetric_paths(once, g_reac, g_prod, matrix)
-        assert once.pairs == twice.pairs
-
-    def test_matches_rescoring_oracle(self):
-        from test_acceptance import synthetic_reaction
-
-        systems = [para_ring_system()] + [pair[:2] for pair in case_study_pairs()]
-        systems += retyped_dimerizations()
-        rng = random.Random(777)
-        for trial in range(50):
-            reactants, products, _ = synthetic_reaction(rng, delete_leaves=(trial % 2 == 1))
-            systems.append(
-                (build_unified_graph(reactants, "reactant"), build_unified_graph(products, "product"))
-            )
-        starts = []
-        for g_reac, g_prod in systems:
-            mapping, matrix = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
-            starts.append((mapping, g_reac, g_prod, matrix))
-        mapping, g_reac, g_prod, matrix = starts[0]
-        starts.append((crosswise(mapping, 2, 6), g_reac, g_prod, matrix))
-        shuffle_rng = random.Random(5)
-        starts += [
-            (scrambled(mapping, g_reac, shuffle_rng), g_reac, g_prod, matrix)
-            for mapping, g_reac, g_prod, matrix in starts
-        ]
-
-        refined_any = False
-        for mapping, g_reac, g_prod, matrix in starts:
-            expected = refine_oracle(mapping, g_reac, g_prod)
-            refined = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
-            assert refined.pairs == expected.pairs
-            assert refined.provenance == expected.provenance
-            refined_any |= PATH_REFINED in refined.provenance.values()
-        assert refined_any
+        for name in SCENARIOS:
+            g_reac, g_prod, _, mapping = mapped_scenario(name, 0)
+            again, matrix = assign_similarity(mapping, g_reac, g_prod)
+            assert matrix is None
+            assert again.pairs == mapping.pairs
+            assert again.provenance == mapping.provenance
 
     def test_leaves_input_unchanged_and_keeps_injection(self):
-        systems = [para_ring_system()] + retyped_dimerizations()
-        shuffle_rng = random.Random(11)
-        refined_any = False
+        systems = [scenario_graphs(name)[:2] for name in SCENARIOS] + retyped_dimerizations()
         for g_reac, g_prod in systems:
-            mapping, matrix = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
-            for start in (mapping, scrambled(mapping, g_reac, shuffle_rng)):
-                before = copy.deepcopy(start)
-                refined = refine_symmetric_paths(start, g_reac, g_prod, matrix)
-                assert start.pairs == before.pairs
-                assert start.reverse == before.reverse
-                assert start.provenance == before.provenance
-                validate_mapping(refined, g_reac, g_prod)
-                assert refined.reverse == {p: r for r, p in refined.pairs.items()}
-                assert refined.provenance.keys() == refined.pairs.keys()
-                refined_any |= PATH_REFINED in refined.provenance.values()
-        assert refined_any
-
-
-def methane_pair_system(cross: bool):
-    """Two CH2 heavy atoms whose hydrogens may be paired crosswise."""
-    atoms = [(1, 1, 0.0), (2, 3, 0.0), (3, 3, 0.0)]
-    bonds = [(1, 2), (1, 3)]
-    g_reac = make_graph(atoms, bonds, MASSES, "reactant")
-    g_prod = make_graph(atoms, bonds, MASSES, "product")
-    mapping = AtomMapping()
-    mapping.add(1, 1, "conserved-1")
-    if cross:
-        mapping.add(2, 3, "similarity")
-        mapping.add(3, 2, "similarity")
-    else:
-        mapping.add(2, 2, "similarity")
-        mapping.add(3, 3, "similarity")
-    return g_reac, g_prod, mapping
-
-
-def stray_hydrogen_system():
-    """Reactant CH with its H mapped far away; product CH2 with a free H."""
-    reactant = make_topology(
-        [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0)],
-        [(1, 2), (1, 3), (3, 4)],
-        MASSES,
-    )
-    product = make_topology(
-        [(1, 1, 0.0), (2, 3, 0.0), (3, 1, 0.0), (4, 3, 0.0), (5, 3, 0.0)],
-        [(1, 2), (1, 3), (3, 4), (1, 5)],
-        MASSES,
-    )
-    g_reac = build_unified_graph([reactant], "reactant")
-    g_prod = build_unified_graph([product], "product")
-    mapping = AtomMapping()
-    mapping.add(1, 1, "similarity")
-    mapping.add(3, 3, "similarity")
-    mapping.add(2, 4, "similarity")  # H of atom 1 mapped onto atom 3's H
-    mapping.add(4, 2, "similarity")
-    return g_reac, g_prod, mapping
+            conserved = iterate_conserved(g_reac, g_prod)
+            before = copy.deepcopy(conserved)
+            mapping, _ = assign_similarity(conserved, g_reac, g_prod)
+            assert conserved.pairs == before.pairs
+            assert conserved.reverse == before.reverse
+            assert conserved.provenance == before.provenance
+            validate_mapping(mapping, g_reac, g_prod)
+            assert mapping.reverse == {p: r for r, p in mapping.pairs.items()}
+            assert mapping.provenance.keys() == mapping.pairs.keys()
 
 
 class TestSwapHydrogens:
+    """Interchangeable hydrogens, placed on the right heavy atom by the
+    anchored rounds of ``assign_similarity``."""
+
     def test_unequal_neighborhoods_reassign_strays(self):
-        g_reac, g_prod, mapping = stray_hydrogen_system()
-        swapped = swap_hydrogens(mapping, g_reac, g_prod)
-        assert swapped.pairs[2] in (2, 5)
-        assert g_prod.has_edge(1, swapped.pairs[2])
-        assert swapped.provenance[2] == HYDROGEN_SWAPPED
-        assert len(swapped.pairs) == len(mapping.pairs)
-
-    def test_logs_counts_and_warns_at_sweep_cap(self, caplog, monkeypatch):
-        g_reac, g_prod, mapping = stray_hydrogen_system()
-        caplog.set_level(logging.INFO, logger="templater")
-        swap_hydrogens(mapping, g_reac, g_prod)
-        assert caplog.messages == ["hydrogen swap: 2 sweep(s), 1 swap(s)"]
-
-        caplog.clear()
-        monkeypatch.setattr("templater.similarity_assignment._MAX_SWEEPS", 1)
-        swap_hydrogens(mapping, g_reac, g_prod)
-        assert [r.levelno for r in caplog.records] == [logging.WARNING, logging.INFO]
-        assert "1-sweep cap" in caplog.messages[0]
-        assert caplog.messages[1] == "hydrogen swap: 1 sweep(s), 1 swap(s)"
-
-    def test_no_hydrogens_no_op(self):
-        g1 = make_graph([(1, 1, 0.0), (2, 2, 0.0)], [(1, 2)], MASSES, "reactant")
-        g2 = make_graph([(1, 1, 0.0), (2, 2, 0.0), (3, 2, 0.0)], [(1, 2), (1, 3)], MASSES, "product")
-        mapping = AtomMapping()
-        mapping.add(1, 1, "similarity")
-        mapping.add(2, 2, "similarity")
-        swapped = swap_hydrogens(mapping, g1, g2)
-        assert swapped.pairs == mapping.pairs
+        for seed in ORDERS:
+            mapped_scenario("stray-hydrogen", seed)
 
     def test_idempotent(self):
-        g_reac, g_prod, mapping = methane_pair_system(cross=True)
-        once = swap_hydrogens(mapping, g_reac, g_prod)
-        twice = swap_hydrogens(once, g_reac, g_prod)
-        assert once.pairs == twice.pairs
+        for seed in ORDERS:
+            g_reac, g_prod, _, mapping = mapped_scenario("crosswise-ch2", seed)
+            again, _ = assign_similarity(mapping, g_reac, g_prod)
+            assert again.pairs == mapping.pairs
 
     def test_never_touches_conserved(self):
-        reactant = make_topology(
-            [(1, 1, 0.0), (2, 3, 0.0), (3, 3, 0.0)],
-            [(1, 2), (1, 3)],
-            MASSES,
-        )
-        product = make_topology(
-            [(1, 1, 0.0), (2, 3, 0.0), (3, 3, 0.0), (4, 3, 0.0)],
-            [(1, 2), (1, 3), (1, 4)],
-            MASSES,
-        )
-        g_reac = build_unified_graph([reactant], "reactant")
-        g_prod = build_unified_graph([product], "product")
-        mapping = AtomMapping()
-        mapping.add(1, 1, "similarity")
-        mapping.add(2, 2, "conserved-1")
-        mapping.add(3, 3, "conserved-1")
-        swapped = swap_hydrogens(mapping, g_reac, g_prod)
-        assert swapped.pairs[2] == 2
-        assert swapped.pairs[3] == 3
+        for seed in ORDERS:
+            _, _, conserved, mapping = mapped_scenario("conserved-hydrogens", seed)
+            assert sorted(conserved.pairs) == [2, 3]
+            assert all(mapping.pairs[r] == p for r, p in conserved.pairs.items())
+
+    def test_no_hydrogens_no_op(self):
+        g_reac, g_prod, _ = scenario_graphs("no-hydrogens")
+        conserved = iterate_conserved(g_reac, g_prod)
+        mapping, matrix = assign_similarity(conserved, g_reac, g_prod)
+        assert matrix is None
+        assert mapping.pairs == conserved.pairs == {1: 1, 2: 2}
+        for seed in ORDERS:
+            mapped_scenario("no-hydrogens", seed)
+
+
+class TestAnchoredAssignment:
+    def test_logs_rounds_pairs_and_seeds(self, caplog):
+        caplog.set_level(logging.INFO, logger="templater")
+        g_reac, g_prod, _ = scenario_graphs("para-ring")
+        assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+        assert caplog.messages[-2:] == [
+            "similarity matrix: 6 x 6",
+            "anchored assignment: 6 round(s), 6 anchored pair(s), 0 seed(s)",
+        ]
+        caplog.clear()
+        # Nothing is conserved, so one seed starts each molecule.
+        g_reac, g_prod = alkene_dimerization(5, random.Random(0), retype_radius=6)
+        mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+        assert Counter(mapping.provenance.values()) == {ANCHORED: 28, SIMILARITY: 2}
+        assert caplog.messages[-1].endswith(", 28 anchored pair(s), 2 seed(s)")
+
+
+# name: (generator, atom count n, retype radius), 8 atom orders each.  The
+# fully retyped family retypes every product atom (radius n + 1), so the
+# conserved search finds nothing and the seeds start the map.
+FAMILIES = {
+    "all-atom-7": (alkene_dimerization, 7, None),
+    "all-atom-12": (alkene_dimerization, 12, None),
+    "all-atom-20": (alkene_dimerization, 20, None),
+    "retyped-5": (alkene_dimerization, 5, 4),
+    "retyped-12": (alkene_dimerization, 12, 4),
+    "fully-retyped-8": (alkene_dimerization, 8, 9),
+    "fully-retyped-16": (alkene_dimerization, 16, 17),
+    "fully-retyped-24": (alkene_dimerization, 24, 25),
+    "ua-24": (ua_dimerization, 24, None),
+    "ua-96": (ua_dimerization, 96, None),
+}
+
+
+def same_mass_outside_conserved(mapping, g_reac, g_prod) -> bool:
+    return all(
+        g_reac.nodes[r].mass == g_prod.nodes[p].mass
+        for r, p in mapping.pairs.items()
+        if not mapping.is_conserved(r)
+    )
+
+
+class TestMinimalMaps:
+    """Every map has the fewest bond edits (minimum chemical distance) and
+    the true initiators."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_family(self, family):
+        generator, n, radius = FAMILIES[family]
+        united_atom = generator is ua_dimerization
+        for seed in ORDERS:
+            rng = random.Random(seed)
+            g_reac, g_prod = generator(n, rng) if united_atom else generator(n, rng, radius)
+            mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+            report = build_report(mapping, g_reac, g_prod)
+            assert bond_edits(mapping, g_reac, g_prod) == ((0, 1) if united_atom else (0, 3)), seed
+            assert set(report.initiators) == alkene_c1(g_reac), seed
+            if not united_atom:
+                assert same_mass_outside_conserved(mapping, g_reac, g_prod), seed
+
+    def test_case_studies(self, case_states):
+        pins = {
+            "polyaddition": ((1, 2), {(1, 28), (2, 15)}),
+            "polycondensation": ((3, 1), {(1, 7), (2, 7)}),
+            "chain": ((0, 3), {(1, 1), (2, 1)}),
+        }
+        for name, (edits, initiators) in pins.items():
+            state = case_states[name]
+            assert bond_edits(state.mapping, state.g_reac, state.g_prod) == edits, name
+            found = {
+                (state.g_reac.nodes[g].component, state.g_reac.nodes[g].source_id)
+                for g in state.report.initiators
+            }
+            assert found == initiators, name
+            assert same_mass_outside_conserved(state.mapping, state.g_reac, state.g_prod), name
 
 
 class TestCsvExport:

@@ -240,11 +240,7 @@ class TestPipelineOnEmittedTemplates:
         from templater.conserved_mapping import iterate_conserved
         from templater.lammps_io import parse_data_file
         from templater.reaction_analysis import build_report
-        from templater.similarity_assignment import (
-            assign_similarity,
-            refine_symmetric_paths,
-            swap_hydrogens,
-        )
+        from templater.similarity_assignment import assign_similarity
         from conftest import CASE_STUDIES
 
         for name, state in case_states.items():
@@ -267,9 +263,7 @@ class TestPipelineOnEmittedTemplates:
             g_reac = build_unified_graph(reactant_topos, "reactant")
             g_prod = build_unified_graph([product_topo], "product")
             mapping = iterate_conserved(g_reac, g_prod)
-            mapping, matrix = assign_similarity(mapping, g_reac, g_prod)
-            mapping = refine_symmetric_paths(mapping, g_reac, g_prod, matrix)
-            mapping = swap_hydrogens(mapping, g_reac, g_prod)
+            mapping, _ = assign_similarity(mapping, g_reac, g_prod)
             report = build_report(mapping, g_reac, g_prod)
 
             def to_pre_index(gid):
