@@ -162,27 +162,32 @@ class TestRunCommand:
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "flag, value, code, err",
         [
-            ("--search-budget", "-1", "search budget must be non-negative"),
+            # The hydrogen tolerance went with the hydrogen swap it tuned:
+            # argparse now rejects the flag, whatever its value.
+            *(
+                (
+                    "--hydrogen-tolerance", value, 2,
+                    "usage: templater [-h] {run,export-dot} ...\n"
+                    f"templater: error: unrecognized arguments: --hydrogen-tolerance {value}\n",
+                )
+                for value in ("-1", "nan", "inf")
+            ),
+            ("--search-budget", "-1", 1, "error: ValueError: search budget must be non-negative\n"),
         ],
-        ids=["budget-negative"],
+        ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "budget-negative"],
     )
-    def test_out_of_range_knob_error_exit(self, tmp_path, capsys, flag, value, message):
-        # A negative budget used to fail as an exhausted search.
+    def test_out_of_range_knob_error_exit(self, tmp_path, capsys, flag, value, code, err):
+        # A negative or NaN tolerance used to switch the hydrogen swap off
+        # silently, and a negative budget failed as an exhausted search.
         out_dir = tmp_path / "out"
-        code = main(run_args(out_dir, [flag, value]))
-        assert code == 1
-        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
-        assert not out_dir.exists()
-
-    def test_hydrogen_tolerance_flag_rejected(self, tmp_path, capsys):
-        # The flag went with the hydrogen swap it tuned; argparse exits 2.
-        out_dir = tmp_path / "out"
-        with pytest.raises(SystemExit) as info:
-            main(run_args(out_dir, ["--hydrogen-tolerance", "0.01"]))
-        assert info.value.code == 2
-        assert "unrecognized arguments: --hydrogen-tolerance 0.01" in capsys.readouterr().err
+        try:
+            exit_code = main(run_args(out_dir, [flag, value]))
+        except SystemExit as exc:
+            exit_code = exc.code
+        assert exit_code == code
+        assert capsys.readouterr().err == err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
