@@ -19,6 +19,7 @@ independent of search order.
 from __future__ import annotations
 
 import logging
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from templater.errors import ValidationError
@@ -81,20 +82,6 @@ class AtomMapping:
         return sorted(self.pairs.items())
 
 
-def _attribute_labels(
-    g_r: UnifiedGraph, nodes_r: list[int], g_p: UnifiedGraph, nodes_p: list[int]
-) -> tuple[list[int], list[int]]:
-    codes: dict[tuple[float, int], int] = {}
-
-    def labels(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
-        return [
-            codes.setdefault((atom.mass, atom.type_id), len(codes))
-            for atom in map(graph.nodes.__getitem__, nodes)
-        ]
-
-    return labels(g_r, nodes_r), labels(g_p, nodes_p)
-
-
 def _neighbour_mask(graph: UnifiedGraph, gid: int, index: dict[int, int]) -> int:
     """Bitmask of the neighbours of ``gid`` among the indexed nodes."""
     mask = 0
@@ -110,7 +97,7 @@ def _adjacency_masks(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
     return [_neighbour_mask(graph, gid, index) for gid in nodes]
 
 
-def _unfoldable(labels: list[int], masks: list[int]) -> set[int]:
+def _unfoldable(labels: list[Hashable], masks: list[int]) -> set[Hashable]:
     """Labels that cannot fold on this side.
 
     A label can fold when each of its nodes that has a neighbour has
@@ -127,7 +114,7 @@ def _unfoldable(labels: list[int], masks: list[int]) -> set[int]:
     return spoiled
 
 
-def _leaves(labels: list[int], masks: list[int], label: int) -> tuple[int, bool]:
+def _leaves(labels: list[Hashable], masks: list[int], label: Hashable) -> tuple[int, bool]:
     """The mask of the nodes of a foldable ``label``, and whether some
     node carries two or more of them as leaves."""
     members = parents = 0
@@ -195,7 +182,9 @@ def max_common_subgraph(
     """
     nodes_r = sorted(include_r) if include_r is not None else g_r.sorted_gids()
     nodes_p = sorted(include_p) if include_p is not None else g_p.sorted_gids()
-    labels_r, labels_p = _attribute_labels(g_r, nodes_r, g_p, nodes_p)
+    # The kernel only tests labels for equality, so (mass, type) is the label.
+    labels_r = [(atom.mass, atom.type_id) for atom in map(g_r.nodes.__getitem__, nodes_r)]
+    labels_p = [(atom.mass, atom.type_id) for atom in map(g_p.nodes.__getitem__, nodes_p)]
     common = set(labels_r) & set(labels_p)
     if not common:
         return [], 0
@@ -248,7 +237,7 @@ def max_common_subgraph(
         r[v] and p[w] for v, w in pairs for r, p in zip(counts_r, counts_p)
     ):
         # The smallest label-compatible allowed pair over every node.
-        by_label: dict[int, int] = {}
+        by_label: dict[Hashable, int] = {}
         for j, label in enumerate(labels_p):
             by_label[label] = by_label.get(label, 0) | 1 << j
         for i, label in enumerate(labels_r):

@@ -70,26 +70,26 @@ class UnifiedGraph:
         return sorted(self.nodes)
 
     def shells(self, gid: int) -> tuple[tuple[int, ...], ...]:
-        """Nodes of the same molecule grouped by exact hop distance from gid.
+        """Nodes grouped by exact hop distance from gid.
 
-        Index 0 holds the root itself; index k the depth-k shell.
+        Index 0 holds the root itself; index k the depth-k shell, in no set
+        order.  Bonds never join two data files, so gid's molecule holds all.
         """
         cached = self._shells.get(gid)
         if cached is not None:
             return cached
-        component = self.nodes[gid].component
-        seen = {gid: 0}
+        seen = {gid}
         frontier = [gid]
         shells = [(gid,)]
         while frontier:
             nxt = []
             for node in frontier:
                 for nbr in self._adjacency[node]:
-                    if nbr not in seen and self.nodes[nbr].component == component:
-                        seen[nbr] = seen[node] + 1
+                    if nbr not in seen:
+                        seen.add(nbr)
                         nxt.append(nbr)
             if nxt:
-                shells.append(tuple(sorted(nxt)))
+                shells.append(tuple(nxt))
             frontier = nxt
         result = tuple(shells)
         self._shells[gid] = result
@@ -174,10 +174,10 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         # The diagonal of M, a view into the flat bordered array.
         diagonal = bordered.reshape(-1)[: n * (n + 2) : n + 2]
         diagonal[:] = 1.0
+        # A connected piece holds every neighbour of its atoms.
         for gid in piece:
             for nbr in graph.neighbors(gid):
-                if nbr in index:
-                    matrix[index[gid], index[nbr]] = 1.0
+                matrix[index[gid], index[nbr]] = 1.0
         top = np.linalg.eigvalsh(matrix)[-1]
         np.negative(matrix, out=matrix)
         diagonal += top

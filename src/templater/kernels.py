@@ -44,7 +44,7 @@ recursion limit nor a deeper C stack.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Container, Hashable
 
 from templater.errors import BudgetExceeded
 
@@ -62,17 +62,20 @@ def _pairs(cell: Cell) -> list[tuple[int, int]]:
 
 
 def _twin_masks(
-    labels: list[int], adj: list[int], key_of: Callable[[int], Hashable]
+    labels: list[Hashable], adj: list[int], key_of: Callable[[int], Hashable], shared: Container
 ) -> list[int]:
     """Twin-group bitmask per node: the bits of every twin of it, itself too.
 
     Twins share the label, the adjacency mask and ``key_of`` (constraints
-    and leaf counts).  The key is computed only inside groups of equal
-    (label, mask), so graphs without twins pay for one dictionary pass.
+    and leaf counts).  Only nodes with a label in ``shared`` are grouped,
+    since masks are read only inside classes; the rest keep their own bit.
+    The key is computed only inside groups of equal (label, mask), so
+    graphs without twins pay for one dictionary pass.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    by_shape: dict[tuple[Hashable, int], list[int]] = {}
     for node, shape in enumerate(zip(labels, adj)):
-        by_shape.setdefault(shape, []).append(node)
+        if shape[0] in shared:
+            by_shape.setdefault(shape, []).append(node)
     masks = [1 << node for node in range(len(labels))]
     for members in by_shape.values():
         if len(members) > 1:
@@ -98,8 +101,8 @@ def _at_least(counts: list[int]) -> list[int]:
 
 
 def max_common_connected_subgraph(
-    labels_r: list[int],
-    labels_p: list[int],
+    labels_r: list[Hashable],
+    labels_p: list[Hashable],
     adj_r: list[int],
     adj_p: list[int],
     budget: int,
@@ -133,7 +136,8 @@ def max_common_connected_subgraph(
     leaf counts the sum is empty and the bound is the plain one.
 
     Args:
-        labels_r: attribute label per reactant node (0..n-1 index order).
+        labels_r: attribute label per reactant node (0..n-1 index order),
+            any hashable value; labels are only tested for equality.
         labels_p: attribute label per product node.
         adj_r: adjacency bitmask per reactant node.
         adj_p: adjacency bitmask per product node.
@@ -152,14 +156,15 @@ def max_common_connected_subgraph(
         when no node pair is label-compatible.
     """
     # Initial classes: one per label present on both sides.
-    by_label: dict[int, list[int]] = {}
+    by_label: dict[Hashable, list[int]] = {}
     for v, label in enumerate(labels_r):
         by_label.setdefault(label, [0, 0])[0] |= 1 << v
     for w, label in enumerate(labels_p):
         entry = by_label.get(label)
         if entry is not None:
             entry[1] |= 1 << w
-    classes = [(g, h, False) for g, h in by_label.values() if h]
+    by_label = {label: gh for label, gh in by_label.items() if gh[1]}
+    classes = [(g, h, False) for g, h in by_label.values()]
     leaf_pairs = list(zip(leaves_r, leaves_p)) if leaves_r is not None else []
 
     def key_r(v: int) -> Hashable:
@@ -174,8 +179,8 @@ def max_common_connected_subgraph(
             tuple(counts_p[w] for _, counts_p in leaf_pairs),
         )
 
-    twins_r = _twin_masks(labels_r, adj_r, key_r)
-    twins_p = _twin_masks(labels_p, adj_p, key_p)
+    twins_r = _twin_masks(labels_r, adj_r, key_r, by_label)
+    twins_p = _twin_masks(labels_p, adj_p, key_p, by_label)
     # (R[k], P[k]) per folded label and k >= 1, for the bound; a level
     # empty on either side adds nothing and is left out.
     levels = [

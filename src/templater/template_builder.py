@@ -124,8 +124,10 @@ def reaction_site_nodes(mapping: AtomMapping, report: ReactionReport) -> set[int
     """Reactant-side nodes the cutoff is measured from.
 
     Everything mapped outside the conserved regions belongs to the reaction
-    site, alongside the initiators.  Keeping the whole site guarantees every
-    atom whose type or charge changes ends up inside the template.
+    site, alongside the initiators.  Conserved pairs keep their type, so
+    every atom whose type changes is a site.  Charge is never matched, so a
+    conserved atom may change it; ``assemble_templates`` rejects a template
+    that leaves such an atom on its edge.
     """
     sites = {r for r in mapping.pairs if not mapping.is_conserved(r)}
     sites.update(report.initiators)
@@ -169,7 +171,12 @@ def assemble_templates(
     reactant_topologies: list[SystemTopology],
     product_topologies: list[SystemTopology],
 ) -> ReactionTemplates:
-    """Renumber the pruned sets and assemble both templates plus the map."""
+    """Renumber the pruned sets and assemble both templates plus the map.
+
+    ``fix bond/react`` forbids an edge atom whose bonds, type or charge
+    change, so such an atom, a deleted one included, raises
+    ``InconsistentPruning`` naming the smallest as ``molecule.atom``.
+    """
     image = {mapping.pairs[r] for r in pre_pruned if r in mapping.pairs}
     if image != post_pruned - set(report.created):
         raise InconsistentPruning(
@@ -177,6 +184,22 @@ def assemble_templates(
         )
     if not set(report.deleted) <= pre_pruned or not set(report.created) <= post_pruned:
         raise InconsistentPruning("created/deleted atoms missing from the templates")
+
+    def changes(r_gid: int) -> bool:
+        if r_gid not in mapping.pairs:
+            return True
+        before, after = g_reac.nodes[r_gid], g_prod.nodes[mapping.pairs[r_gid]]
+        retyped = before.type_id != after.type_id or before.charge != after.charge
+        return retyped or bool(report.bond_deltas[r_gid])
+
+    edge_atoms = mark_edge_atoms(pre_pruned, g_reac)
+    changed = [r_gid for r_gid in edge_atoms if changes(r_gid)]
+    if changed:
+        node = g_reac.nodes[min(changed)]
+        raise InconsistentPruning(
+            f"edge atom {node.component}.{node.source_id} changes its bonds, type or "
+            "charge, which fix bond/react forbids; raise the cutoff"
+        )
 
     pre_template, pre_index = _side_template(g_reac, reactant_topologies, pre_pruned)
     post_template, post_index = _side_template(g_prod, product_topologies, post_pruned)
@@ -190,7 +213,7 @@ def assemble_templates(
         pre=pre_template,
         post=post_template,
         equivalences=equivalences,
-        edge_atoms=sorted(pre_index[g] for g in mark_edge_atoms(pre_pruned, g_reac)),
+        edge_atoms=sorted(pre_index[g] for g in edge_atoms),
         initiators=(pre_index[report.initiators[0]], pre_index[report.initiators[1]]),
         deleted=sorted(pre_index[g] for g in report.deleted),
         created=sorted(post_index[g] for g in report.created),

@@ -184,15 +184,11 @@ def kernel_form_graphs(labels_r, adj_r, labels_p, adj_p):
 def all_atom_kernel_input(g_r, g_p, include_r, include_p, required=None):
     """The kernel's input for the whole restricted problem, every atom a
     node: (labels_r, labels_p, adj_r, adj_p, allowed) over the sorted
-    included gids, labels numbered by first appearance of (mass, type)."""
+    included gids, each label the atom's (mass, type) pair."""
     nodes_r, nodes_p = sorted(include_r), sorted(include_p)
-    codes: dict = {}
 
     def labels(graph, nodes):
-        return [
-            codes.setdefault((graph.nodes[g].mass, graph.nodes[g].type_id), len(codes))
-            for g in nodes
-        ]
+        return [(graph.nodes[g].mass, graph.nodes[g].type_id) for g in nodes]
 
     def neighbours(graph, gid, index):
         return sum(1 << index[x] for x in graph.neighbors(gid) if x in index)

@@ -110,6 +110,22 @@ class TestRunCommand:
         assert "BudgetExceeded" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_changed_edge_atom_exit_code(self, tmp_path, capsys):
+        # At cutoff 1 the polyaddition template ends at atom 12 of BD, a
+        # conserved carbon whose charge goes from 0.15 to 0.2; fix
+        # bond/react forbids a changed edge atom.
+        reactants, products = CASE_STUDIES["polyaddition"]
+        code = main([
+            "run", "--reactants", *reactants, "--products", *products,
+            "--out", str(tmp_path), "--cutoff", "1",
+        ])
+        assert code == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: InconsistentPruning: ")
+        assert err.count("\n") == 1
+        assert "edge atom 2.12 " in err
+        assert not os.listdir(tmp_path)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.data"
         bad.write_text("# broken\n\nnot a header\n")

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
-from conftest import make_graph, make_topology, path_topology
+from conftest import CASE_STUDIES, make_graph, make_topology, path_topology
+from templater.cli import RunConfig, run_pipeline
 from templater.conserved_mapping import AtomMapping
 from templater.errors import InconsistentPruning
 from templater.graph_core import build_unified_graph
@@ -14,6 +17,7 @@ from templater.template_builder import (
     prune_reaction,
     prune_to_cutoff,
 )
+from test_lammps_io import load_workloads
 
 C = 12.011
 MASSES = {1: C, 2: 15.999, 3: 1.008}
@@ -292,3 +296,111 @@ class TestCutoffMonotonicity:
             state = run_stages(cfg)
             sizes.append(state.templates.pre.atom_count)
         assert sizes == sorted(sizes)
+
+
+def read_sections(path):
+    """Section name -> rows of tokens, for a written template or map file.
+
+    Header lines (``23 atoms``) come before the first section and are
+    skipped; comments are cut.
+    """
+    sections, rows = {}, None
+    with open(path, encoding="ascii") as handle:
+        for line in handle:
+            tokens = line.split("#")[0].split()
+            if tokens and tokens[0][0].isalpha():
+                rows = sections.setdefault(" ".join(tokens), [])
+            elif tokens and rows is not None:
+                rows.append(tokens)
+    return sections
+
+
+def changed_edge_atoms(out_dir):
+    """Pre-template EdgeIDs that do not keep their type, charge and bonded
+    partners through the Equivalences, read from the written files alone."""
+    pre = read_sections(os.path.join(out_dir, "pre_template.mol"))
+    post = read_sections(os.path.join(out_dir, "post_template.mol"))
+    reaction_map = read_sections(os.path.join(out_dir, "reaction_map.txt"))
+    to_post = {int(a): int(b) for a, b in reaction_map["Equivalences"]}
+
+    def atoms(template):
+        types = {int(i): int(t) for i, t in template["Types"]}
+        return {int(i): (types[int(i)], float(q)) for i, q in template["Charges"]}
+
+    def partners(template):
+        bonded = {}
+        for _, _, a, b in template.get("Bonds", []):
+            bonded.setdefault(int(a), set()).add(int(b))
+            bonded.setdefault(int(b), set()).add(int(a))
+        return bonded
+
+    atoms_pre, atoms_post = atoms(pre), atoms(post)
+    bonded_pre, bonded_post = partners(pre), partners(post)
+    changed = []
+    for (edge,) in reaction_map.get("EdgeIDs", []):
+        e = int(edge)
+        image = to_post.get(e)
+        if (
+            image is None
+            or atoms_pre[e] != atoms_post[image]
+            or {to_post.get(n) for n in bonded_pre.get(e, ())} != bonded_post.get(image, set())
+        ):
+            changed.append(e)
+    return changed
+
+
+class TestEdgeAtomRule:
+    """``fix bond/react`` forbids an edge atom whose bonds, type or charge
+    change."""
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_case_studies_keep_edge_atoms(self, tmp_path, name, cutoff):
+        reactants, products = CASE_STUDIES[name]
+        run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=cutoff))
+        assert changed_edge_atoms(tmp_path) == []
+
+    def test_generated_families_keep_edge_atoms(self, tmp_path):
+        workloads = load_workloads()
+        edges = 0
+        for kind in workloads.GENERATED:
+            instance = workloads.generated(kind, 1, str(tmp_path))[0]
+            out_dir = tmp_path / kind
+            run_pipeline(RunConfig(instance.reactants, instance.products, str(out_dir)))
+            assert changed_edge_atoms(out_dir) == [], kind
+            edges += len(read_sections(out_dir / "reaction_map.txt").get("EdgeIDs", []))
+        assert edges > 0
+
+    def test_oracle_flags_a_changed_edge_atom(self, tmp_path):
+        # Listing the pre atom of BD atom 12, whose charge goes from 0.15
+        # to 0.2, among the edge atoms of a valid template must be caught.
+        reactants, products = CASE_STUDIES["polyaddition"]
+        state = run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=2))
+        bd_12 = state.templates.pre_index_of[state.g_reac.gid_for(2, 12)]
+        assert bd_12 not in state.templates.edge_atoms
+        path = tmp_path / "reaction_map.txt"
+        text = path.read_text()
+        path.write_text(text.replace("\nEdgeIDs\n\n", f"\nEdgeIDs\n\n{bd_12}\n"))
+        assert changed_edge_atoms(tmp_path) == [bd_12]
+
+    def test_bond_change_on_the_edge(self):
+        # B (molecule 1, atom 2) bonds to C and keeps its neighbour A outside.
+        g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
+        with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.2 "):
+            assemble_templates(
+                mapping, report, {2, 3}, {2, 3}, g_reac, g_prod, reac_topos, prod_topos
+            )
+
+    def test_deleted_atom_on_the_edge(self):
+        # A is deleted and a new atom takes its place; a template of A alone
+        # leaves A's bond to B outside.
+        g_reac, g_prod, reac_topos, prod_topos, _, _ = small_reaction()
+        mapping = AtomMapping()
+        for r, p in ((2, 2), (3, 3), (4, 4)):
+            mapping.add(r, p, "conserved-1")
+        report = build_report(mapping, g_reac, g_prod)
+        assert report.deleted == {1} and report.created == {1}
+        with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.1 "):
+            assemble_templates(
+                mapping, report, {1}, {1}, g_reac, g_prod, reac_topos, prod_topos
+            )
