@@ -305,13 +305,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
     """Full pipeline run: map, analyze, build templates, write artifacts."""
     state = run_stages(cfg)
     templates = state.templates
-    report = state.report
+    payload = report_to_dict(state.report, state.mapping, state.g_reac, state.g_prod)
     contents = {
         "pre_template.mol": write_molecule_template(templates.pre, "pre-reaction template"),
         "post_template.mol": write_molecule_template(templates.post, "post-reaction template"),
         "reaction_map.txt": write_map_file(templates.to_map_file()),
-        "report.txt": report_to_text(report, state.mapping, state.g_reac, state.g_prod),
-        "report.json": _report_json(cfg, state),
+        "report.txt": report_to_text(payload),
+        "report.json": _report_json(cfg, state, payload),
     }
     if cfg.export_similarity_csv and state.similarity is not None:
         contents["similarity.csv"] = similarity_csv(
@@ -323,8 +323,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
     return state
 
 
-def _report_json(cfg: RunConfig, state: PipelineState) -> str:
-    payload = report_to_dict(state.report, state.mapping, state.g_reac, state.g_prod)
+def _report_json(cfg: RunConfig, state: PipelineState, payload: dict) -> str:
+    """Add the template sizes and the run's settings to ``payload``; JSON text."""
     payload["templates"] = {
         "pre_atoms": state.templates.pre.atom_count,
         "post_atoms": state.templates.post.atom_count,

@@ -92,39 +92,35 @@ def _neighbour_mask(graph: UnifiedGraph, gid: int, index: dict[int, int]) -> int
     return mask
 
 
-def _adjacency_masks(graph: UnifiedGraph, nodes: list[int]) -> list[int]:
-    index = {gid: i for i, gid in enumerate(nodes)}
-    return [_neighbour_mask(graph, gid, index) for gid in nodes]
-
-
-def _unfoldable(labels: list[Hashable], masks: list[int]) -> set[Hashable]:
-    """Labels that cannot fold on this side.
+def _leaf_groups(
+    labels: list[Hashable], masks: list[int]
+) -> dict[Hashable, tuple[int, bool]]:
+    """Each label that can fold on this side: the mask of its nodes, and
+    whether some node carries two or more of them as leaves.
 
     A label can fold when each of its nodes that has a neighbour has
     exactly one, and that neighbour has at least two.  Equivalently, none
     of its nodes has two or more neighbours, and none is the only
     neighbour of a node; degrees come from the masks by popcount.
     """
+    members: dict[Hashable, int] = {}
+    parents: dict[Hashable, int] = {}
+    crowded = set()
     spoiled = set()
-    for label, mask in zip(labels, masks):
+    for node, (label, mask) in enumerate(zip(labels, masks)):
         if mask & (mask - 1):
             spoiled.add(label)
         elif mask:
             spoiled.add(labels[mask.bit_length() - 1])
-    return spoiled
-
-
-def _leaves(labels: list[Hashable], masks: list[int], label: Hashable) -> tuple[int, bool]:
-    """The mask of the nodes of a foldable ``label``, and whether some
-    node carries two or more of them as leaves."""
-    members = parents = 0
-    crowded = False
-    for node, (other, mask) in enumerate(zip(labels, masks)):
-        if other == label:
-            members |= 1 << node
-            crowded = crowded or bool(parents & mask)
-            parents |= mask
-    return members, crowded
+        if parents.get(label, 0) & mask:
+            crowded.add(label)
+        parents[label] = parents.get(label, 0) | mask
+        members[label] = members.get(label, 0) | 1 << node
+    return {
+        label: (nodes, label in crowded)
+        for label, nodes in members.items()
+        if label not in spoiled
+    }
 
 
 def _bits(mask: int) -> list[int]:
@@ -188,13 +184,14 @@ def max_common_subgraph(
     common = set(labels_r) & set(labels_p)
     if not common:
         return [], 0
-    masks_r = _adjacency_masks(g_r, nodes_r)
-    masks_p = _adjacency_masks(g_p, nodes_p)
+    index_r = {gid: i for i, gid in enumerate(nodes_r)}
+    index_p = {gid: j for j, gid in enumerate(nodes_p)}
+    masks_r = [_neighbour_mask(g_r, gid, index_r) for gid in nodes_r]
+    masks_p = [_neighbour_mask(g_p, gid, index_p) for gid in nodes_p]
     allowed = None
     if required_images:
         # A product node is adjacent to every required image exactly when
         # it lies in the intersection of their neighbourhoods.
-        index_p = {gid: j for j, gid in enumerate(nodes_p)}
         allowed = []
         for r_gid in nodes_r:
             row = (1 << len(nodes_p)) - 1
@@ -206,10 +203,12 @@ def max_common_subgraph(
         }
     # The reactant and product node masks of each folding label: a label
     # folds only where some node carries two or more of its leaves.
+    groups_r = _leaf_groups(labels_r, masks_r)
+    groups_p = _leaf_groups(labels_p, masks_p)
     folded = []
-    for label in sorted(common - _unfoldable(labels_r, masks_r) - _unfoldable(labels_p, masks_p)):
-        members_r, crowded_r = _leaves(labels_r, masks_r, label)
-        members_p, crowded_p = _leaves(labels_p, masks_p, label)
+    for label in sorted(common & groups_r.keys() & groups_p.keys()):
+        members_r, crowded_r = groups_r[label]
+        members_p, crowded_p = groups_p[label]
         if crowded_r or crowded_p:
             folded.append((members_r, members_p))
     counts_r = [[(m & members_r).bit_count() for m in masks_r] for members_r, _ in folded]

@@ -11,15 +11,15 @@ read-only and safe to call concurrently.  Expensive per-node quantities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from templater.errors import EmptyTopology
 from templater.lammps_io import SystemTopology
 
-@dataclass(frozen=True)
-class AtomNode:
+
+class AtomNode(NamedTuple):
     """One atom of a unified graph."""
 
     global_id: int

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from templater.errors import (
     DanglingReference,
@@ -82,8 +83,7 @@ _SKIPPED_SECTIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class AtomRecord:
+class AtomRecord(NamedTuple):
     """One row of an Atoms section (full style; molecular implies charge 0)."""
 
     atom_id: int
@@ -281,8 +281,7 @@ def _parse_atom_line(stripped: str, line_no: int) -> AtomRecord:
     raise MalformedLine(f"bad Atoms entry {stripped!r}", line_no)
 
 
-@dataclass(frozen=True)
-class TemplateAtom:
+class TemplateAtom(NamedTuple):
     """Per-atom payload of a molecule template, indexed implicitly 1..N."""
 
     type_id: int

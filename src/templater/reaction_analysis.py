@@ -174,48 +174,47 @@ def report_to_dict(
     }
 
 
-def report_to_text(
-    report: ReactionReport,
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-) -> str:
-    """Human-readable one-page summary of the analysis."""
-    conserved = sum(1 for r in mapping.pairs if mapping.is_conserved(r))
+def report_to_text(payload: dict) -> str:
+    """Human-readable one-page summary of a ``report_to_dict`` payload.
 
-    def refs(graph: UnifiedGraph, gids) -> str:
-        labels = [
-            f"{graph.nodes[g].component}.{graph.nodes[g].source_id}" for g in sorted(gids)
-        ]
-        return ", ".join(labels) if labels else "none"
+    Every reactant atom is mapped or deleted and every product atom mapped
+    or created, so the payload's atom references name every molecule.
+    """
+    pairs = payload["mapping"]
+    counts = payload["counts"]
+
+    def refs(nodes) -> str:
+        return ", ".join(f"{n['molecule']}.{n['atom']}" for n in nodes) or "none"
+
+    def molecules(side: str, unmapped: str) -> int:
+        nodes = [pair[side] for pair in pairs] + payload[unmapped]
+        return len({n["molecule"] for n in nodes})
 
     lines = [
         "reaction analysis",
         "=================",
-        f"reactant nodes : {len(g_reac.nodes)} in {g_reac.molecule_count} molecule(s)",
-        f"product nodes  : {len(g_prod.nodes)} in {g_prod.molecule_count} molecule(s)",
-        f"mapped pairs   : {len(mapping.pairs)} ({conserved} conserved)",
-        f"created atoms  : {refs(g_prod, report.created)}",
-        f"deleted atoms  : {refs(g_reac, report.deleted)}",
+        f"reactant nodes : {counts['reactant_nodes']} in "
+        f"{molecules('reactant', 'deleted')} molecule(s)",
+        f"product nodes  : {counts['product_nodes']} in "
+        f"{molecules('product', 'created')} molecule(s)",
+        f"mapped pairs   : {counts['mapped']} ({counts['conserved']} conserved)",
+        f"created atoms  : {refs(payload['created'])}",
+        f"deleted atoms  : {refs(payload['deleted'])}",
         "",
         "initiators:",
     ]
-    for gid in report.initiators:
-        node = g_reac.nodes[gid]
-        delta = report.bond_deltas[gid]
+    by_gid = {pair["reactant"]["global_id"]: pair for pair in pairs}
+    for node in payload["initiators"]:
+        pair = by_gid[node["global_id"]]
         lines.append(
-            f"  molecule {node.component} atom {node.source_id} "
-            f"(|dE|={len(delta)}, dC={report.centrality_deltas[gid]:.6f})"
+            f"  molecule {node['molecule']} atom {node['atom']} "
+            f"(|dE|={len(pair['delta_e'])}, dC={pair['delta_c']:.6f})"
         )
-    changed = [
-        r for r, delta in sorted(report.bond_deltas.items()) if delta
-    ]
+    changed = [pair for pair in pairs if pair["delta_e"]]
     lines.append("")
     lines.append(f"atoms with changed bonding: {len(changed)}")
-    for r_gid in changed:
-        node = g_reac.nodes[r_gid]
-        tokens = ", ".join(
-            sorted(_delta_token(t, g_reac, g_prod) for t in report.bond_deltas[r_gid])
-        )
-        lines.append(f"  molecule {node.component} atom {node.source_id}: {tokens}")
+    for pair in changed:
+        node = pair["reactant"]
+        tokens = ", ".join(pair["delta_e"])
+        lines.append(f"  molecule {node['molecule']} atom {node['atom']}: {tokens}")
     return "\n".join(lines) + "\n"

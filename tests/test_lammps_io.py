@@ -608,14 +608,19 @@ def outcome(parse, *args):
         return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
-def load_workloads():
-    """The benchmark's input generators, ``perfbench/workloads.py``."""
-    path = os.path.join(os.path.dirname(FIXTURE_DIR), "..", "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def load_perfbench(name):
+    """The benchmark module ``perfbench/<name>.py``."""
+    path = os.path.join(os.path.dirname(FIXTURE_DIR), "..", "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    return load_perfbench("workloads")
 
 
 class TestParserOracle:

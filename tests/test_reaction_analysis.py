@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import alkene_dimerization, fixture_path, make_graph, make_topology, ua_dimerization
+from conftest import CASE_STUDIES, alkene_dimerization, fixture_path, make_graph, make_topology, ua_dimerization
+from templater.cli import RunConfig, run_pipeline
 from templater.conserved_mapping import AtomMapping, iterate_conserved
 from templater.errors import NoReactionDetected, UnsupportedReaction
 from templater.graph_core import build_unified_graph, centrality_by_node
@@ -225,7 +226,7 @@ class TestReportSerialization:
     def test_text_and_json_forms(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
         report = build_report(mapping, g_reac, g_prod)
-        text = report_to_text(report, mapping, g_reac, g_prod)
+        text = report_to_text(report_to_dict(report, mapping, g_reac, g_prod))
         assert "initiators:" in text
         assert "mapped pairs" in text
         payload = report_to_dict(report, mapping, g_reac, g_prod)
@@ -234,6 +235,14 @@ class TestReportSerialization:
         assert decoded["counts"]["mapped"] == len(mapping.pairs)
         assert len(decoded["initiators"]) == 2
         assert decoded["counts"]["reactant_nodes"] == 8
+
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_text_renders_the_written_json(self, tmp_path, name):
+        reactants, products = CASE_STUDIES[name]
+        run_pipeline(RunConfig(reactants, products, str(tmp_path)))
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="ascii"))
+        text = report_to_text(payload)
+        assert text.encode("ascii") == (tmp_path / "report.txt").read_bytes()
 
     def test_conservation_identity(self):
         g_reac, g_prod, mapping = methyl_coupling_system()

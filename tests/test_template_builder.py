@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -7,17 +8,23 @@ from templater.cli import RunConfig, run_pipeline
 from templater.conserved_mapping import AtomMapping
 from templater.errors import InconsistentPruning
 from templater.graph_core import build_unified_graph
-from templater.lammps_io import parse_molecule_template, write_molecule_template
+from templater.lammps_io import (
+    INTERACTION_SECTIONS,
+    parse_data_file,
+    parse_molecule_template,
+    write_molecule_template,
+)
 from templater.reaction_analysis import ReactionReport, build_report
 from templater.similarity_assignment import assign_similarity
 from templater.template_builder import (
+    DEFAULT_CUTOFF,
     assemble_templates,
     carry_features,
     mark_edge_atoms,
     prune_reaction,
     prune_to_cutoff,
 )
-from test_lammps_io import load_workloads
+from test_lammps_io import load_perfbench, load_workloads
 
 C = 12.011
 MASSES = {1: C, 2: 15.999, 3: 1.008}
@@ -315,6 +322,16 @@ def read_sections(path):
     return sections
 
 
+def first_generated(directory):
+    """(workload, instance) of the first seed-1 instance of each generated
+    benchmark workload, its data files written under ``directory``."""
+    workloads = load_workloads()
+    return [
+        (kind, workloads.generated(kind, 1, str(directory))[0])
+        for kind in workloads.GENERATED
+    ]
+
+
 def changed_edge_atoms(out_dir):
     """Pre-template EdgeIDs that do not keep their type, charge and bonded
     partners through the Equivalences, read from the written files alone."""
@@ -361,10 +378,8 @@ class TestEdgeAtomRule:
         assert changed_edge_atoms(tmp_path) == []
 
     def test_generated_families_keep_edge_atoms(self, tmp_path):
-        workloads = load_workloads()
         edges = 0
-        for kind in workloads.GENERATED:
-            instance = workloads.generated(kind, 1, str(tmp_path))[0]
+        for kind, instance in first_generated(tmp_path):
             out_dir = tmp_path / kind
             run_pipeline(RunConfig(instance.reactants, instance.products, str(out_dir)))
             assert changed_edge_atoms(out_dir) == [], kind
@@ -404,3 +419,162 @@ class TestEdgeAtomRule:
             assemble_templates(
                 mapping, report, {1}, {1}, g_reac, g_prod, reac_topos, prod_topos
             )
+
+
+def read_topologies(paths):
+    """The parsed data files of one reaction side, in molecule order."""
+    topologies = []
+    for path in paths:
+        with open(path, encoding="ascii") as handle:
+            topologies.append(parse_data_file(handle.read()))
+    return topologies
+
+
+def changed_atoms(payload, reactant_topologies, product_topologies):
+    """The (molecule, atom id) references of the reactant atoms and of the
+    product atoms that are deleted, created, or change their type, charge
+    or bonds, from a ``report.json`` payload and the parsed data files."""
+
+    def type_and_charge(topologies):
+        return {
+            (molecule, atom.atom_id): (atom.type_id, atom.charge)
+            for molecule, topology in enumerate(topologies, start=1)
+            for atom in topology.atoms
+        }
+
+    def ref(node):
+        return node["molecule"], node["atom"]
+
+    before = type_and_charge(reactant_topologies)
+    after = type_and_charge(product_topologies)
+    pre = {ref(node) for node in payload["deleted"]}
+    post = {ref(node) for node in payload["created"]}
+    for pair in payload["mapping"]:
+        r, p = ref(pair["reactant"]), ref(pair["product"])
+        if pair["delta_e"] or before[r] != after[p]:
+            pre.add(r)
+            post.add(p)
+    return pre, post
+
+
+def rows_with_changed_atoms(state, reactants, products, out_dir):
+    """Every interaction row of the data files that holds a changed atom,
+    as (section, side, molecule, atom ids, whether the template holds it
+    whole)."""
+    with open(os.path.join(out_dir, "report.json"), encoding="ascii") as handle:
+        payload = json.load(handle)
+    reactant_topologies = read_topologies(reactants)
+    product_topologies = read_topologies(products)
+    changed = changed_atoms(payload, reactant_topologies, product_topologies)
+    sides = (
+        ("pre", reactant_topologies, state.g_reac, state.templates.pre_index_of),
+        ("post", product_topologies, state.g_prod, state.templates.post_index_of),
+    )
+    rows = []
+    for (side, topologies, graph, index), side_changed in zip(sides, changed):
+        for molecule, topology in enumerate(topologies, start=1):
+            for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
+                for _, members in getattr(topology, keyword):
+                    if any((molecule, a) in side_changed for a in members):
+                        inside = all(graph.gid_for(molecule, a) in index for a in members)
+                        rows.append((name, side, molecule, members, inside))
+    return rows
+
+
+class TestChangedInteractionsInside:
+    """Every bond, angle, dihedral and improper that holds an atom which is
+    deleted, created, or changes its type, charge or bonds lies entirely
+    inside the pre and post templates."""
+
+    @staticmethod
+    def outside(reactants, products, out_dir, cutoff=DEFAULT_CUTOFF):
+        state = run_pipeline(RunConfig(reactants, products, str(out_dir), cutoff=cutoff))
+        rows = rows_with_changed_atoms(state, reactants, products, out_dir)
+        assert rows
+        return [row for row in rows if not row[-1]]
+
+    @pytest.mark.parametrize("cutoff", [4, 6])
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_case_studies(self, tmp_path, name, cutoff):
+        reactants, products = CASE_STUDIES[name]
+        assert self.outside(reactants, products, tmp_path, cutoff) == []
+
+    def test_generated_families(self, tmp_path):
+        for kind, instance in first_generated(tmp_path):
+            assert self.outside(instance.reactants, instance.products, tmp_path / kind) == [], kind
+
+    def test_oracle_flags_a_row_left_outside(self, tmp_path):
+        # With the first initiator taken out of the pre template, each of
+        # its bonds holds a changed atom and leaves the template.
+        reactants, products = CASE_STUDIES["chain"]
+        state = run_pipeline(RunConfig(reactants, products, str(tmp_path)))
+        initiator = state.g_reac.nodes[state.report.initiators[0]]
+        del state.templates.pre_index_of[initiator.global_id]
+        outside = [
+            row[:3] for row in rows_with_changed_atoms(state, reactants, products, tmp_path)
+            if not row[-1]
+        ]
+        degree = len(state.g_reac.neighbors(initiator.global_id))
+        assert outside.count(("Bonds", "pre", initiator.component)) == degree
+
+
+# The (broken, formed) bond edits of each reaction's minimal map.
+EXPECTED_BOND_EDITS = {
+    "polyaddition": (1, 2),
+    "polycondensation": (3, 1),
+    "chain": (0, 3),
+    "alkene_dimer": (0, 3),
+    "retyped_site": (0, 3),
+    "ua_chain": (0, 1),
+}
+
+
+def replayed_bond_edits(out_dir):
+    """(broken, formed) bonds of replaying the written map file on the
+    written pre template, read from the written files alone.
+
+    DeleteIDs drop their atoms and every bond to them; the Equivalences
+    carry every other pre atom and bond onto the post template, and the
+    CreateIDs fill its remaining atoms.  A carried bond the post template
+    lacks is broken, as is each dropped one; a post bond nothing carried is
+    formed.
+    """
+
+    def read(name):
+        with open(os.path.join(out_dir, name), encoding="ascii") as handle:
+            return handle.read()
+
+    pre = parse_molecule_template(read("pre_template.mol"))
+    post = parse_molecule_template(read("post_template.mol"))
+    checks = load_perfbench("checks")
+    map_file = checks.parse_map_file(read("reaction_map.txt"), pre.atom_count, post.atom_count)
+    to_post = dict(map_file.equivalences)
+    deleted = set(map_file.delete_ids)
+    assert sorted(to_post) == sorted(set(range(1, pre.atom_count + 1)) - deleted)
+    assert sorted([*to_post.values(), *map_file.create_ids]) == list(
+        range(1, post.atom_count + 1)
+    )
+    pre_bonds = {frozenset(members) for _, members in pre.bonds}
+    post_bonds = {frozenset(members) for _, members in post.bonds}
+    carried = {frozenset(map(to_post.get, bond)) for bond in pre_bonds if not bond & deleted}
+    dropped = len(pre_bonds) - len(carried)
+    return dropped + len(carried - post_bonds), len(post_bonds - carried)
+
+
+class TestMapFileReplay:
+    """Replaying the map file on the pre template breaks and forms exactly
+    the bonds of the reaction's minimal map."""
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_case_studies(self, tmp_path, name, cutoff):
+        reactants, products = CASE_STUDIES[name]
+        run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=cutoff))
+        assert replayed_bond_edits(tmp_path) == EXPECTED_BOND_EDITS[name]
+
+    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    def test_generated_families(self, tmp_path, cutoff):
+        for kind, instance in first_generated(tmp_path):
+            out_dir = tmp_path / kind
+            run_pipeline(RunConfig(instance.reactants, instance.products, str(out_dir), cutoff=cutoff))
+            assert replayed_bond_edits(out_dir) == EXPECTED_BOND_EDITS[kind], kind
