@@ -131,25 +131,53 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
     return UnifiedGraph(side=side, nodes=nodes, edges=edges)
 
 
-def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
-    """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
+def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and eigenvector x, scaled to 1^T x = 1, of the symmetric
+    matrix M held in the leading n x n block of the zero-bordered array.
 
-    Each connected piece is solved exactly on M = A + I.  The shift leaves
-    the eigenvectors unchanged and makes the matrix primitive, so by
-    Perron-Frobenius its top eigenvalue is simple even for bipartite
-    molecules (any tree) and its eigenvector x is positive.  The symmetric
-    eigenvalue solver gives that eigenvalue alone, and one dense linear
-    solve of the bordered system
+    The symmetric eigenvalue solver gives the top eigenvalue alone, and one
+    dense linear solve of the bordered system
 
         [[top*I - M, 1], [1^T, 0]] [x; mu] = [0; 1]
 
-    gives x.  The system is nonsingular because x spans the null space of
-    top*I - M and 1^T x != 0.  Its conditioning is set by the gap between
-    the two largest eigenvalues, as is the accuracy of the eigenvector of a
-    full eigendecomposition, which costs about twice as much from a few
-    dozen atoms up.  Should the component be disconnected, each connected
-    piece is treated on its own and atoms without bonds receive 0, as do
-    all atoms of a molecule with no bonds at all.
+    gives x.  The system is nonsingular when top is simple and 1^T x != 0;
+    by Perron-Frobenius both hold for the primitive non-negative matrices
+    built here, whose top eigenvector is positive.  Its conditioning is set
+    by the gap between the two largest eigenvalues, as is the accuracy of
+    the eigenvector of a full eigendecomposition, which costs about twice
+    as much from a few dozen atoms up.  M is turned into top*I - M in
+    place: separate arrays for M, I and their difference triple the memory
+    of the solve.
+    """
+    n = len(bordered) - 1
+    matrix = bordered[:n, :n]
+    top = np.linalg.eigvalsh(matrix)[-1]
+    np.negative(matrix, out=matrix)
+    # The diagonal of the block, a view into the flat bordered array.
+    bordered.reshape(-1)[: n * (n + 2) : n + 2] += top
+    bordered[:n, n] = bordered[n, :n] = 1.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    return top, np.linalg.solve(bordered, rhs)[:n]
+
+
+def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
+    """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
+
+    Each connected piece is solved exactly, by ``_perron_vector``.  A piece
+    whose breadth-first shells from its smallest atom have no bond inside
+    one shell is bipartite, with the even and the odd shells as its parts:
+    A = [[0, B], [B^T, 0]] with B the biadjacency from the smaller part S
+    to the larger part L.  Its principal eigenvector [u; v] has u the
+    Perron vector of K = B B^T, whose top eigenvalue is sigma^2, and
+    v = B^T u / sigma, so the cubic work runs on |S| <= n/2 atoms.  K is
+    primitive (connected, with the atom degrees on its diagonal), so sigma^2
+    is simple.  Any other piece has an odd ring and is solved on
+    M = A + I: the shift leaves the eigenvectors unchanged and makes the
+    matrix primitive, so its top eigenvalue is simple too.  Should the
+    component be disconnected, each connected piece is treated on its own
+    and atoms without bonds receive 0, as do all atoms of a molecule with
+    no bonds at all.
     """
     gids = graph.components.get(component)
     if gids is None:
@@ -160,31 +188,38 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         if start in result:
             continue
         # The piece holding the smallest atom not yet solved.
-        piece = sorted(gid for shell in graph.shells(start) for gid in shell)
-        if len(piece) == 1:
+        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
+        if len(depth) == 1:
             result[start] = 0.0
             continue
-        n = len(piece)
-        index = {gid: i for i, gid in enumerate(piece)}
-        # M is built inside the bordered array and turned into top*I - M in
-        # place: separate arrays for M, I and their difference triple the
-        # memory of the solve.
-        bordered = np.zeros((n + 1, n + 1))
-        matrix = bordered[:n, :n]
-        # The diagonal of M, a view into the flat bordered array.
-        diagonal = bordered.reshape(-1)[: n * (n + 2) : n + 2]
-        diagonal[:] = 1.0
+        piece = sorted(depth)
         # A connected piece holds every neighbour of its atoms.
-        for gid in piece:
-            for nbr in graph.neighbors(gid):
-                matrix[index[gid], index[nbr]] = 1.0
-        top = np.linalg.eigvalsh(matrix)[-1]
-        np.negative(matrix, out=matrix)
-        diagonal += top
-        bordered[:n, n] = bordered[n, :n] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        x = np.linalg.solve(bordered, rhs)[:n]
+        if all(depth[gid] != depth[nbr] for gid in piece for nbr in graph.neighbors(gid)):
+            even = [gid for gid in piece if not depth[gid] & 1]
+            odd = [gid for gid in piece if depth[gid] & 1]
+            small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
+            s = len(small)
+            column = {gid: j for j, gid in enumerate(large)}
+            biadjacency = np.zeros((s, len(large)))
+            for i, gid in enumerate(small):
+                for nbr in graph.neighbors(gid):
+                    biadjacency[i, column[nbr]] = 1.0
+            bordered = np.zeros((s + 1, s + 1))
+            np.matmul(biadjacency, biadjacency.T, out=bordered[:s, :s])
+            top, u = _perron_vector(bordered)
+            x = np.concatenate((u, biadjacency.T @ u / np.sqrt(top)))
+            # x lists S, then L.
+            piece = small + large
+        else:
+            n = len(piece)
+            index = {gid: i for i, gid in enumerate(piece)}
+            bordered = np.zeros((n + 1, n + 1))
+            matrix = bordered[:n, :n]
+            np.fill_diagonal(matrix, 1.0)
+            for gid in piece:
+                for nbr in graph.neighbors(gid):
+                    matrix[index[gid], index[nbr]] = 1.0
+            _, x = _perron_vector(bordered)
         result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
     return result
 

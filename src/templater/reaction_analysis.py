@@ -18,8 +18,13 @@ from templater.graph_core import UnifiedGraph, centrality_by_node
 CREATED_MARK = "created"
 
 # Decimal places kept of a centrality delta.  The eigensolver leaves atoms
-# that symmetry makes equal about 1e-16 apart; rounding makes their deltas
-# compare equal, so initiator ties go to the smallest id as documented.
+# that symmetry makes equal up to about 5e-14 apart, also where they fall in
+# different parts of a bipartite molecule, such as the two ends of an
+# even-length chain: 4.9e-14 at most over shuffled chains of 2 to 1,536
+# sites, and 9e-15 over the benchmark's molecules and the case studies
+# (atoms of one class of colour refinement, whose exact centralities are
+# equal; numpy 2.4 with OpenBLAS 0.3.31 on x86-64).  Rounding makes their
+# deltas compare equal, so initiator ties go to the smallest id as documented.
 CENTRALITY_DELTA_DECIMALS = 9
 
 

@@ -23,23 +23,62 @@ def shuffled_chain(n, rng):
     return build_unified_graph([make_topology(atoms, bonds, C_MASS)], "product")
 
 
-def assert_matches_dense_oracle(graph, component):
-    """The centrality of a connected molecule against the principal eigenvector
-    of A + I from the dense symmetric eigensolver: equal to 1e-12, and equal
-    after the rounding that ``centrality_delta`` applies."""
-    gids = graph.components[component]
-    index = {gid: i for i, gid in enumerate(gids)}
-    shifted = np.eye(len(gids))
+def bonded_pieces(graph, component):
+    """The connected pieces of a molecule with at least one bond, found from
+    ``graph.edges`` alone, each as a sorted list of atoms."""
+    piece_of = {gid: {gid} for gid in graph.components[component]}
     for a, b in graph.edges:
-        if a in index:
-            shifted[index[a], index[b]] = shifted[index[b], index[a]] = 1.0
-    principal = np.abs(np.linalg.eigh(shifted)[1][:, -1])
+        if a in piece_of and piece_of[a] is not piece_of[b]:
+            merged = piece_of[a] | piece_of[b]
+            for gid in merged:
+                piece_of[gid] = merged
+    pieces = {id(piece): piece for piece in piece_of.values() if len(piece) > 1}
+    return [sorted(piece) for piece in pieces.values()]
+
+
+def assert_matches_dense_oracle(graph, component):
+    """The centrality of a molecule against, piece by piece, the principal
+    eigenvector of A + I from the dense symmetric eigensolver: equal to
+    1e-12, and equal after the rounding that ``centrality_delta`` applies.
+    Atoms without bonds must get exactly 0."""
     centrality = eigenvector_centrality(graph, component)
-    vec = np.array([centrality[gid] for gid in gids])
-    assert np.max(np.abs(vec - principal)) <= 1e-12
-    assert [round(c, CENTRALITY_DELTA_DECIMALS) for c in vec] == [
-        round(c, CENTRALITY_DELTA_DECIMALS) for c in principal
-    ]
+    assert set(centrality) == set(graph.components[component])
+    pieces = bonded_pieces(graph, component)
+    bonded = {gid for piece in pieces for gid in piece}
+    assert all(centrality[gid] == 0.0 for gid in set(centrality) - bonded)
+    for piece in pieces:
+        index = {gid: i for i, gid in enumerate(piece)}
+        shifted = np.eye(len(piece))
+        for a, b in graph.edges:
+            if a in index:
+                shifted[index[a], index[b]] = shifted[index[b], index[a]] = 1.0
+        principal = np.abs(np.linalg.eigh(shifted)[1][:, -1])
+        vec = np.array([centrality[gid] for gid in piece])
+        assert np.max(np.abs(vec - principal)) <= 1e-12
+        assert [round(c, CENTRALITY_DELTA_DECIMALS) for c in vec] == [
+            round(c, CENTRALITY_DELTA_DECIMALS) for c in principal
+        ]
+
+
+def ring(first, size):
+    """Bonds closing the atoms first .. first + size - 1 into a ring."""
+    return [(first + k, first + (k + 1) % size) for k in range(size)]
+
+
+# Molecules with odd rings, which are solved on A + I: an epoxide-like
+# three-ring, a five-ring with a substituent, and the fused five-six bicycle
+# of indane.
+EPOXIDE = (6, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 5), (2, 6)])
+CYCLOPENTYL = (6, ring(1, 5) + [(1, 6)])
+INDANE = (9, ring(1, 6) + [(6, 7), (7, 8), (8, 9), (9, 1)])
+# One molecule in four pieces: a six-ring, a five-ring, a two-atom piece and
+# the lone atom 14.
+MIXED = (14, ring(1, 6) + ring(7, 5) + [(12, 13)])
+
+
+def graph_of(molecule):
+    atoms, bonds = molecule
+    return make_graph([(i, 1, 0.0) for i in range(1, atoms + 1)], bonds, C_MASS)
 
 
 def h2_topology():
@@ -120,23 +159,44 @@ class TestEigenvectorCentrality:
         assert eigenvector_centrality(graph, 1) == {1: 0.0, 2: 0.0}
 
     def test_disconnected_molecule_pieces(self):
-        # One molecule in three pieces, with interleaved ids: the path
-        # 1-4-7, the star centred on 2 with leaves 5, 6, 8, and atom 3 alone.
+        # One molecule in four pieces, with interleaved ids: the path 1-4-7,
+        # the star centred on 2 with leaves 5, 6, 8, atom 3 alone, and the
+        # odd ring 9-11-13-10-12 with atom 14 on 9.
         path = [(1, 4), (4, 7)]
         star = [(2, 5), (2, 6), (2, 8)]
-        graph = make_graph([(i, 1, 0.0) for i in range(1, 9)], path + star, C_MASS)
-        centrality = eigenvector_centrality(graph, 1)
-        assert set(centrality) == set(range(1, 9))
-        assert centrality[3] == 0.0
-        for bonds in (path, star):
-            piece = sorted({gid for bond in bonds for gid in bond})
-            index = {gid: i for i, gid in enumerate(piece)}
-            adj = np.zeros((len(piece), len(piece)))
-            for a, b in bonds:
-                adj[index[a], index[b]] = adj[index[b], index[a]] = 1.0
-            principal = np.abs(np.linalg.eigh(adj)[1][:, -1])
-            vec = np.array([centrality[gid] for gid in piece])
-            assert np.max(np.abs(vec - principal)) <= 1e-6
+        odd_ring = [(9, 11), (11, 13), (13, 10), (10, 12), (12, 9), (9, 14)]
+        graph = make_graph([(i, 1, 0.0) for i in range(1, 15)], path + star + odd_ring, C_MASS)
+        assert_matches_dense_oracle(graph, 1)
+
+    @pytest.mark.parametrize(
+        "molecule", [EPOXIDE, CYCLOPENTYL, INDANE, MIXED],
+        ids=["three-ring", "five-ring", "fused-five-six", "mixed-pieces"],
+    )
+    def test_dense_oracle_odd_and_mixed_rings(self, molecule):
+        assert_matches_dense_oracle(graph_of(molecule), 1)
+
+    def test_bipartite_pieces_solve_half_size(self, monkeypatch):
+        # Every oracle passes on the A + I path as well, so pin the path by
+        # the matrices the eigenvalue solver receives, one per bonded piece.
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(matrix):
+            shapes.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+
+        def solved_shapes(graph):
+            shapes.clear()
+            eigenvector_centrality(graph, 1)
+            return shapes
+
+        assert solved_shapes(build_unified_graph([path_topology(192)], "product")) == [(96, 96)]
+        assert solved_shapes(graph_of(EPOXIDE)) == [(6, 6)]
+        assert solved_shapes(graph_of(INDANE)) == [(9, 9)]
+        # The six-ring on half its atoms, the five-ring on all, the pair on one.
+        assert solved_shapes(graph_of(MIXED)) == [(3, 3), (5, 5), (1, 1)]
 
     def test_fixed_point_residual_random_graphs(self):
         rng = random.Random(99)
@@ -179,9 +239,11 @@ class TestEigenvectorCentrality:
                     assert_matches_dense_oracle(graph, component)
 
     def test_dense_oracle_long_shuffled_chain(self):
-        # Both solvers land within about 2e-13 of the closed form
-        # sin(j pi / 769), normalised, whose values all lie at least 1.9e-12
-        # from a rounding boundary at 9 decimals.
+        # Against the closed form sin(j pi / 769), normalised, whose values
+        # all lie at least 1.9e-12 from a rounding boundary at 9 decimals,
+        # the half-size solve lands within 2.9e-14 and dense eigh of A + I
+        # within 3.9e-13 (max over the chain; numpy 2.4 with OpenBLAS 0.3.31
+        # on x86-64).
         assert_matches_dense_oracle(shuffled_chain(768, random.Random(7)), 1)
 
 
