@@ -57,6 +57,7 @@ logger = logging.getLogger("templater")
 refine_symmetric_paths = swap_hydrogens = None
 
 STAGES = ("reactants", "products", "mapped")
+RUN_STAGES = ("graphs", "report", "templates")
 
 EXIT_CODES = {
     OSError: 2,
@@ -154,8 +155,6 @@ class RunConfig:
 class PipelineState:
     """In-memory artifacts of one pipeline run."""
 
-    reactant_topologies: list[SystemTopology]
-    product_topologies: list[SystemTopology]
     g_reac: UnifiedGraph
     g_prod: UnifiedGraph
     mapping: AtomMapping
@@ -178,21 +177,16 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
 
     ``through`` is one of ``graphs``, ``report`` or ``templates``.
     """
-    reactant_topologies = _read_topologies(cfg.reactants)
-    product_topologies = _read_topologies(cfg.products)
-    g_reac = build_unified_graph(reactant_topologies, "reactant")
-    g_prod = build_unified_graph(product_topologies, "product")
+    if through not in RUN_STAGES:
+        raise errors.UnknownStage(f"unknown stage {through!r}; expected one of {RUN_STAGES}")
+    reactants, products = _read_topologies(cfg.reactants), _read_topologies(cfg.products)
+    g_reac = build_unified_graph(reactants, "reactant")
+    g_prod = build_unified_graph(products, "product")
     logger.info(
         "unified graphs: %d reactant nodes, %d product nodes",
         len(g_reac.nodes), len(g_prod.nodes),
     )
-    state = PipelineState(
-        reactant_topologies=reactant_topologies,
-        product_topologies=product_topologies,
-        g_reac=g_reac,
-        g_prod=g_prod,
-        mapping=AtomMapping(),
-    )
+    state = PipelineState(g_reac=g_reac, g_prod=g_prod, mapping=AtomMapping())
     if through == "graphs":
         return state
 
@@ -224,14 +218,7 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
             mapping, state.report, g_reac, g_prod, cfg.cutoff
         )
         state.templates = assemble_templates(
-            mapping,
-            state.report,
-            pre_set,
-            post_set,
-            g_reac,
-            g_prod,
-            reactant_topologies,
-            product_topologies,
+            mapping, state.report, pre_set, post_set, g_reac, g_prod
         )
         logger.info(
             "templates: %d pre atoms, %d post atoms (cutoff %d)",
@@ -280,7 +267,15 @@ def export_dot(cfg: RunConfig, stage: str, state: PipelineState | None = None) -
 
 
 def _write_atomic(out_dir: str, contents: dict[str, str]) -> dict[str, str]:
-    """Stage every file, then rename; nothing lands on failure."""
+    """Stage every file, then rename; nothing lands on failure.
+
+    A target that is a directory is refused before anything is staged, as
+    its rename would fail after others had landed.  The staged names are
+    fixed, so concurrent runs need distinct output directories.
+    """
+    for path in (os.path.join(out_dir, name) for name in contents):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path} is a directory")
     os.makedirs(out_dir, exist_ok=True)
     staged = []
     written = {}

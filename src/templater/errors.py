@@ -60,7 +60,7 @@ class InconsistentPruning(TemplaterError):
 
 
 class UnknownStage(TemplaterError):
-    """Unknown pipeline stage requested from an export command."""
+    """Unknown pipeline stage requested from run_stages or an export command."""
 
 
 class ValidationError(TemplaterError):

@@ -2,7 +2,8 @@
 
 A UnifiedGraph combines the per-molecule graphs of one reaction side under
 globally unique node ids.  Nodes carry mass, type id, charge and the index
-of the source molecule; edges come from the Bonds section of the inputs.
+of the source molecule; edges come from the Bonds section of the inputs,
+and the graph keeps those inputs for the templates cut from it.
 
 Graphs are immutable after construction, so every operation here is
 read-only and safe to call concurrently.  Expensive per-node quantities
@@ -33,8 +34,16 @@ class AtomNode(NamedTuple):
 class UnifiedGraph:
     """Immutable union of the molecular graphs of one reaction side."""
 
-    def __init__(self, side: str, nodes: list[AtomNode], edges: set[tuple[int, int]]):
+    def __init__(
+        self,
+        side: str,
+        topologies: list[SystemTopology],
+        nodes: list[AtomNode],
+        edges: set[tuple[int, int]],
+    ):
         self.side = side
+        # The parsed data files, one per component, in component order.
+        self.topologies: tuple[SystemTopology, ...] = tuple(topologies)
         self.nodes: dict[int, AtomNode] = {n.global_id: n for n in nodes}
         self.edges: frozenset[tuple[int, int]] = frozenset(
             (min(a, b), max(a, b)) for a, b in edges
@@ -50,7 +59,6 @@ class UnifiedGraph:
         self.components: dict[int, tuple[int, ...]] = {
             c: tuple(gids) for c, gids in components.items()
         }
-        self.molecule_count = len(self.components)
         self._gid_by_source: dict[tuple[int, int], int] = {
             (n.component, n.source_id): n.global_id for n in nodes
         }
@@ -128,7 +136,7 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
                 continue
             edges.add((gid_of[a], gid_of[b]))
         offset += len(ordered)
-    return UnifiedGraph(side=side, nodes=nodes, edges=edges)
+    return UnifiedGraph(side=side, topologies=topologies, nodes=nodes, edges=edges)
 
 
 def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,7 +9,6 @@ the user's force field.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from dataclasses import dataclass, field
 
 from templater.conserved_mapping import AtomMapping
@@ -19,7 +18,6 @@ from templater.lammps_io import (
     INTERACTION_SECTIONS,
     MoleculeTemplateFile,
     ReactionMapFile,
-    SystemTopology,
     TemplateAtom,
 )
 from templater.reaction_analysis import ReactionReport
@@ -55,17 +53,15 @@ def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:
 
 
 def carry_features(
-    pruned: Container[int],
-    interactions: list[tuple[int, tuple[int, ...]]],
-    local_index: dict[int, int],
+    interactions: list[tuple[int, tuple[int, ...]]], local_index: dict[int, int]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Keep interactions fully inside the template, in template-local indices.
+    """Keep the interactions whose atoms all lie in ``local_index``, renumbered by it.
 
     Input order is preserved so the emitted sections mirror the data files.
     """
     kept = []
     for type_id, members in interactions:
-        if all(map(pruned.__contains__, members)):
+        if all(map(local_index.__contains__, members)):
             kept.append((type_id, tuple(map(local_index.__getitem__, members))))
     return kept
 
@@ -97,9 +93,10 @@ class ReactionTemplates:
 
 
 def _side_template(
-    graph: UnifiedGraph, topologies: list[SystemTopology], pruned: set[int]
+    graph: UnifiedGraph, pruned: set[int]
 ) -> tuple[MoleculeTemplateFile, dict[int, int]]:
-    """One side's template, plus its global id to template-local index map.
+    """One side's template, cut from the graph's data files, plus its global
+    id to template-local index map.
 
     Atoms are numbered in global-id order.  Each interaction section holds
     the kept interactions of the first data file, then of the next, each in
@@ -108,7 +105,7 @@ def _side_template(
     index = {gid: i for i, gid in enumerate(sorted(pruned), start=1)}
     atoms = [None] * len(index)
     sections: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
-    for component, topology in enumerate(topologies, start=1):
+    for component, topology in enumerate(graph.topologies, start=1):
         local = {}
         for atom in topology.atoms:
             i = index.get(graph.gid_for(component, atom.atom_id))
@@ -116,7 +113,7 @@ def _side_template(
                 local[atom.atom_id] = i
                 atoms[i - 1] = TemplateAtom(atom.type_id, atom.charge, atom.x, atom.y, atom.z)
         for name, kept in sections.items():
-            kept.extend(carry_features(local, getattr(topology, name), local))
+            kept.extend(carry_features(getattr(topology, name), local))
     return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 
@@ -168,8 +165,6 @@ def assemble_templates(
     post_pruned: set[int],
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
-    reactant_topologies: list[SystemTopology],
-    product_topologies: list[SystemTopology],
 ) -> ReactionTemplates:
     """Renumber the pruned sets and assemble both templates plus the map.
 
@@ -201,8 +196,8 @@ def assemble_templates(
             "charge, which fix bond/react forbids; raise the cutoff"
         )
 
-    pre_template, pre_index = _side_template(g_reac, reactant_topologies, pre_pruned)
-    post_template, post_index = _side_template(g_prod, product_topologies, post_pruned)
+    pre_template, pre_index = _side_template(g_reac, pre_pruned)
+    post_template, post_index = _side_template(g_prod, post_pruned)
 
     equivalences = sorted(
         (pre_index[r], post_index[p])

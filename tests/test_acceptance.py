@@ -359,10 +359,7 @@ class TestCriterion8EndToEndConservation:
             assert set(report.initiators) == set(endpoints)
 
             pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod)
-            templates = assemble_templates(
-                mapping, report, pre_set, post_set, g_reac, g_prod,
-                reactants, products,
-            )
+            templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
             mapped_image = {
                 mapping.pairs[r] for r in templates.pre_index_of if r in mapping.pairs
             }

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import CASE_STUDIES, fixture_path
 import templater
-from templater.cli import RunConfig, _json_text, export_dot, main, run_pipeline
+from templater.cli import RunConfig, _json_text, export_dot, main, run_pipeline, run_stages
 from templater.errors import UnknownStage
 from templater.reaction_analysis import report_to_dict
 
@@ -127,6 +127,20 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert "edge atom 2.12 " in err
         assert not os.listdir(tmp_path)
+
+    def test_directory_target_refused_before_staging(self, tmp_path, capsys):
+        # report.json sorts after the templates and the map file, whose
+        # renames would have landed before its own failed.
+        (tmp_path / "report.json").mkdir()
+        (tmp_path / "pre_template.mol").write_bytes(b"sentinel\n")
+        code = main(run_args(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["pre_template.mol", "report.json"]
+        assert (tmp_path / "pre_template.mol").read_bytes() == b"sentinel\n"
+        assert not os.listdir(tmp_path / "report.json")
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.data"
@@ -464,6 +478,11 @@ class TestLibraryEntryPoint:
             "pre_template.mol", "post_template.mol", "reaction_map.txt",
             "report.txt", "report.json",
         }
+
+    def test_run_stages_unknown_stage(self):
+        cfg = RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS)
+        with pytest.raises(UnknownStage, match="'graphs', 'report', 'templates'"):
+            run_stages(cfg, through="template")
 
 
 class Count(enum.IntEnum):

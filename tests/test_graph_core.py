@@ -122,6 +122,13 @@ class TestBuildUnifiedGraph:
         assert len(graph.nodes) == sum(len(t.atoms) for t in topologies)
         assert len(graph.edges) == sum(len(t.bonds) for t in topologies)
 
+    def test_keeps_topologies_in_component_order(self):
+        topologies = [path_topology(3), h2_topology(), path_topology(5)]
+        graph = build_unified_graph(topologies, "reactant")
+        assert len(graph.topologies) == 3
+        assert all(kept is given for kept, given in zip(graph.topologies, topologies))
+        assert [len(graph.components[c]) for c in (1, 2, 3)] == [3, 2, 5]
+
     def test_gap_ids_renumbered_by_rank(self):
         topology = make_topology([(2, 1, 0.0), (9, 1, 0.0)], [(2, 9)], C_MASS)
         graph = build_unified_graph([topology], "reactant")

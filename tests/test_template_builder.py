@@ -102,17 +102,17 @@ class TestCarryFeatures:
     def test_full_molecule_keeps_everything(self):
         interactions = [(1, (1, 2)), (2, (2, 3))]
         index = {1: 1, 2: 2, 3: 3}
-        assert carry_features({1, 2, 3}, interactions, index) == interactions
+        assert carry_features(interactions, index) == interactions
 
     def test_partial_atom_drops_interaction(self):
         interactions = [(1, (1, 2, 3)), (2, (2, 3, 4))]
         index = {1: 1, 2: 2, 3: 3}
-        assert carry_features({1, 2, 3}, interactions, index) == [(1, (1, 2, 3))]
+        assert carry_features(interactions, index) == [(1, (1, 2, 3))]
 
     def test_renumbering(self):
         interactions = [(7, (4, 6))]
         index = {4: 1, 6: 2}
-        assert carry_features({4, 6}, interactions, index) == [(7, (1, 2))]
+        assert carry_features(interactions, index) == [(7, (1, 2))]
 
 
 def small_reaction():
@@ -130,16 +130,14 @@ def small_reaction():
     for r, p in ((1, 1), (2, 2), (3, 3), (4, 4)):
         mapping.add(r, p, "conserved-1")
     report = build_report(mapping, g_reac, g_prod)
-    return g_reac, g_prod, [ab, cd], [product], mapping, report
+    return g_reac, g_prod, mapping, report
 
 
 class TestAssembleTemplates:
     def test_small_reaction_round_trip(self):
-        g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
+        g_reac, g_prod, mapping, report = small_reaction()
         pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
-        templates = assemble_templates(
-            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos
-        )
+        templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
         assert templates.pre.atom_count == 4
         assert templates.post.atom_count == 4
         assert templates.equivalences == [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -150,21 +148,16 @@ class TestAssembleTemplates:
         map_file.validate()
 
     def test_charges_and_coordinates_copied_verbatim(self):
-        g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
+        g_reac, g_prod, mapping, report = small_reaction()
         pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
-        templates = assemble_templates(
-            mapping, report, pre_set, post_set, g_reac, g_prod, reac_topos, prod_topos
-        )
+        templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
         assert [a.charge for a in templates.pre.atoms] == [0.1, -0.1, 0.2, -0.2]
         assert templates.pre.atoms[0].x == 1.0
 
     def test_inconsistent_pruning_detected(self):
-        g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
+        g_reac, g_prod, mapping, report = small_reaction()
         with pytest.raises(InconsistentPruning):
-            assemble_templates(
-                mapping, report, {1, 2}, {1, 2, 3, 4}, g_reac, g_prod,
-                reac_topos, prod_topos,
-            )
+            assemble_templates(mapping, report, {1, 2}, {1, 2, 3, 4}, g_reac, g_prod)
 
     def test_splice_consistency_property(self, case_states):
         for state in case_states.values():
@@ -400,25 +393,21 @@ class TestEdgeAtomRule:
 
     def test_bond_change_on_the_edge(self):
         # B (molecule 1, atom 2) bonds to C and keeps its neighbour A outside.
-        g_reac, g_prod, reac_topos, prod_topos, mapping, report = small_reaction()
+        g_reac, g_prod, mapping, report = small_reaction()
         with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.2 "):
-            assemble_templates(
-                mapping, report, {2, 3}, {2, 3}, g_reac, g_prod, reac_topos, prod_topos
-            )
+            assemble_templates(mapping, report, {2, 3}, {2, 3}, g_reac, g_prod)
 
     def test_deleted_atom_on_the_edge(self):
         # A is deleted and a new atom takes its place; a template of A alone
         # leaves A's bond to B outside.
-        g_reac, g_prod, reac_topos, prod_topos, _, _ = small_reaction()
+        g_reac, g_prod, _, _ = small_reaction()
         mapping = AtomMapping()
         for r, p in ((2, 2), (3, 3), (4, 4)):
             mapping.add(r, p, "conserved-1")
         report = build_report(mapping, g_reac, g_prod)
         assert report.deleted == {1} and report.created == {1}
         with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.1 "):
-            assemble_templates(
-                mapping, report, {1}, {1}, g_reac, g_prod, reac_topos, prod_topos
-            )
+            assemble_templates(mapping, report, {1}, {1}, g_reac, g_prod)
 
 
 def read_topologies(paths):
