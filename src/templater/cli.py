@@ -153,22 +153,32 @@ class RunConfig:
 
 @dataclass
 class PipelineState:
-    """In-memory artifacts of one pipeline run."""
+    """In-memory artifacts of one pipeline run; the graphs are the mapping's."""
 
-    g_reac: UnifiedGraph
-    g_prod: UnifiedGraph
     mapping: AtomMapping
     similarity: SimilarityMatrix | None = None
     report: ReactionReport | None = None
     templates: ReactionTemplates | None = None
     written: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def g_reac(self) -> UnifiedGraph:
+        return self.mapping.g_reac
+
+    @property
+    def g_prod(self) -> UnifiedGraph:
+        return self.mapping.g_prod
+
 
 def _read_topologies(paths: list[str]) -> list[SystemTopology]:
     topologies = []
     for path in paths:
-        with open(path, "r", encoding="ascii") as handle:
-            topologies.append(parse_data_file(handle.read()))
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise errors.ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+        topologies.append(parse_data_file(text))
     return topologies
 
 
@@ -186,7 +196,7 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
         "unified graphs: %d reactant nodes, %d product nodes",
         len(g_reac.nodes), len(g_prod.nodes),
     )
-    state = PipelineState(g_reac=g_reac, g_prod=g_prod, mapping=AtomMapping())
+    state = PipelineState(AtomMapping(g_reac, g_prod))
     if through == "graphs":
         return state
 
@@ -203,23 +213,17 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
         len(mapping.pairs), cfg.iterations, mapping.search_expansions,
     )
 
-    mapping, similarity = assign_similarity(mapping, g_reac, g_prod, cfg.weights)
-    logger.info("similarity assignment: %d pairs total", len(mapping.pairs))
-    state.mapping = mapping
-    state.similarity = similarity
+    state.mapping, state.similarity = assign_similarity(mapping, cfg.weights)
+    logger.info("similarity assignment: %d pairs total", len(state.mapping.pairs))
 
-    state.report = build_report(mapping, g_reac, g_prod)
+    state.report = build_report(state.mapping)
     logger.info(
         "initiators: %s; created %d, deleted %d",
         state.report.initiators, len(state.report.created), len(state.report.deleted),
     )
     if through == "templates":
-        pre_set, post_set = prune_reaction(
-            mapping, state.report, g_reac, g_prod, cfg.cutoff
-        )
-        state.templates = assemble_templates(
-            mapping, state.report, pre_set, post_set, g_reac, g_prod
-        )
+        pre_set, post_set = prune_reaction(state.report, cfg.cutoff)
+        state.templates = assemble_templates(state.report, pre_set, post_set)
         logger.info(
             "templates: %d pre atoms, %d post atoms (cutoff %d)",
             state.templates.pre.atom_count,
@@ -229,23 +233,21 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
     return state
 
 
-def _mapping_roles(state: PipelineState) -> tuple[dict[int, str], dict[int, str]]:
-    mapping = state.mapping
-    report = state.report
+def _mapping_roles(report: ReactionReport) -> tuple[dict[int, str], dict[int, str]]:
+    mapping = report.mapping
     reactant_roles: dict[int, str] = {}
     product_roles: dict[int, str] = {}
     for r_gid, p_gid in mapping.pairs.items():
         role = "conserved" if mapping.is_conserved(r_gid) else mapping.provenance[r_gid]
         reactant_roles[r_gid] = role
         product_roles[p_gid] = role
-    if report is not None:
-        for gid in report.deleted:
-            reactant_roles[gid] = "deleted"
-        for gid in report.created:
-            product_roles[gid] = "created"
-        for gid in report.initiators:
-            reactant_roles[gid] = "initiator"
-            product_roles[mapping.pairs[gid]] = "initiator"
+    for gid in report.deleted:
+        reactant_roles[gid] = "deleted"
+    for gid in report.created:
+        product_roles[gid] = "created"
+    for gid in report.initiators:
+        reactant_roles[gid] = "initiator"
+        product_roles[mapping.pairs[gid]] = "initiator"
     return reactant_roles, product_roles
 
 
@@ -259,7 +261,7 @@ def export_dot(cfg: RunConfig, stage: str, state: PipelineState | None = None) -
         return {"reactants.dot": dot_export(state.g_reac, name="reactants")}
     if stage == "products":
         return {"products.dot": dot_export(state.g_prod, name="products")}
-    reactant_roles, product_roles = _mapping_roles(state)
+    reactant_roles, product_roles = _mapping_roles(state.report)
     return {
         "mapped_reactants.dot": dot_export(state.g_reac, reactant_roles, "reactants"),
         "mapped_products.dot": dot_export(state.g_prod, product_roles, "products"),
@@ -300,7 +302,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
     """Full pipeline run: map, analyze, build templates, write artifacts."""
     state = run_stages(cfg)
     templates = state.templates
-    payload = report_to_dict(state.report, state.mapping, state.g_reac, state.g_prod)
+    payload = report_to_dict(state.report)
     contents = {
         "pre_template.mol": write_molecule_template(templates.pre, "pre-reaction template"),
         "post_template.mol": write_molecule_template(templates.post, "post-reaction template"),
@@ -431,7 +433,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     file_values = {}
     if args.config:
-        with open(args.config, "r", encoding="ascii") as handle:
+        with open(args.config, "r", encoding="utf-8") as handle:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")

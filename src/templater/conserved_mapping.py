@@ -42,8 +42,13 @@ def conserved_tag(iteration: int) -> str:
 
 @dataclass
 class AtomMapping:
-    """Evolving injection from reactant global ids to product global ids."""
+    """Evolving injection from ``g_reac`` global ids to ``g_prod`` global ids.
 
+    The graphs take no part in ``==`` or ``repr``.
+    """
+
+    g_reac: UnifiedGraph = field(compare=False, repr=False)
+    g_prod: UnifiedGraph = field(compare=False, repr=False)
     pairs: dict[int, int] = field(default_factory=dict)
     reverse: dict[int, int] = field(default_factory=dict)
     provenance: dict[int, str] = field(default_factory=dict)
@@ -63,19 +68,19 @@ class AtomMapping:
 
     def copy(self) -> "AtomMapping":
         return AtomMapping(
+            self.g_reac,
+            self.g_prod,
             pairs=dict(self.pairs),
             reverse=dict(self.reverse),
             provenance=dict(self.provenance),
             search_expansions=self.search_expansions,
         )
 
-    def unmapped(
-        self, g_reac: UnifiedGraph, g_prod: UnifiedGraph
-    ) -> tuple[set[int], set[int]]:
+    def unmapped(self) -> tuple[set[int], set[int]]:
         """(reactant nodes without an image, product nodes without a preimage)."""
         return (
-            {g for g in g_reac.nodes if g not in self.pairs},
-            {g for g in g_prod.nodes if g not in self.reverse},
+            {g for g in self.g_reac.nodes if g not in self.pairs},
+            {g for g in self.g_prod.nodes if g not in self.reverse},
         )
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
@@ -269,7 +274,7 @@ def iterate_conserved(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    mapping = AtomMapping()
+    mapping = AtomMapping(g_reac, g_prod)
     for iteration in range(1, iterations + 1):
         # Candidates must keep reactant edges toward already-mapped nodes
         # preserved, so accumulated conserved pairs stay edge-consistent.

@@ -9,8 +9,9 @@ Three formats are handled:
   plus interaction sections, as consumed by the REACTION machinery.
 * reaction map files (write): equivalences, initiator/edge/delete/create ids.
 
-All text is plain ASCII with ``\\n`` newlines.  Serialization is
-deterministic: identical inputs produce byte-identical output.
+Input text is ASCII outside comments and the title line; output is plain
+ASCII with ``\\n`` newlines.  Serialization is deterministic: identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -174,13 +175,19 @@ def _split_sections(text: str, known: frozenset[str]) -> list[tuple[str, int, li
     The leading block (before the first section) is returned under the name
     ``""``.  Section names are matched case-sensitively against ``known``;
     anything else that looks like a section header raises UnknownSection.
+    Outside comments and the title line only ASCII is allowed, or ``int``
+    would read a full-width digit; ASCII files skip the per-line test.
     """
     body: list[tuple[int, str]] = []
     sections = [("", 0, body)]
     in_header = True
+    ascii_text = text.isascii()
     # The first line of the file is a comment by convention.
     for line_no, raw in enumerate(text.split("\n")[1:], start=2):
-        stripped = raw.partition("#")[0].strip()
+        content = raw.partition("#")[0]
+        if not ascii_text and not content.isascii():
+            raise MalformedLine(f"non-ASCII character in {content.strip()!r}", line_no)
+        stripped = content.strip()
         if not stripped:
             continue
         if stripped in known:

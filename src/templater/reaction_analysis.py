@@ -28,12 +28,7 @@ CREATED_MARK = "created"
 CENTRALITY_DELTA_DECIMALS = 9
 
 
-def bond_delta(
-    pair: tuple[int, int],
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-) -> frozenset:
+def bond_delta(pair: tuple[int, int], mapping: AtomMapping) -> frozenset:
     """Symmetric difference between reactant and pulled-back product neighbors.
 
     Product neighbors are translated through the inverse mapping; neighbors
@@ -41,10 +36,10 @@ def bond_delta(
     """
     r_gid, p_gid = pair
     pulled = set()
-    for nbr in g_prod.neighbors(p_gid):
+    for nbr in mapping.g_prod.neighbors(p_gid):
         pre = mapping.reverse.get(nbr)
         pulled.add(pre if pre is not None else (CREATED_MARK, nbr))
-    return frozenset(pulled ^ set(g_reac.neighbors(r_gid)))
+    return frozenset(pulled ^ set(mapping.g_reac.neighbors(r_gid)))
 
 
 def centrality_delta(
@@ -61,10 +56,7 @@ def centrality_delta(
 
 
 def select_initiators(
-    bond_deltas: dict[int, frozenset],
-    centrality_deltas: dict[int, float],
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
+    bond_deltas: dict[int, frozenset], centrality_deltas: dict[int, float], mapping: AtomMapping
 ) -> tuple[int, int]:
     """Pick one reactant-side initiator per reacting molecule.
 
@@ -79,7 +71,7 @@ def select_initiators(
     by_component: dict[int, list[int]] = {}
     for r_gid in sorted(mapping.pairs):
         if bond_deltas.get(r_gid):
-            by_component.setdefault(g_reac.nodes[r_gid].component, []).append(r_gid)
+            by_component.setdefault(mapping.g_reac.nodes[r_gid].component, []).append(r_gid)
     if not by_component:
         raise NoReactionDetected("all bond deltas are empty")
     if len(by_component) != 2:
@@ -101,8 +93,9 @@ def select_initiators(
 
 @dataclass
 class ReactionReport:
-    """Reaction-initiating atoms plus per-node change diagnostics."""
+    """Reaction-initiating atoms plus per-node change diagnostics of ``mapping``."""
 
+    mapping: AtomMapping
     initiators: tuple[int, int]
     created: set[int]
     deleted: set[int]
@@ -110,18 +103,17 @@ class ReactionReport:
     centrality_deltas: dict[int, float] = field(default_factory=dict)
 
 
-def build_report(
-    mapping: AtomMapping, g_reac: UnifiedGraph, g_prod: UnifiedGraph
-) -> ReactionReport:
+def build_report(mapping: AtomMapping) -> ReactionReport:
     """Compute all per-pair deltas, classify atoms and select initiators."""
     bond_deltas = {}
     centrality_deltas = {}
-    for r_gid, p_gid in mapping.sorted_pairs():
-        bond_deltas[r_gid] = bond_delta((r_gid, p_gid), mapping, g_reac, g_prod)
-        centrality_deltas[r_gid] = centrality_delta((r_gid, p_gid), g_reac, g_prod)
-    deleted, created = mapping.unmapped(g_reac, g_prod)
-    initiators = select_initiators(bond_deltas, centrality_deltas, mapping, g_reac)
+    for pair in mapping.sorted_pairs():
+        bond_deltas[pair[0]] = bond_delta(pair, mapping)
+        centrality_deltas[pair[0]] = centrality_delta(pair, mapping.g_reac, mapping.g_prod)
+    deleted, created = mapping.unmapped()
+    initiators = select_initiators(bond_deltas, centrality_deltas, mapping)
     return ReactionReport(
+        mapping=mapping,
         initiators=initiators,
         created=created,
         deleted=deleted,
@@ -143,13 +135,10 @@ def _node_ref(graph: UnifiedGraph, gid: int) -> dict:
     return {"global_id": gid, "molecule": node.component, "atom": node.source_id}
 
 
-def report_to_dict(
-    report: ReactionReport,
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-) -> dict:
+def report_to_dict(report: ReactionReport) -> dict:
     """Machine-readable report; schema documented in the README."""
+    mapping = report.mapping
+    g_reac, g_prod = mapping.g_reac, mapping.g_prod
     pairs = []
     for r_gid, p_gid in mapping.sorted_pairs():
         pairs.append(

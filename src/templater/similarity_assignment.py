@@ -277,12 +277,7 @@ def _best_pair(matrix: SimilarityMatrix, accept: np.ndarray | None = None) -> tu
 
 
 def _anchored_pair(
-    matrix: SimilarityMatrix,
-    bonus: float,
-    mapping: AtomMapping,
-    free_rows: set[int],
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
+    matrix: SimilarityMatrix, bonus: float, mapping: AtomMapping, free_rows: set[int]
 ) -> tuple[int, int] | None:
     """The pair one anchored round accepts, or None.
 
@@ -301,11 +296,11 @@ def _anchored_pair(
     """
     counts: dict[int, dict[int, int]] = {}
     for r in sorted(free_rows):
-        images = [mapping.pairs[x] for x in g_reac.neighbors(r) if x in mapping.pairs]
+        images = [mapping.pairs[x] for x in mapping.g_reac.neighbors(r) if x in mapping.pairs]
         if images:
             row = counts[r] = {}
             for image in images:
-                for q in g_prod.neighbors(image):
+                for q in mapping.g_prod.neighbors(image):
                     if q not in mapping.reverse:
                         row[q] = row.get(q, 0) + 1
     rows = list(counts)
@@ -318,10 +313,7 @@ def _anchored_pair(
 
 
 def assign_similarity(
-    mapping: AtomMapping,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    weights: ScoringWeights = ScoringWeights(),
+    mapping: AtomMapping, weights: ScoringWeights = ScoringWeights()
 ) -> tuple[AtomMapping, SimilarityMatrix | None]:
     """Extend a conserved mapping over the unmapped remainder.
 
@@ -335,16 +327,16 @@ def assign_similarity(
     paths and interchangeable hydrogens.
     """
     result = mapping.copy()
-    rows, cols = result.unmapped(g_reac, g_prod)
+    rows, cols = result.unmapped()
     if not rows or not cols:
         return result, None
-    matrix = build_similarity_matrix(g_reac, g_prod, rows, cols, weights)
+    matrix = build_similarity_matrix(result.g_reac, result.g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
     bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0
     rounds = anchored = seeds = 0
     while rows and cols:
         rounds += 1
-        pair = _anchored_pair(matrix, bonus, result, rows, g_reac, g_prod)
+        pair = _anchored_pair(matrix, bonus, result, rows)
         if pair is not None:
             anchored += 1
             result.add(*pair, ANCHORED)

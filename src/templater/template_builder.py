@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from templater.conserved_mapping import AtomMapping
 from templater.errors import InconsistentPruning
 from templater.graph_core import UnifiedGraph
 from templater.lammps_io import (
@@ -117,7 +116,7 @@ def _side_template(
     return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 
-def reaction_site_nodes(mapping: AtomMapping, report: ReactionReport) -> set[int]:
+def reaction_site_nodes(report: ReactionReport) -> set[int]:
     """Reactant-side nodes the cutoff is measured from.
 
     Everything mapped outside the conserved regions belongs to the reaction
@@ -126,17 +125,14 @@ def reaction_site_nodes(mapping: AtomMapping, report: ReactionReport) -> set[int
     conserved atom may change it; ``assemble_templates`` rejects a template
     that leaves such an atom on its edge.
     """
+    mapping = report.mapping
     sites = {r for r in mapping.pairs if not mapping.is_conserved(r)}
     sites.update(report.initiators)
     return sites
 
 
 def prune_reaction(
-    mapping: AtomMapping,
-    report: ReactionReport,
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
-    cutoff: int = DEFAULT_CUTOFF,
+    report: ReactionReport, cutoff: int = DEFAULT_CUTOFF
 ) -> tuple[set[int], set[int]]:
     """Compute mutually consistent pre/post template node sets.
 
@@ -144,14 +140,15 @@ def prune_reaction(
     bonding and the created/deleted sets are always kept.  The union closure
     through the mapping guarantees splice consistency.
     """
-    pre_sites = reaction_site_nodes(mapping, report)
+    mapping = report.mapping
+    pre_sites = reaction_site_nodes(report)
     post_sites = {mapping.pairs[r] for r in pre_sites}
     changed = {r for r, delta in report.bond_deltas.items() if delta}
     pre_always = set(report.deleted) | changed
     post_always = set(report.created) | {mapping.pairs[r] for r in changed}
 
-    pre_set = prune_to_cutoff(g_reac, pre_sites, cutoff, pre_always)
-    post_set = prune_to_cutoff(g_prod, post_sites, cutoff, post_always)
+    pre_set = prune_to_cutoff(mapping.g_reac, pre_sites, cutoff, pre_always)
+    post_set = prune_to_cutoff(mapping.g_prod, post_sites, cutoff, post_always)
 
     post_set |= {mapping.pairs[r] for r in pre_set if r in mapping.pairs}
     pre_set |= {mapping.reverse[p] for p in post_set if p in mapping.reverse}
@@ -159,12 +156,7 @@ def prune_reaction(
 
 
 def assemble_templates(
-    mapping: AtomMapping,
-    report: ReactionReport,
-    pre_pruned: set[int],
-    post_pruned: set[int],
-    g_reac: UnifiedGraph,
-    g_prod: UnifiedGraph,
+    report: ReactionReport, pre_pruned: set[int], post_pruned: set[int]
 ) -> ReactionTemplates:
     """Renumber the pruned sets and assemble both templates plus the map.
 
@@ -172,6 +164,8 @@ def assemble_templates(
     change, so such an atom, a deleted one included, raises
     ``InconsistentPruning`` naming the smallest as ``molecule.atom``.
     """
+    mapping = report.mapping
+    g_reac, g_prod = mapping.g_reac, mapping.g_prod
     image = {mapping.pairs[r] for r in pre_pruned if r in mapping.pairs}
     if image != post_pruned - set(report.created):
         raise InconsistentPruning(

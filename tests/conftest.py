@@ -123,6 +123,89 @@ def ua_dimerization(n, rng):
     )
 
 
+def ring_opening(tail, rng, retype_radius=None):
+    """A diepoxide and a primary amine joined by opening one epoxide ring,
+    with the atom ids of each molecule shuffled by rng.
+
+    The diepoxide is a C(CH3)2 core carrying two arms CH2-CH-CH2, each with
+    a ring O bonded to the CH and the end CH2, as in a glycidyl group: an
+    odd (three-membered) ring.  The amine is CH3(CH2)(tail-1)NH2.  In the
+    one product molecule the N bonds arm 0's ring CH2, that CH2 leaves the
+    ring O, and one N-H hydrogen moves to the O: two bonds broken, two
+    formed.  The opened ring's carbons take the sp3 type, its O the hydroxyl
+    type and the moved H the hydroxyl H type.  With ``retype_radius`` R
+    every product c3 or hc atom fewer than R bonds from the N or that CH2
+    takes a same-mass retyped copy of its type.  The radius changes types
+    only, so rng yields the same atom orders either way.
+    """
+    c3, cx, hc, oe, n3, hn, oh, ho, c3x, hcx = range(1, 11)
+    masses = {c3: 12.011, cx: 12.011, hc: 1.008, oe: 15.999, n3: 14.007,
+              hn: 1.008, oh: 15.999, ho: 1.008, c3x: 12.011, hcx: 1.008}
+    types: list[int] = []
+    bonds: list[tuple[int, int]] = []
+
+    def atom(type_id, *bonded):
+        types.append(type_id)
+        bonds.extend((b, len(types) - 1) for b in bonded)
+        return len(types) - 1
+
+    def carbon(type_id, hydrogens, *bonded):
+        c = atom(type_id, *bonded)
+        for _ in range(hydrogens):
+            atom(hc, c)
+        return c
+
+    core = carbon(c3, 0)
+    for _ in range(2):
+        carbon(c3, 3, core)
+    arms = []
+    for _ in range(2):
+        ch2 = carbon(c3, 2, core)
+        ch = carbon(cx, 1, ch2)
+        end = carbon(cx, 2, ch)
+        arms.append((ch, end, atom(oe, ch, end)))
+    epoxide_atoms = len(types)
+    previous = carbon(c3, 3)
+    for _ in range(tail - 1):
+        previous = carbon(c3, 2, previous)
+    n = atom(n3, previous)
+    moved = atom(hn, n)
+    atom(hn, n)
+
+    def molecule(indices):
+        ids = list(range(1, len(indices) + 1))
+        rng.shuffle(ids)
+        ids = dict(zip(indices, ids))
+        atoms = sorted((ids[i], types[i], 0.0) for i in indices)
+        return make_topology(atoms, [(ids[a], ids[b]) for a, b in bonds if a in ids], masses)
+
+    reactants = [molecule(range(epoxide_atoms)), molecule(range(epoxide_atoms, len(types)))]
+    ch, end, oxygen = arms[0]
+    bonds.remove((end, oxygen))
+    bonds.remove((n, moved))
+    bonds.extend([(n, end), (oxygen, moved)])
+    types[ch] = types[end] = c3
+    types[oxygen], types[moved] = oh, ho
+    if retype_radius is not None:
+        neighbours = {i: [] for i in range(len(types))}
+        for a, b in bonds:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        hops = {n: 0, end: 0}
+        queue = [n, end]
+        for i in queue:
+            for j in neighbours[i]:
+                if j not in hops:
+                    hops[j] = hops[i] + 1
+                    queue.append(j)
+        retyped = {c3: c3x, hc: hcx}
+        types = [retyped.get(t, t) if hops[i] < retype_radius else t for i, t in enumerate(types)]
+    return (
+        build_unified_graph(reactants, "reactant"),
+        build_unified_graph([molecule(range(len(types)))], "product"),
+    )
+
+
 def bond_edits(mapping, g_reac, g_prod) -> tuple[int, int]:
     """(broken, formed) bond counts of an atom map.
 

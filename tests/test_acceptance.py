@@ -350,16 +350,16 @@ class TestCriterion8EndToEndConservation:
             from templater.template_builder import assemble_templates, prune_reaction
 
             mapping = iterate_conserved(g_reac, g_prod)
-            mapping, _ = assign_similarity(mapping, g_reac, g_prod)
+            mapping, _ = assign_similarity(mapping)
             validate_mapping(mapping, g_reac, g_prod)
-            report = build_report(mapping, g_reac, g_prod)
+            report = build_report(mapping)
 
             assert len(g_reac.nodes) - len(report.deleted) == len(mapping.pairs)
             assert len(g_prod.nodes) - len(report.created) == len(mapping.pairs)
             assert set(report.initiators) == set(endpoints)
 
-            pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod)
-            templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
+            pre_set, post_set = prune_reaction(report)
+            templates = assemble_templates(report, pre_set, post_set)
             mapped_image = {
                 mapping.pairs[r] for r in templates.pre_index_of if r in mapping.pairs
             }

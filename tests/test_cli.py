@@ -327,6 +327,79 @@ class TestRunCommand:
         assert not out_dir.exists()
 
 
+CHAIN_REACTANTS, CHAIN_PRODUCTS = CASE_STUDIES["chain"]
+BUTENE_TITLE = b"# chain addition: butene"
+BUTENE_ATOM_1 = b"1 1 1 -0.200000 1.540000 0.500000 0.350000"
+
+
+class TestInputEncoding:
+    """Data and config files are read as UTF-8.  A data file may hold other
+    characters than ASCII in its title line and in comments only."""
+
+    @staticmethod
+    def butene(path, *replacements):
+        with open(CHAIN_REACTANTS[0], "rb") as handle:
+            data = handle.read()
+        for old, new in replacements:
+            assert old in data
+            data = data.replace(old, new)
+        path.write_bytes(data)
+        return str(path)
+
+    @staticmethod
+    def chain_args(reactant, out_dir):
+        return [
+            "run", "--reactants", reactant, reactant, "--products", *CHAIN_PRODUCTS,
+            "--out", str(out_dir), "--export-dot", "--export-similarity-csv",
+        ]
+
+    def test_title_and_comment_ignored(self, tmp_path):
+        plain = self.butene(tmp_path / "plain.data")
+        accented = self.butene(
+            tmp_path / "accented.data",
+            (BUTENE_TITLE, "# chain addition: butene, \u00c5ngstr\u00f6m units".encode()),
+            (b"Atoms # full", "Atoms # full, positions in \u00c5".encode()),
+        )
+        assert main(self.chain_args(plain, tmp_path / "plain")) == 0
+        assert main(self.chain_args(accented, tmp_path / "accented")) == 0
+        assert read_outputs(tmp_path / "accented") == read_outputs(tmp_path / "plain")
+
+    def test_full_width_digit_names_the_line(self, tmp_path, capsys):
+        # int() reads U+FF11 as 1, so without the check this row would parse.
+        with open(CHAIN_REACTANTS[0], "rb") as handle:
+            line_no = handle.read().split(b"\n").index(BUTENE_ATOM_1) + 1
+        bad = self.butene(
+            tmp_path / "bad.data", (BUTENE_ATOM_1, "\uff11".encode() + BUTENE_ATOM_1[1:])
+        )
+        out_dir = tmp_path / "out"
+        assert main(self.chain_args(bad, out_dir)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedLine: line {line_no}: non-ASCII character")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_latin_1_byte_is_a_parse_error(self, tmp_path, capsys):
+        bad = self.butene(
+            tmp_path / "latin1.data", (BUTENE_TITLE, "# butene, \u00c5".encode("latin-1"))
+        )
+        assert main(self.chain_args(bad, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {bad} is not UTF-8 text")
+        assert err.count("\n") == 1
+
+    def test_utf_8_config_names_non_ascii_path(self, tmp_path):
+        reactant = self.butene(tmp_path / "b\u00fctene.data")
+        config = {
+            "reactants": [reactant, reactant],
+            "products": CHAIN_PRODUCTS,
+            "out_dir": str(tmp_path / "out"),
+        }
+        config_path = tmp_path / "cfg.json"
+        config_path.write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         outputs = []
@@ -541,7 +614,7 @@ class TestReportJsonWriter:
 
     def test_case_study_payloads(self, case_states):
         for name, state in case_states.items():
-            payload = report_to_dict(state.report, state.mapping, state.g_reac, state.g_prod)
+            payload = report_to_dict(state.report)
             assert _json_text(payload) == reference_json(payload), name
 
 

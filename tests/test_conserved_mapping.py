@@ -373,7 +373,7 @@ class TestIterateConserved:
         assert len(one.pairs) == 2
         two = iterate_conserved(g_reac, g_prod, iterations=2)
         assert len(two.pairs) == 4
-        assert two.unmapped(g_reac, g_prod)[0] == {3}
+        assert two.unmapped()[0] == {3}
         assert {two.provenance[r] for r in (1, 2)} == {"conserved-1"}
         assert {two.provenance[r] for r in (4, 5)} == {"conserved-2"}
 
@@ -382,7 +382,7 @@ class TestIterateConserved:
         g2 = make_graph([(1, 2, 0.0)], [], {2: O}, "product")
         mapping = iterate_conserved(g1, g2)
         assert mapping.pairs == {}
-        assert mapping.unmapped(g1, g2)[0] == {1}
+        assert mapping.unmapped()[0] == {1}
 
     def test_monotone_residual(self):
         rng = random.Random(7)
@@ -393,7 +393,7 @@ class TestIterateConserved:
             previous = None
             for iterations in (1, 2, 3):
                 mapping = iterate_conserved(g_reac, g_prod, iterations=iterations)
-                residual = len(mapping.unmapped(g_reac, g_prod)[0])
+                residual = len(mapping.unmapped()[0])
                 if previous is not None:
                     assert residual <= previous
                 previous = residual
@@ -424,7 +424,7 @@ class TestValidator:
     def test_detects_attribute_violation(self):
         g1 = make_graph([(1, 1, 0.0)], [], {1: C}, "reactant")
         g2 = make_graph([(1, 2, 0.0)], [], {2: O}, "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g1, g2)
         mapping.add(1, 1, "conserved-1")
         with pytest.raises(ValidationError):
             validate_mapping(mapping, g1, g2)
@@ -432,14 +432,37 @@ class TestValidator:
     def test_detects_edge_violation(self):
         g1 = make_graph([(1, 1, 0.0), (2, 1, 0.0)], [(1, 2)], {1: C}, "reactant")
         g2 = make_graph([(1, 1, 0.0), (2, 1, 0.0)], [], {1: C}, "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g1, g2)
         mapping.add(1, 1, "conserved-1")
         mapping.add(2, 2, "conserved-1")
         with pytest.raises(ValidationError):
             validate_mapping(mapping, g1, g2)
 
     def test_injection_enforced_on_add(self):
-        mapping = AtomMapping()
+        g1 = make_graph([(1, 1, 0.0), (2, 1, 0.0)], [], {1: C}, "reactant")
+        g2 = make_graph([(1, 1, 0.0)], [], {1: C}, "product")
+        mapping = AtomMapping(g1, g2)
         mapping.add(1, 1, "similarity")
         with pytest.raises(ValidationError):
             mapping.add(2, 1, "similarity")
+
+
+class TestMappingCarriesGraphs:
+    """A mapping relates the two graphs it carries; later stages read them there."""
+
+    def test_copy_keeps_graphs(self):
+        g_reac, g_prod = split_reaction_graphs()
+        mapping = iterate_conserved(g_reac, g_prod)
+        assert mapping.g_reac is g_reac and mapping.g_prod is g_prod
+        copied = mapping.copy()
+        assert copied.g_reac is g_reac and copied.g_prod is g_prod
+        assert copied == mapping
+        assert copied.unmapped() == mapping.unmapped() == ({3}, {3})
+
+    def test_graphs_take_no_part_in_equality(self):
+        one = iterate_conserved(*split_reaction_graphs())
+        other = iterate_conserved(*split_reaction_graphs())
+        assert one.g_reac is not other.g_reac
+        assert one == other
+        assert repr(one) == repr(other)
+        assert "g_reac" not in repr(one)

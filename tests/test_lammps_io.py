@@ -288,6 +288,19 @@ class TestMoleculeTemplate:
         with pytest.raises(ValidationError, match=f"^{noun} references atom index 2 outside 1..1$"):
             write_molecule_template(template)
 
+    def test_non_ascii_only_in_comments_and_title(self):
+        template = MoleculeTemplateFile(
+            atoms=[TemplateAtom(1, 0.0, 0.0, 0.0, 0.0), TemplateAtom(1, 0.0, 0.74, 0.0, 0.0)],
+            bonds=[(1, (1, 2))],
+        )
+        text = write_molecule_template(template, "H\u2082 in \u00c5")
+        commented = text.replace("\nCoords\n", "\nCoords # \u00c5ngstr\u00f6m\n")
+        assert parse_molecule_template(commented) == template
+        line_no = text.split("\n").index("Types") + 4
+        full_width = text.replace("\n2 1\n", "\n\uff12 1\n")
+        with pytest.raises(MalformedLine, match=f"^line {line_no}: non-ASCII character"):
+            parse_molecule_template(full_width)
+
     def test_special_bond_counts_rejected(self):
         # Templates never carry this section, so the reader treats it as unknown.
         template = MoleculeTemplateFile(

@@ -29,7 +29,7 @@ def identity_system(n=4):
     bonds = [(i, i + 1) for i in range(1, n)]
     g_reac = make_graph(atoms, bonds, MASSES, "reactant")
     g_prod = make_graph(atoms, bonds, MASSES, "product")
-    mapping = AtomMapping()
+    mapping = AtomMapping(g_reac, g_prod)
     for i in range(1, n + 1):
         mapping.add(i, i, "conserved-1")
     return g_reac, g_prod, mapping
@@ -73,19 +73,19 @@ def methyl_coupling_system():
     g_reac = build_unified_graph([methyl, methyl], "reactant")
     g_prod = build_unified_graph([ethane], "product")
     mapping = iterate_conserved(g_reac, g_prod)
-    mapping, _ = assign_similarity(mapping, g_reac, g_prod)
+    mapping, _ = assign_similarity(mapping)
     return g_reac, g_prod, mapping
 
 
 class TestBondDelta:
     def test_conserved_interior_empty(self):
         g_reac, g_prod, mapping = identity_system()
-        assert bond_delta((2, 2), mapping, g_reac, g_prod) == frozenset()
+        assert bond_delta((2, 2), mapping) == frozenset()
 
     def test_new_bond_detected(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
         carbon_a, carbon_b = 1, 5
-        delta_a = bond_delta((carbon_a, mapping.pairs[carbon_a]), mapping, g_reac, g_prod)
+        delta_a = bond_delta((carbon_a, mapping.pairs[carbon_a]), mapping)
         assert delta_a
         assert carbon_b in delta_a
 
@@ -93,16 +93,16 @@ class TestBondDelta:
         # A-B bond in the reactant, B deleted in the product.
         g_reac = make_graph([(1, 1, 0.0), (2, 2, 0.0)], [(1, 2)], MASSES, "reactant")
         g_prod = make_graph([(1, 1, 0.0)], [], MASSES, "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         mapping.add(1, 1, "conserved-1")
-        assert bond_delta((1, 1), mapping, g_reac, g_prod) == frozenset({2})
+        assert bond_delta((1, 1), mapping) == frozenset({2})
 
     def test_created_neighbor_counts_as_gain(self):
         g_reac = make_graph([(1, 1, 0.0)], [], MASSES, "reactant")
         g_prod = make_graph([(1, 1, 0.0), (2, 3, 0.0)], [(1, 2)], MASSES, "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         mapping.add(1, 1, "conserved-1")
-        assert bond_delta((1, 1), mapping, g_reac, g_prod) == frozenset({("created", 2)})
+        assert bond_delta((1, 1), mapping) == frozenset({("created", 2)})
 
 
 class TestCentralityDelta:
@@ -160,16 +160,16 @@ class TestCentralityTies:
 class TestClassifyCreatedDeleted:
     def test_methyl_coupling_balanced(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        deleted, created = mapping.unmapped(g_reac, g_prod)
+        deleted, created = mapping.unmapped()
         assert created == set()
         assert deleted == set()
 
     def test_counts_follow_unmatched_sets(self):
         g_reac = make_graph([(1, 1, 0.0), (2, 2, 0.0)], [(1, 2)], MASSES, "reactant")
         g_prod = make_graph([(1, 1, 0.0), (2, 4, 0.0)], [(1, 2)], MASSES, "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         mapping.add(1, 1, "conserved-1")
-        deleted, created = mapping.unmapped(g_reac, g_prod)
+        deleted, created = mapping.unmapped()
         assert created == {2}
         assert deleted == {2}
 
@@ -177,13 +177,13 @@ class TestClassifyCreatedDeleted:
 class TestSelectInitiators:
     def test_methyl_coupling_endpoints(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        report = build_report(mapping, g_reac, g_prod)
+        report = build_report(mapping)
         assert set(report.initiators) == {1, 5}
 
     def test_identity_raises_no_reaction(self):
         g_reac, g_prod, mapping = identity_system()
         with pytest.raises(NoReactionDetected):
-            build_report(mapping, g_reac, g_prod)
+            build_report(mapping)
 
     def test_intramolecular_rejected(self):
         # one molecule gaining an internal bond: 4-chain closing into a ring
@@ -191,15 +191,15 @@ class TestSelectInitiators:
         ring = make_topology([(i, 1, 0.0) for i in range(1, 5)], [(1, 2), (2, 3), (3, 4), (4, 1)], MASSES)
         g_reac = build_unified_graph([chain], "reactant")
         g_prod = build_unified_graph([ring], "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         for i in range(1, 5):
             mapping.add(i, i, "similarity")
         with pytest.raises(UnsupportedReaction):
-            build_report(mapping, g_reac, g_prod)
+            build_report(mapping)
 
     def test_initiators_have_nonzero_delta(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        report = build_report(mapping, g_reac, g_prod)
+        report = build_report(mapping)
         for gid in report.initiators:
             assert report.bond_deltas[gid]
 
@@ -213,23 +213,23 @@ class TestSelectInitiators:
         )
         g_reac = build_unified_graph([a, a], "reactant")
         g_prod = build_unified_graph([joined], "product")
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         for r, p in ((1, 1), (2, 2), (3, 3), (4, 4)):
             mapping.add(r, p, "similarity")
-        deltas = {r: bond_delta((r, mapping.pairs[r]), mapping, g_reac, g_prod) for r in mapping.pairs}
+        deltas = {r: bond_delta((r, mapping.pairs[r]), mapping) for r in mapping.pairs}
         centralities = {r: centrality_delta((r, mapping.pairs[r]), g_reac, g_prod) for r in mapping.pairs}
-        initiators = select_initiators(deltas, centralities, mapping, g_reac)
+        initiators = select_initiators(deltas, centralities, mapping)
         assert initiators == (1, 3)
 
 
 class TestReportSerialization:
     def test_text_and_json_forms(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        report = build_report(mapping, g_reac, g_prod)
-        text = report_to_text(report_to_dict(report, mapping, g_reac, g_prod))
+        report = build_report(mapping)
+        text = report_to_text(report_to_dict(report))
         assert "initiators:" in text
         assert "mapped pairs" in text
-        payload = report_to_dict(report, mapping, g_reac, g_prod)
+        payload = report_to_dict(report)
         encoded = json.dumps(payload)
         decoded = json.loads(encoded)
         assert decoded["counts"]["mapped"] == len(mapping.pairs)
@@ -244,9 +244,15 @@ class TestReportSerialization:
         text = report_to_text(payload)
         assert text.encode("ascii") == (tmp_path / "report.txt").read_bytes()
 
+    def test_report_carries_its_mapping(self):
+        g_reac, g_prod, mapping = methyl_coupling_system()
+        report = build_report(mapping)
+        assert report.mapping is mapping
+        assert report_to_dict(report)["counts"]["mapped"] == len(mapping.pairs)
+
     def test_conservation_identity(self):
         g_reac, g_prod, mapping = methyl_coupling_system()
-        report = build_report(mapping, g_reac, g_prod)
+        report = build_report(mapping)
         assert len(g_reac.nodes) - len(report.deleted) == len(mapping.pairs)
         assert len(g_prod.nodes) - len(report.created) == len(mapping.pairs)
 

@@ -16,6 +16,7 @@ from conftest import (
     bond_edits,
     make_graph,
     make_topology,
+    ring_opening,
     ua_dimerization,
 )
 from templater import similarity_assignment
@@ -432,7 +433,7 @@ def mapped_scenario(name, seed):
     conserved mapping and the result."""
     g_reac, g_prod, gid = scenario_graphs(name, random.Random(seed) if seed else None)
     conserved = iterate_conserved(g_reac, g_prod)
-    mapping, _ = assign_similarity(conserved, g_reac, g_prod)
+    mapping, _ = assign_similarity(conserved)
     _, _, expected, edits = SCENARIOS[name]
     assert bond_edits(mapping, g_reac, g_prod) == edits, (name, seed)
     for r, images in expected.items():
@@ -469,7 +470,7 @@ class TestRefineSymmetricPaths:
         for name in SCENARIOS:
             for seed in ORDERS:
                 g_reac, g_prod, conserved, mapping = mapped_scenario(name, seed)
-                rows, cols = conserved.unmapped(g_reac, g_prod)
+                rows, cols = conserved.unmapped()
                 assert len(mapping.pairs) == len(conserved.pairs) + min(len(rows), len(cols))
                 for r, p in conserved.pairs.items():
                     assert mapping.pairs[r] == p
@@ -478,7 +479,7 @@ class TestRefineSymmetricPaths:
     def test_idempotent(self):
         for name in SCENARIOS:
             g_reac, g_prod, _, mapping = mapped_scenario(name, 0)
-            again, matrix = assign_similarity(mapping, g_reac, g_prod)
+            again, matrix = assign_similarity(mapping)
             assert matrix is None
             assert again.pairs == mapping.pairs
             assert again.provenance == mapping.provenance
@@ -488,7 +489,7 @@ class TestRefineSymmetricPaths:
         for g_reac, g_prod in systems:
             conserved = iterate_conserved(g_reac, g_prod)
             before = copy.deepcopy(conserved)
-            mapping, _ = assign_similarity(conserved, g_reac, g_prod)
+            mapping, _ = assign_similarity(conserved)
             assert conserved.pairs == before.pairs
             assert conserved.reverse == before.reverse
             assert conserved.provenance == before.provenance
@@ -508,7 +509,7 @@ class TestSwapHydrogens:
     def test_idempotent(self):
         for seed in ORDERS:
             g_reac, g_prod, _, mapping = mapped_scenario("crosswise-ch2", seed)
-            again, _ = assign_similarity(mapping, g_reac, g_prod)
+            again, _ = assign_similarity(mapping)
             assert again.pairs == mapping.pairs
 
     def test_never_touches_conserved(self):
@@ -520,7 +521,7 @@ class TestSwapHydrogens:
     def test_no_hydrogens_no_op(self):
         g_reac, g_prod, _ = scenario_graphs("no-hydrogens")
         conserved = iterate_conserved(g_reac, g_prod)
-        mapping, matrix = assign_similarity(conserved, g_reac, g_prod)
+        mapping, matrix = assign_similarity(conserved)
         assert matrix is None
         assert mapping.pairs == conserved.pairs == {1: 1, 2: 2}
         for seed in ORDERS:
@@ -531,7 +532,7 @@ class TestAnchoredAssignment:
     def test_logs_rounds_pairs_and_seeds(self, caplog):
         caplog.set_level(logging.INFO, logger="templater")
         g_reac, g_prod, _ = scenario_graphs("para-ring")
-        assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+        assign_similarity(iterate_conserved(g_reac, g_prod))
         assert caplog.messages[-2:] == [
             "similarity matrix: 6 x 6",
             "anchored assignment: 6 round(s), 6 anchored pair(s), 0 seed(s)",
@@ -539,7 +540,7 @@ class TestAnchoredAssignment:
         caplog.clear()
         # Nothing is conserved, so one seed starts each molecule.
         g_reac, g_prod = alkene_dimerization(5, random.Random(0), retype_radius=6)
-        mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
+        mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod))
         assert Counter(mapping.provenance.values()) == {ANCHORED: 28, SIMILARITY: 2}
         assert caplog.messages[-1].endswith(", 28 anchored pair(s), 2 seed(s)")
 
@@ -561,6 +562,25 @@ FAMILIES = {
 }
 
 
+# Measured over 8 atom orders each: tails 1-8 without retyping and 1-5 at
+# R = 3 map with (2, 2) edits; every longer tail tried gives (3, 3).
+RING_OPENING_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="tails of 9 or more carbons without retyping (9-16, 32, 64 tried), and of 6 or "
+    "more at R = 2-3, map with (3, 3) bond edits in 8/8 orders: an anchored round pairs an "
+    "epoxide CH2 carbon with the transferred hydroxyl H, and the initiators become a ring "
+    "carbon and an amine H",
+)
+RING_OPENINGS = [
+    pytest.param(1, None, id="tail-1"),
+    pytest.param(4, None, id="tail-4"),
+    pytest.param(12, None, id="tail-12", marks=RING_OPENING_DEFECT),
+    pytest.param(1, 3, id="tail-1-retyped-3"),
+    pytest.param(4, 3, id="tail-4-retyped-3"),
+    pytest.param(12, 3, id="tail-12-retyped-3", marks=RING_OPENING_DEFECT),
+]
+
+
 def same_mass_outside_conserved(mapping, g_reac, g_prod) -> bool:
     return all(
         g_reac.nodes[r].mass == g_prod.nodes[p].mass
@@ -580,12 +600,31 @@ class TestMinimalMaps:
         for seed in ORDERS:
             rng = random.Random(seed)
             g_reac, g_prod = generator(n, rng) if united_atom else generator(n, rng, radius)
-            mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod), g_reac, g_prod)
-            report = build_report(mapping, g_reac, g_prod)
+            mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod))
+            report = build_report(mapping)
             assert bond_edits(mapping, g_reac, g_prod) == ((0, 1) if united_atom else (0, 3)), seed
             assert set(report.initiators) == alkene_c1(g_reac), seed
             if not united_atom:
                 assert same_mass_outside_conserved(mapping, g_reac, g_prod), seed
+
+    @pytest.mark.parametrize("tail, radius", RING_OPENINGS)
+    def test_ring_opening(self, tail, radius):
+        """An epoxide ring opened by an amine, with H moving from N to O.
+
+        Each molecule has two atoms that change two bonds: the ring O and
+        the ring CH2 it leaves, and the N and the H it gives up.  The
+        paper's rule breaks the tie by the change in centrality, which picks
+        the O (either one, since the arms are symmetric) and the N.  They
+        are not the two atoms that bond, which ``fix bond/react`` allows.
+        """
+        for seed in ORDERS:
+            g_reac, g_prod = ring_opening(tail, random.Random(seed), radius)
+            mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod))
+            report = build_report(mapping)
+            assert bond_edits(mapping, g_reac, g_prod) == (2, 2), seed
+            # The diepoxide's only O atoms are its ring O, the amine's only N its N.
+            assert [g_reac.nodes[g].mass for g in report.initiators] == [15.999, 14.007], seed
+            assert same_mass_outside_conserved(mapping, g_reac, g_prod), seed
 
     def test_case_studies(self, case_states):
         pins = {

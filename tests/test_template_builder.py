@@ -126,18 +126,18 @@ def small_reaction():
     )
     g_reac = build_unified_graph([ab, cd], "reactant")
     g_prod = build_unified_graph([product], "product")
-    mapping = AtomMapping()
+    mapping = AtomMapping(g_reac, g_prod)
     for r, p in ((1, 1), (2, 2), (3, 3), (4, 4)):
         mapping.add(r, p, "conserved-1")
-    report = build_report(mapping, g_reac, g_prod)
+    report = build_report(mapping)
     return g_reac, g_prod, mapping, report
 
 
 class TestAssembleTemplates:
     def test_small_reaction_round_trip(self):
         g_reac, g_prod, mapping, report = small_reaction()
-        pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
-        templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
+        pre_set, post_set = prune_reaction(report, cutoff=4)
+        templates = assemble_templates(report, pre_set, post_set)
         assert templates.pre.atom_count == 4
         assert templates.post.atom_count == 4
         assert templates.equivalences == [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -149,15 +149,15 @@ class TestAssembleTemplates:
 
     def test_charges_and_coordinates_copied_verbatim(self):
         g_reac, g_prod, mapping, report = small_reaction()
-        pre_set, post_set = prune_reaction(mapping, report, g_reac, g_prod, cutoff=4)
-        templates = assemble_templates(mapping, report, pre_set, post_set, g_reac, g_prod)
+        pre_set, post_set = prune_reaction(report, cutoff=4)
+        templates = assemble_templates(report, pre_set, post_set)
         assert [a.charge for a in templates.pre.atoms] == [0.1, -0.1, 0.2, -0.2]
         assert templates.pre.atoms[0].x == 1.0
 
     def test_inconsistent_pruning_detected(self):
         g_reac, g_prod, mapping, report = small_reaction()
         with pytest.raises(InconsistentPruning):
-            assemble_templates(mapping, report, {1, 2}, {1, 2, 3, 4}, g_reac, g_prod)
+            assemble_templates(report, {1, 2}, {1, 2, 3, 4})
 
     def test_splice_consistency_property(self, case_states):
         for state in case_states.values():
@@ -267,8 +267,8 @@ class TestPipelineOnEmittedTemplates:
             g_reac = build_unified_graph(reactant_topos, "reactant")
             g_prod = build_unified_graph([product_topo], "product")
             mapping = iterate_conserved(g_reac, g_prod)
-            mapping, _ = assign_similarity(mapping, g_reac, g_prod)
-            report = build_report(mapping, g_reac, g_prod)
+            mapping, _ = assign_similarity(mapping)
+            report = build_report(mapping)
 
             def to_pre_index(gid):
                 node = g_reac.nodes[gid]
@@ -395,19 +395,19 @@ class TestEdgeAtomRule:
         # B (molecule 1, atom 2) bonds to C and keeps its neighbour A outside.
         g_reac, g_prod, mapping, report = small_reaction()
         with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.2 "):
-            assemble_templates(mapping, report, {2, 3}, {2, 3}, g_reac, g_prod)
+            assemble_templates(report, {2, 3}, {2, 3})
 
     def test_deleted_atom_on_the_edge(self):
         # A is deleted and a new atom takes its place; a template of A alone
         # leaves A's bond to B outside.
         g_reac, g_prod, _, _ = small_reaction()
-        mapping = AtomMapping()
+        mapping = AtomMapping(g_reac, g_prod)
         for r, p in ((2, 2), (3, 3), (4, 4)):
             mapping.add(r, p, "conserved-1")
-        report = build_report(mapping, g_reac, g_prod)
+        report = build_report(mapping)
         assert report.deleted == {1} and report.created == {1}
         with pytest.raises(InconsistentPruning, match=r"^edge atom 1\.1 "):
-            assemble_templates(mapping, report, {1}, {1}, g_reac, g_prod)
+            assemble_templates(report, {1}, {1})
 
 
 def read_topologies(paths):
