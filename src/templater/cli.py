@@ -178,7 +178,12 @@ def _read_topologies(paths: list[str]) -> list[SystemTopology]:
                 text = handle.read()
             except UnicodeDecodeError as exc:
                 raise errors.ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-        topologies.append(parse_data_file(text))
+        try:
+            topologies.append(parse_data_file(text))
+        except errors.ParseError as exc:
+            # Name the file after the message, which may start with its line.
+            exc.args = (f"{exc} (in {path})",)
+            raise
     return topologies
 
 

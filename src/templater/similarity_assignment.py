@@ -13,6 +13,8 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -64,27 +66,63 @@ class SimilarityMatrix:
         return SimilarityMatrix(rows, cols, self.scores[at_rows][:, at_cols])
 
 
+def _node_labels(
+    g_reac: UnifiedGraph, g_prod: UnifiedGraph
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each node's type label and mass label, as ``(max gid + 1, 2)`` arrays
+    indexed by gid, one per side, and the number of labels.
+
+    Type ids and exact masses of both sides share one label index, types
+    first, so a type and a mass that compare equal are still different
+    labels, and two nodes share a label exactly when their type ids (or
+    masses) are equal.
+    """
+    nodes = [*g_reac.nodes.values(), *g_prod.nodes.values()]
+    types = np.fromiter(map(attrgetter("type_id"), nodes), np.int64, len(nodes))
+    masses = np.fromiter(map(attrgetter("mass"), nodes), float, len(nodes))
+    type_values, type_labels = np.unique(types, return_inverse=True)
+    mass_values, mass_labels = np.unique(masses, return_inverse=True)
+    labels = np.stack([type_labels, len(type_values) + mass_labels], axis=1)
+    tables = []
+    for graph, side in zip((g_reac, g_prod), np.split(labels, [len(g_reac.nodes)])):
+        gids = np.fromiter(graph.nodes, np.intp, len(graph.nodes))
+        table = np.zeros((gids.max(initial=0) + 1, 2), dtype=np.intp)
+        table[gids] = side
+        tables.append(table)
+    return tables[0], tables[1], len(type_values) + len(mass_values)
+
+
 def _shell_histograms(
     graph: UnifiedGraph,
     gids: list[int],
     max_depth: int,
-    label_of: dict[int, tuple[int, int]],
+    labels: np.ndarray,
     n_labels: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label counts ``(max_depth, len(gids), n_labels)`` and sizes
-    ``(max_depth, len(gids))`` of the depth 1..max_depth shells of each node."""
-    sizes = np.zeros((max_depth, len(gids)), dtype=np.int64)
-    cells = []
-    for i, gid in enumerate(gids):
-        for k, shell in enumerate(graph.shells(gid)[1 : max_depth + 1]):
-            sizes[k, i] = len(shell)
-            base = (k * len(gids) + i) * n_labels
-            for n in shell:
-                cells.extend(base + label for label in label_of[n])
-    counts = np.bincount(
-        np.array(cells, dtype=np.intp), minlength=max_depth * len(gids) * n_labels
+    """Label counts ``(max_depth, n_labels, len(gids))`` and sizes
+    ``(max_depth, len(gids))`` of the depth 1..max_depth shells of each node.
+
+    The counts are built from the graph's cached shells by one ``bincount``
+    and kept in the smallest unsigned dtype that holds the largest of them.
+    Nodes are the last axis, so a shell overlap sums whole planes.
+    """
+    shells = [graph.shells(gid) for gid in gids]
+    sizes = np.fromiter(
+        (len(node[k]) if k < len(node) else 0 for node in shells for k in range(1, max_depth + 1)),
+        np.intp,
+        len(gids) * max_depth,
     )
-    return counts.reshape(max_depth, len(gids), n_labels), sizes
+    members = np.fromiter(
+        chain.from_iterable(chain.from_iterable(islice(node, 1, max_depth + 1) for node in shells)),
+        np.intp,
+        int(sizes.sum()),
+    )
+    # Label l of shell k of node i is counted at (k * n_labels + l) * len(gids) + i.
+    keys = np.arange(max_depth) * (n_labels * len(gids)) + np.arange(len(gids))[:, None]
+    cells = np.repeat(keys.ravel(), sizes)[:, None] + labels[members] * len(gids)
+    counts = np.bincount(cells.ravel(), minlength=max_depth * n_labels * len(gids))
+    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
+    return counts.reshape(max_depth, n_labels, len(gids)), sizes.reshape(len(gids), max_depth).T
 
 
 def build_similarity_matrix(
@@ -108,46 +146,44 @@ def build_similarity_matrix(
 
     Shells become per-depth histograms over one label index holding type ids
     and exact masses as separate labels, so a shell overlap is
-    ``np.minimum(h_r, h_p).sum(-1)``.  Depths are added up one at a time in
-    ascending order, so every cell is bit-identical to a scalar loop over
-    the depths (the tests keep one as the reference).
+    ``np.minimum(h_r, h_p)`` summed over the labels.  The depths are taken
+    in blocks, as many per block as keep its temporaries no larger than the
+    histograms, and summed in ascending order by ``np.add.accumulate``, so
+    every cell is bit-identical to a scalar loop over the depths (the tests
+    keep one as the reference).
     """
     row_ids = sorted(rows)
     col_ids = sorted(cols)
-    labels: dict[tuple[str, float], int] = {}
-
-    def label_of(graph: UnifiedGraph) -> dict[int, tuple[int, int]]:
-        return {
-            gid: (
-                labels.setdefault(("type", node.type_id), len(labels)),
-                labels.setdefault(("mass", node.mass), len(labels)),
-            )
-            for gid, node in graph.nodes.items()
-        }
-
-    labels_reac = label_of(g_reac)
-    labels_prod = label_of(g_prod)
-    ecc_r = np.array([len(g_reac.shells(r)) - 1 for r in row_ids], dtype=np.int64)
-    ecc_p = np.array([len(g_prod.shells(p)) - 1 for p in col_ids], dtype=np.int64)
+    labels_reac, labels_prod, n_labels = _node_labels(g_reac, g_prod)
+    ecc_r = np.fromiter((len(g_reac.shells(r)) - 1 for r in row_ids), np.intp, len(row_ids))
+    ecc_p = np.fromiter((len(g_prod.shells(p)) - 1 for p in col_ids), np.intp, len(col_ids))
     depth = np.maximum(1, np.minimum.outer(ecc_r, ecc_p))
     max_depth = int(depth.max(initial=1))
-    hist_r, size_r = _shell_histograms(g_reac, row_ids, max_depth, labels_reac, len(labels))
-    hist_p, size_p = _shell_histograms(g_prod, col_ids, max_depth, labels_prod, len(labels))
+    hist_r, size_r = _shell_histograms(g_reac, row_ids, max_depth, labels_reac, n_labels)
+    hist_p, size_p = _shell_histograms(g_prod, col_ids, max_depth, labels_prod, n_labels)
 
-    type_r = np.array([g_reac.nodes[r].type_id for r in row_ids])
-    type_p = np.array([g_prod.nodes[p].type_id for p in col_ids])
-    mass_r = np.array([g_reac.nodes[r].mass for r in row_ids], dtype=float)
-    mass_p = np.array([g_prod.nodes[p].mass for p in col_ids], dtype=float)
+    root_r = labels_reac[row_ids]
+    root_p = labels_prod[col_ids]
     root = (
-        weights.alpha * np.equal.outer(type_r, type_p)
-        + weights.beta * np.equal.outer(mass_r, mass_p)
+        weights.alpha * np.equal.outer(root_r[:, 0], root_p[:, 0])
+        + weights.beta * np.equal.outer(root_r[:, 1], root_p[:, 1])
     )
+    # The largest temporary of one depth: its (labels, rows, cols) shell
+    # minima or one of its float (rows, cols) arrays.
+    itemsize = np.result_type(hist_r, hist_p).itemsize
+    per_depth = len(row_ids) * len(col_ids) * max(n_labels * itemsize, 8)
+    step = max(1, (hist_r.nbytes + hist_p.nbytes) // max(per_depth, 1))
     scores = np.zeros((len(row_ids), len(col_ids)))
-    for k in range(max_depth):
-        shared = np.minimum(hist_r[k][:, None, :], hist_p[k][None, :, :]).sum(axis=-1)
-        overlap = shared / np.maximum(np.maximum.outer(size_r[k], size_p[k]), 1)
-        scores += np.where(k < depth, root + weights.gamma * overlap, 0.0)
-    return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores)
+    for k in range(0, max_depth, step):
+        block = slice(k, k + step)
+        shared = np.minimum(hist_r[block, :, :, None], hist_p[block, :, None, :]).sum(axis=1)
+        larger = np.maximum(size_r[block, :, None], size_p[block, None, :])
+        overlap = shared / np.maximum(larger, 1)
+        ks = np.arange(k, k + len(overlap))[:, None, None]
+        terms = np.where(ks < depth, root + weights.gamma * overlap, 0.0)
+        terms[0] += scores
+        scores = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return SimilarityMatrix(rows=row_ids, cols=col_ids, scores=scores.copy())
 
 
 def similarity_score(
@@ -254,62 +290,104 @@ def solve_assignment(matrix: SimilarityMatrix) -> list[tuple[int, int]]:
     min(rows, cols) pairs: rectangular matrices are expected whenever atoms
     appear or vanish.  Non-finite scores raise ``ValueError``.
     """
-    if not np.isfinite(matrix.scores).all():
+    scores = matrix.scores
+    high = float(scores.max())
+    low = float(scores.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("similarity scores must be finite")
-    raw = -matrix.scores
-    low = float(raw.min())
-    high = float(raw.max())
-    entries = np.zeros_like(raw) if high == low else (raw - low) / (high - low)
+    # (high - s) / (high - low) is bit for bit the min-max normalized -s.
+    entries = np.zeros_like(scores) if high == low else (high - scores) / (high - low)
     row_ind, col_ind = _linear_sum_assignment(entries)
     return sorted((matrix.rows[i], matrix.cols[j]) for i, j in zip(row_ind, col_ind))
 
 
-def _best_pair(matrix: SimilarityMatrix, accept: np.ndarray | None = None) -> tuple[int, int] | None:
+def _best_pair(
+    matrix: SimilarityMatrix, accept: dict[int, dict[int, int]] | None = None
+) -> tuple[int, int] | None:
     """The highest-scoring pair of ``solve_assignment(matrix)`` among those
-    ``accept`` marks (all when it is None); ties go to the smallest
-    (reactant gid, product gid), and None means that no pair is marked."""
+    whose column ``accept`` holds for their row (all when it is None); ties
+    go to the smallest (reactant gid, product gid), and None means that no
+    pair is accepted."""
     ranked = []
     for r, p in solve_assignment(matrix):
-        i, j = matrix.rows.index(r), matrix.cols.index(p)
-        if accept is None or accept[i, j]:
+        if accept is None or p in accept[r]:
+            i, j = matrix.rows.index(r), matrix.cols.index(p)
             ranked.append((-matrix.scores[i, j], r, p))
     return min(ranked)[1:] if ranked else None
 
 
+def _frontier(mapping: AtomMapping, free_rows: set[int]) -> dict[int, dict[int, int]]:
+    """The anchor counts of every free reactant atom with a mapped neighbour.
+
+    Each such row holds the free product neighbours of its mapped
+    neighbours' images, each with the number of those images it is bonded
+    to; a row whose images have no free neighbour holds nothing.
+    """
+    frontier = {}
+    for r in free_rows:
+        images = [mapping.pairs[x] for x in mapping.g_reac.neighbors(r) if x in mapping.pairs]
+        if images:
+            counts = frontier[r] = {}
+            for image in images:
+                for q in mapping.g_prod.neighbors(image):
+                    if q not in mapping.reverse:
+                        counts[q] = counts.get(q, 0) + 1
+    return frontier
+
+
+def _advance_frontier(
+    frontier: dict[int, dict[int, int]], mapping: AtomMapping, r: int, p: int
+) -> None:
+    """Bring ``frontier`` up to date after ``mapping`` gained the pair (r, p):
+    r and p are no longer free, and each free neighbour of r gains p as an
+    anchor."""
+    frontier.pop(r, None)
+    for counts in frontier.values():
+        counts.pop(p, None)
+    free = [q for q in mapping.g_prod.neighbors(p) if q not in mapping.reverse]
+    for x in mapping.g_reac.neighbors(r):
+        if x not in mapping.pairs:
+            counts = frontier.setdefault(x, {})
+            for q in free:
+                counts[q] = counts.get(q, 0) + 1
+
+
 def _anchored_pair(
-    matrix: SimilarityMatrix, bonus: float, mapping: AtomMapping, free_rows: set[int]
+    matrix: SimilarityMatrix,
+    bonus: float,
+    frontier: dict[int, dict[int, int]],
+    lines: dict[int, list[float]],
 ) -> tuple[int, int] | None:
     """The pair one anchored round accepts, or None.
 
     The rows are the free reactant atoms with a mapped neighbour, the
-    columns the free product neighbours of those neighbours' images.  A
-    cell's anchor count is the number of the row's mapped neighbours whose
-    image is bonded to the column, and each counted anchor adds ``bonus``
-    (more than the whole similarity span) to the cell's similarity, so
-    kept bonds outrank similarity, and atoms of different mass may pair,
-    as a united-atom ``=CH-`` does with its ``CH2`` image.
+    columns the free product neighbours of those neighbours' images (see
+    ``_frontier``).  A cell's anchor count is the number of the row's
+    mapped neighbours whose image is bonded to the column, and each counted
+    anchor adds ``bonus`` (more than the whole similarity span) to the
+    cell's similarity, so kept bonds outrank similarity, and atoms of
+    different mass may pair, as a united-atom ``=CH-`` does with its ``CH2``
+    image.  The similarities are read from ``lines``, which holds the
+    matrix rows of the frontier as lists and gains those it lacks.
 
     A round accepts one pair, the best anchored pair of its matching, so
     the next round sees it: two paths growing toward each other from
     different anchors, as around a para-substituted ring, then meet with
     their bonds kept.
     """
-    counts: dict[int, dict[int, int]] = {}
-    for r in sorted(free_rows):
-        images = [mapping.pairs[x] for x in mapping.g_reac.neighbors(r) if x in mapping.pairs]
-        if images:
-            row = counts[r] = {}
-            for image in images:
-                for q in mapping.g_prod.neighbors(image):
-                    if q not in mapping.reverse:
-                        row[q] = row.get(q, 0) + 1
-    rows = list(counts)
-    cols = sorted({q for row in counts.values() for q in row})
+    rows = sorted(frontier)
+    cols = sorted({q for counts in frontier.values() for q in counts})
     if not cols:
         return None
-    anchors = np.array([[counts[r].get(q, 0) for q in cols] for r in rows])
-    scores = matrix.block(rows, cols).scores + bonus * anchors
-    return _best_pair(SimilarityMatrix(rows, cols, scores), anchors > 0)
+    at = [bisect_left(matrix.cols, q) for q in cols]
+    scores = []
+    for r in rows:
+        line = lines.get(r)
+        if line is None:
+            line = lines[r] = matrix.scores[bisect_left(matrix.rows, r)].tolist()
+        counts = frontier[r]
+        scores.append([line[j] + bonus * counts.get(q, 0) for q, j in zip(cols, at)])
+    return _best_pair(SimilarityMatrix(rows, cols, np.array(scores)), frontier)
 
 
 def assign_similarity(
@@ -324,7 +402,8 @@ def assign_similarity(
     the best pair of the plain assignment of what is left seeds the next
     rounds, with the ``similarity`` provenance.  Rewarding kept bonds this
     way favours maps with the fewest bond edits, and settles symmetric
-    paths and interchangeable hydrogens.
+    paths and interchangeable hydrogens.  The anchor counts are kept up to
+    date as pairs are accepted, not rebuilt each round.
     """
     result = mapping.copy()
     rows, cols = result.unmapped()
@@ -333,10 +412,12 @@ def assign_similarity(
     matrix = build_similarity_matrix(result.g_reac, result.g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
     bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0
+    frontier = _frontier(result, rows)
+    lines: dict[int, list[float]] = {}
     rounds = anchored = seeds = 0
     while rows and cols:
         rounds += 1
-        pair = _anchored_pair(matrix, bonus, result, rows)
+        pair = _anchored_pair(matrix, bonus, frontier, lines)
         if pair is not None:
             anchored += 1
             result.add(*pair, ANCHORED)
@@ -346,6 +427,8 @@ def assign_similarity(
             result.add(*pair, SIMILARITY)
         rows.discard(pair[0])
         cols.discard(pair[1])
+        _advance_frontier(frontier, result, *pair)
+        lines.pop(pair[0], None)
     logger.info(
         "anchored assignment: %d round(s), %d anchored pair(s), %d seed(s)",
         rounds, anchored, seeds,

@@ -378,6 +378,23 @@ class TestInputEncoding:
         assert err.count("\n") == 1
         assert not out_dir.exists()
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        # With several inputs, the line alone does not say which file holds it.
+        with open(CHAIN_REACTANTS[0], "rb") as handle:
+            line_no = handle.read().split(b"\n").index(BUTENE_ATOM_1) + 1
+        bad = self.butene(tmp_path / "bad.data", (BUTENE_ATOM_1, b"1 1 x" + BUTENE_ATOM_1[5:]))
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--reactants", CHAIN_REACTANTS[0], bad, "--products", *CHAIN_PRODUCTS,
+            "--out", str(out_dir),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedLine: line {line_no}: bad Atoms entry '1 1 x ")
+        assert err.endswith(f"' (in {bad})\n")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_latin_1_byte_is_a_parse_error(self, tmp_path, capsys):
         bad = self.butene(
             tmp_path / "latin1.data", (BUTENE_TITLE, "# butene, \u00c5".encode("latin-1"))

@@ -223,6 +223,34 @@ class TestSimilarityScore:
                     assert matrix.scores[i, j] == score
                     assert similarity_score(v_r, v_p, g1, g2, weights) == score
 
+    def test_exact_in_depth_blocks_and_small_counts(self):
+        """Cells summed over blocks of depths, from counts held in the
+        smallest unsigned dtype: a united-atom chain (96-site product, 4 x 4
+        matrix of 47 depths, summed in 3 blocks), the tail-12 ring opening (7 x
+        7, blocks of 4 depths whose overlaps are not dyadic, so that summing a
+        block in another order changes 11 cells), the fully retyped n = 8 and 16
+        (nothing conserved, one depth per block, uint8 counts) at two atom
+        orders each, and a hub whose 300 hydrogens need uint16 counts."""
+        systems = [ua_dimerization(48, random.Random(seed)) for seed in range(2)]
+        systems += [ring_opening(12, random.Random(seed)) for seed in range(2)]
+        systems += [
+            alkene_dimerization(n, random.Random(seed), n + 1) for n in (8, 16) for seed in range(2)
+        ]
+        for g_reac, g_prod in systems:
+            rows, cols = iterate_conserved(g_reac, g_prod).unmapped()
+            matrix = build_similarity_matrix(g_reac, g_prod, rows, cols)
+            for i, v_r in enumerate(matrix.rows):
+                for j, v_p in enumerate(matrix.cols):
+                    assert matrix.scores[i, j] == similarity_score_reference(v_r, v_p, g_reac, g_prod)
+        hub = [(1, 1, 0.0)] + [(i, 3, 0.0) for i in range(2, 302)]
+        spokes = [(1, i) for i in range(2, 302)]
+        g_reac = make_graph(hub, spokes, MASSES, "reactant")
+        g_prod = make_graph(hub[:-1] + [(301, 2, 0.0)], spokes, MASSES, "product")
+        matrix = build_similarity_matrix(g_reac, g_prod, {1, 2}, {1, 301})
+        for i, v_r in enumerate(matrix.rows):
+            for j, v_p in enumerate(matrix.cols):
+                assert matrix.scores[i, j] == similarity_score_reference(v_r, v_p, g_reac, g_prod)
+
     def test_symmetric_overlap(self):
         g1 = make_graph([(1, 1, 0.0), (2, 3, 0.0)], [(1, 2)], MASSES, "reactant")
         g2 = make_graph([(1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)], [(1, 2), (1, 3)], MASSES, "product")
@@ -641,6 +669,109 @@ class TestMinimalMaps:
             }
             assert found == initiators, name
             assert same_mass_outside_conserved(state.mapping, state.g_reac, state.g_prod), name
+
+
+def assign_similarity_reference(mapping, weights=ScoringWeights()):
+    """The anchored rounds with their frontier rebuilt from every free row
+    each round, and each block read from the matrix as numpy arrays, as
+    ``assign_similarity`` first grew the map.  Returns the mapping and the
+    (rounds, anchored pairs, seeds) counts."""
+    result = mapping.copy()
+    rows, cols = result.unmapped()
+    if not rows or not cols:
+        return result, (0, 0, 0)
+    matrix = build_similarity_matrix(result.g_reac, result.g_prod, rows, cols, weights)
+    bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0
+
+    def best_pair(block, accept=None):
+        ranked = []
+        for r, p in solve_assignment(block):
+            i, j = block.rows.index(r), block.cols.index(p)
+            if accept is None or accept[i, j]:
+                ranked.append((-block.scores[i, j], r, p))
+        return min(ranked)[1:] if ranked else None
+
+    def anchored_pair():
+        counts = {}
+        for r in sorted(rows):
+            images = [result.pairs[x] for x in result.g_reac.neighbors(r) if x in result.pairs]
+            if images:
+                row = counts[r] = {}
+                for image in images:
+                    for q in result.g_prod.neighbors(image):
+                        if q not in result.reverse:
+                            row[q] = row.get(q, 0) + 1
+        block_rows = list(counts)
+        block_cols = sorted({q for row in counts.values() for q in row})
+        if not block_cols:
+            return None
+        anchors = np.array([[counts[r].get(q, 0) for q in block_cols] for r in block_rows])
+        scores = matrix.block(block_rows, block_cols).scores + bonus * anchors
+        return best_pair(SimilarityMatrix(block_rows, block_cols, scores), anchors > 0)
+
+    rounds = anchored = seeds = 0
+    while rows and cols:
+        rounds += 1
+        pair = anchored_pair()
+        if pair is not None:
+            anchored += 1
+            result.add(*pair, ANCHORED)
+        else:
+            seeds += 1
+            pair = best_pair(matrix.block(sorted(rows), sorted(cols)))
+            result.add(*pair, SIMILARITY)
+        rows.discard(pair[0])
+        cols.discard(pair[1])
+    return result, (rounds, anchored, seeds)
+
+
+class TestIncrementalFrontier:
+    """``assign_similarity`` keeps each round's anchor counts up to date as
+    pairs are accepted; it must accept the same pairs, in the same order and
+    rounds, as the rule that rebuilds them from every free row each round."""
+
+    @staticmethod
+    def check(caplog, g_reac, g_prod, weights=ScoringWeights()):
+        conserved = iterate_conserved(g_reac, g_prod)
+        caplog.clear()
+        mapping, _ = assign_similarity(conserved, weights)
+        expected, counts = assign_similarity_reference(conserved, weights)
+        assert list(mapping.pairs.items()) == list(expected.pairs.items())
+        assert mapping.provenance == expected.provenance
+        if counts[0]:
+            assert caplog.messages[-1] == (
+                "anchored assignment: %d round(s), %d anchored pair(s), %d seed(s)" % counts
+            )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_families(self, caplog, family):
+        caplog.set_level(logging.INFO, logger="templater")
+        generator, n, radius = FAMILIES[family]
+        for seed in ORDERS:
+            rng = random.Random(seed)
+            graphs = generator(n, rng) if generator is ua_dimerization else generator(n, rng, radius)
+            self.check(caplog, *graphs)
+
+    def test_scenarios(self, caplog):
+        caplog.set_level(logging.INFO, logger="templater")
+        for name in SCENARIOS:
+            for seed in ORDERS:
+                self.check(caplog, *scenario_graphs(name, random.Random(seed) if seed else None)[:2])
+
+    @pytest.mark.parametrize("tail", [1, 4, 12])
+    def test_ring_openings(self, caplog, tail):
+        # Tail 12 keeps the (3, 3) defect of ``RING_OPENING_DEFECT``: both
+        # rules make the same map.
+        caplog.set_level(logging.INFO, logger="templater")
+        for radius in (None, 3):
+            for seed in ORDERS:
+                self.check(caplog, *ring_opening(tail, random.Random(seed), radius))
+
+    def test_multi_molecule_pairs(self, caplog):
+        caplog.set_level(logging.INFO, logger="templater")
+        for seed in range(4):
+            for g_reac, g_prod, weights in multi_molecule_pairs(random.Random(seed)):
+                self.check(caplog, g_reac, g_prod, weights)
 
 
 class TestCsvExport:
