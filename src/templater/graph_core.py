@@ -12,6 +12,7 @@ read-only and safe to call concurrently.  Expensive per-node quantities
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -32,36 +33,47 @@ class AtomNode(NamedTuple):
 
 
 class UnifiedGraph:
-    """Immutable union of the molecular graphs of one reaction side."""
+    """Immutable union of the molecular graphs of one reaction side.
 
-    def __init__(
-        self,
-        side: str,
-        topologies: list[SystemTopology],
-        nodes: list[AtomNode],
-        edges: set[tuple[int, int]],
-    ):
+    Built in one pass over the data files.  Component ids follow the
+    position of the topology in the list (1-based).  Each file's atoms,
+    sorted by source id, take the next contiguous global ids, so the first
+    molecule keeps its ids when they are contiguous, files with id gaps are
+    renumbered by rank, and each component is a range of ids.  Edges come
+    from the Bonds rows; a row that bonds an atom to itself is skipped.
+    """
+
+    def __init__(self, topologies: list[SystemTopology], side: str):
         self.side = side
         # The parsed data files, one per component, in component order.
         self.topologies: tuple[SystemTopology, ...] = tuple(topologies)
-        self.nodes: dict[int, AtomNode] = {n.global_id: n for n in nodes}
-        self.edges: frozenset[tuple[int, int]] = frozenset(
-            (min(a, b), max(a, b)) for a, b in edges
-        )
-        adjacency: dict[int, set[int]] = {gid: set() for gid in self.nodes}
-        for a, b in self.edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+        self.nodes: dict[int, AtomNode] = {}
+        self.components: dict[int, tuple[int, ...]] = {}
+        # Per component, source id -> global id.
+        self._gid_of: dict[int, dict[int, int]] = {}
+        adjacency: dict[int, set[int]] = {}
+        for position, topology in enumerate(self.topologies, start=1):
+            if not topology.atoms:
+                raise EmptyTopology(f"topology {position} has no atoms")
+            first = len(self.nodes) + 1
+            gid_of = self._gid_of[position] = {}
+            for gid, atom in enumerate(sorted(topology.atoms, key=attrgetter("atom_id")), first):
+                self.nodes[gid] = AtomNode(
+                    gid, atom.atom_id, topology.masses[atom.type_id], atom.type_id, atom.charge,
+                    position,
+                )
+                gid_of[atom.atom_id] = gid
+                adjacency[gid] = set()
+            self.components[position] = tuple(range(first, len(self.nodes) + 1))
+            for _type_id, (a, b) in topology.bonds:
+                if a != b:
+                    a, b = gid_of[a], gid_of[b]
+                    adjacency[a].add(b)
+                    adjacency[b].add(a)
         self._adjacency = {gid: tuple(sorted(nbrs)) for gid, nbrs in adjacency.items()}
-        components: dict[int, list[int]] = {}
-        for gid in sorted(self.nodes):
-            components.setdefault(self.nodes[gid].component, []).append(gid)
-        self.components: dict[int, tuple[int, ...]] = {
-            c: tuple(gids) for c, gids in components.items()
-        }
-        self._gid_by_source: dict[tuple[int, int], int] = {
-            (n.component, n.source_id): n.global_id for n in nodes
-        }
+        self.edges: frozenset[tuple[int, int]] = frozenset(
+            (a, b) for a, nbrs in self._adjacency.items() for b in nbrs if a < b
+        )
         self._shells: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._centrality: dict[int, dict[int, float]] = {}
 
@@ -72,10 +84,10 @@ class UnifiedGraph:
         return (min(a, b), max(a, b)) in self.edges
 
     def gid_for(self, component: int, source_id: int) -> int:
-        return self._gid_by_source[(component, source_id)]
+        return self._gid_of[component][source_id]
 
     def sorted_gids(self) -> list[int]:
-        return sorted(self.nodes)
+        return list(self.nodes)
 
     def shells(self, gid: int) -> tuple[tuple[int, ...], ...]:
         """Nodes grouped by exact hop distance from gid.
@@ -105,38 +117,8 @@ class UnifiedGraph:
 
 
 def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedGraph:
-    """Combine per-molecule topologies into one graph with global node ids.
-
-    Component ids follow the position of the topology in the input list
-    (1-based).  Global ids are assigned by cumulative offset, so the first
-    molecule keeps its ids when they are contiguous; files with id gaps are
-    renumbered by ascending source id before the offset is applied.
-    """
-    nodes: list[AtomNode] = []
-    edges: set[tuple[int, int]] = set()
-    offset = 0
-    for position, topology in enumerate(topologies, start=1):
-        if not topology.atoms:
-            raise EmptyTopology(f"topology {position} has no atoms")
-        ordered = sorted(topology.atoms, key=lambda a: a.atom_id)
-        gid_of = {atom.atom_id: offset + rank for rank, atom in enumerate(ordered, start=1)}
-        for atom in ordered:
-            nodes.append(
-                AtomNode(
-                    global_id=gid_of[atom.atom_id],
-                    source_id=atom.atom_id,
-                    mass=topology.masses[atom.type_id],
-                    type_id=atom.type_id,
-                    charge=atom.charge,
-                    component=position,
-                )
-            )
-        for _type_id, (a, b) in topology.bonds:
-            if a == b:
-                continue
-            edges.add((gid_of[a], gid_of[b]))
-        offset += len(ordered)
-    return UnifiedGraph(side=side, topologies=topologies, nodes=nodes, edges=edges)
+    """One side's topologies as one graph with global node ids; see ``UnifiedGraph``."""
+    return UnifiedGraph(topologies, side)
 
 
 def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:

@@ -16,6 +16,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -111,22 +112,31 @@ class SystemTopology:
     def validate(self) -> None:
         """Check the structural invariants; raise a ParseError subclass."""
         id_counts = Counter(a.atom_id for a in self.atoms)
-        if len(id_counts) != len(self.atoms):
+        ids = set(id_counts)
+        if len(ids) != len(self.atoms):
             dup = min(i for i, count in id_counts.items() if count > 1)
             raise MalformedLine(f"duplicate atom id {dup}")
         for a in self.atoms:
             if a.type_id not in self.masses:
                 raise MissingMass(f"atom type {a.type_id} has no Masses entry")
+        for type_id, mass in self.masses.items():
+            # LAMMPS rejects a mass <= 0; NaN fails the comparison too.
+            if not 0 < mass < math.inf:
+                raise MalformedLine(
+                    f"atom type {type_id} has mass {mass}; masses must be finite and positive"
+                )
         found = {"atoms": len(self.atoms)}
         for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
             entries = getattr(self, keyword)
             found[keyword] = len(entries)
             for _type_id, members in entries:
-                for atom_id in members:
-                    if atom_id not in id_counts:
-                        raise DanglingReference(
-                            f"{name} entry references missing atom id {atom_id}"
-                        )
+                distinct = set(members)
+                if not distinct <= ids:
+                    missing = next(i for i in members if i not in ids)
+                    raise DanglingReference(f"{name} entry references missing atom id {missing}")
+                if len(distinct) != len(members):
+                    repeated = next(i for i in members if members.count(i) > 1)
+                    raise MalformedLine(f"{name} entry lists atom {repeated} more than once")
         for keyword, expected in found.items():
             declared = self.type_counts.get(keyword)
             if declared is not None and declared != expected:

@@ -316,31 +316,13 @@ def _best_pair(
     return min(ranked)[1:] if ranked else None
 
 
-def _frontier(mapping: AtomMapping, free_rows: set[int]) -> dict[int, dict[int, int]]:
-    """The anchor counts of every free reactant atom with a mapped neighbour.
-
-    Each such row holds the free product neighbours of its mapped
-    neighbours' images, each with the number of those images it is bonded
-    to; a row whose images have no free neighbour holds nothing.
-    """
-    frontier = {}
-    for r in free_rows:
-        images = [mapping.pairs[x] for x in mapping.g_reac.neighbors(r) if x in mapping.pairs]
-        if images:
-            counts = frontier[r] = {}
-            for image in images:
-                for q in mapping.g_prod.neighbors(image):
-                    if q not in mapping.reverse:
-                        counts[q] = counts.get(q, 0) + 1
-    return frontier
-
-
 def _advance_frontier(
     frontier: dict[int, dict[int, int]], mapping: AtomMapping, r: int, p: int
 ) -> None:
     """Bring ``frontier`` up to date after ``mapping`` gained the pair (r, p):
     r and p are no longer free, and each free neighbour of r gains p as an
-    anchor."""
+    anchor.  Applied once to each mapped atom next to a free one, it builds
+    the frontier from an empty one."""
     frontier.pop(r, None)
     for counts in frontier.values():
         counts.pop(p, None)
@@ -362,7 +344,7 @@ def _anchored_pair(
 
     The rows are the free reactant atoms with a mapped neighbour, the
     columns the free product neighbours of those neighbours' images (see
-    ``_frontier``).  A cell's anchor count is the number of the row's
+    ``_advance_frontier``).  A cell's anchor count is the number of the row's
     mapped neighbours whose image is bonded to the column, and each counted
     anchor adds ``bonus`` (more than the whole similarity span) to the
     cell's similarity, so kept bonds outrank similarity, and atoms of
@@ -403,7 +385,8 @@ def assign_similarity(
     rounds, with the ``similarity`` provenance.  Rewarding kept bonds this
     way favours maps with the fewest bond edits, and settles symmetric
     paths and interchangeable hydrogens.  The anchor counts are kept up to
-    date as pairs are accepted, not rebuilt each round.
+    date as pairs are accepted, not rebuilt each round.  A round accepts
+    one pair, so the smaller side's free atoms give the number of rounds.
     """
     result = mapping.copy()
     rows, cols = result.unmapped()
@@ -412,26 +395,25 @@ def assign_similarity(
     matrix = build_similarity_matrix(result.g_reac, result.g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
     bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0
-    frontier = _frontier(result, rows)
+    frontier: dict[int, dict[int, int]] = {}
+    for r in {x for row in rows for x in result.g_reac.neighbors(row) if x in result.pairs}:
+        _advance_frontier(frontier, result, r, result.pairs[r])
     lines: dict[int, list[float]] = {}
-    rounds = anchored = seeds = 0
-    while rows and cols:
-        rounds += 1
+    rounds = min(len(rows), len(cols))
+    seeds = 0
+    for _ in range(rounds):
         pair = _anchored_pair(matrix, bonus, frontier, lines)
         if pair is not None:
-            anchored += 1
             result.add(*pair, ANCHORED)
         else:
             seeds += 1
-            pair = _best_pair(matrix.block(sorted(rows), sorted(cols)))
+            pair = _best_pair(matrix.block(*map(sorted, result.unmapped())))
             result.add(*pair, SIMILARITY)
-        rows.discard(pair[0])
-        cols.discard(pair[1])
         _advance_frontier(frontier, result, *pair)
         lines.pop(pair[0], None)
     logger.info(
         "anchored assignment: %d round(s), %d anchored pair(s), %d seed(s)",
-        rounds, anchored, seeds,
+        rounds, rounds - seeds, seeds,
     )
     return result, matrix
 

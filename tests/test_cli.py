@@ -417,6 +417,33 @@ class TestInputEncoding:
         assert (tmp_path / "out" / "report.json").exists()
 
 
+class TestInputValues:
+    """Masses must be finite and positive, and an interaction row must list
+    distinct atoms; either fault in a data file exits 3 and names it."""
+
+    @pytest.mark.parametrize(
+        "replacements, message",
+        [
+            (
+                [(b"\n3 1.008 # ha\n", b"\n3 nan # ha\n")],
+                "atom type 3 has mass nan; masses must be finite and positive",
+            ),
+            (
+                [(b"11 bonds", b"12 bonds"), (b"\n11 5 4 12\n", b"\n11 5 4 12\n12 1 1 1\n")],
+                "Bonds entry lists atom 1 more than once",
+            ),
+        ],
+        ids=["nan-mass", "self-bond"],
+    )
+    def test_rejected_and_named(self, tmp_path, capsys, replacements, message):
+        bad = TestInputEncoding.butene(tmp_path / "bad.data", *replacements)
+        out_dir = tmp_path / "out"
+        assert main(TestInputEncoding.chain_args(bad, out_dir)) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: MalformedLine: {message} (in {bad})\n"
+        assert not out_dir.exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         outputs = []

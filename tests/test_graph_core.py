@@ -6,7 +6,12 @@ import pytest
 
 from conftest import make_graph, make_topology, path_topology
 from templater.errors import EmptyTopology
-from templater.graph_core import build_unified_graph, dot_export, eigenvector_centrality
+from templater.graph_core import (
+    AtomNode,
+    build_unified_graph,
+    dot_export,
+    eigenvector_centrality,
+)
 from templater.lammps_io import SystemTopology, parse_data_file
 from templater.reaction_analysis import CENTRALITY_DELTA_DECIMALS
 
@@ -134,6 +139,33 @@ class TestBuildUnifiedGraph:
         graph = build_unified_graph([topology], "reactant")
         assert sorted(graph.nodes) == [1, 2]
         assert [graph.nodes[g].source_id for g in sorted(graph.nodes)] == [2, 9]
+
+    def test_structure_of_two_files(self):
+        # The second file lists its atoms out of order and with id gaps, gives
+        # one bond twice (once reversed) and bonds atom 5 to itself.
+        masses = {1: 1.008, 2: 12.011}
+        second = make_topology(
+            [(7, 2, -0.2), (3, 1, 0.1), (10, 2, 0.0), (5, 1, 0.1)],
+            [(7, 10), (7, 3), (3, 7), (5, 5), (10, 5)],
+            masses,
+        )
+        graph = build_unified_graph([h2_topology(), second], "product")
+        assert graph.nodes == {
+            1: AtomNode(1, 1, 1.008, 1, 0.0, 1),
+            2: AtomNode(2, 2, 1.008, 1, 0.0, 1),
+            3: AtomNode(3, 3, 1.008, 1, 0.1, 2),
+            4: AtomNode(4, 5, 1.008, 1, 0.1, 2),
+            5: AtomNode(5, 7, 12.011, 2, -0.2, 2),
+            6: AtomNode(6, 10, 12.011, 2, 0.0, 2),
+        }
+        assert graph.edges == frozenset({(1, 2), (3, 5), (4, 6), (5, 6)})
+        assert [graph.neighbors(g) for g in range(1, 7)] == [
+            (2,), (1,), (5,), (6,), (3, 6), (4, 5),
+        ]
+        assert graph.components == {1: (1, 2), 2: (3, 4, 5, 6)}
+        sources = [(1, 1), (1, 2), (2, 3), (2, 5), (2, 7), (2, 10)]
+        assert [graph.gid_for(c, s) for c, s in sources] == [1, 2, 3, 4, 5, 6]
+        assert graph.sorted_gids() == [1, 2, 3, 4, 5, 6]
 
 
 class TestEigenvectorCentrality:

@@ -158,6 +158,27 @@ class TestParseDataFile:
         with pytest.raises(DanglingReference, match=f"^{name} entry references missing atom id 99$"):
             parse_data_file(text)
 
+    @pytest.mark.parametrize(
+        "mass, shown",
+        [("nan", "nan"), ("inf", "inf"), ("1e400", "inf"), ("0", "0.0"), ("-1.008", "-1.008")],
+    )
+    def test_mass_must_be_finite_and_positive(self, mass, shown):
+        text = H2_DATA.replace("\n1 1.008\n", f"\n1 {mass}\n")
+        assert text != H2_DATA
+        with pytest.raises(
+            MalformedLine, match=f"^atom type 1 has mass {shown}; masses must be finite and positive$"
+        ):
+            parse_data_file(text)
+
+    @pytest.mark.parametrize("name, keyword, noun, arity", SECTIONS, ids=SECTION_IDS)
+    def test_row_lists_an_atom_once(self, name, keyword, noun, arity):
+        row = " ".join(str(i) for i in range(1, arity + 1))
+        repeated = row[:-1] + "1"
+        text = CHAIN4_DATA.replace(f"{name}\n\n1 1 {row}\n", f"{name}\n\n1 1 {repeated}\n")
+        assert text != CHAIN4_DATA
+        with pytest.raises(MalformedLine, match=f"^{name} entry lists atom 1 more than once$"):
+            parse_data_file(text)
+
     def test_missing_mass(self):
         text = H2_DATA.replace("1 1 1 0.0 0.0 0.0 0.0", "1 1 2 0.0 0.0 0.0 0.0")
         with pytest.raises(MissingMass):
