@@ -70,6 +70,9 @@ EXIT_CODES = {
     errors.TemplaterError: 9,
 }
 
+# The values TEMPLATER_LOG_LEVEL may take, in any case.
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 # What a RunConfig value must be, per field annotation; bools are ints to
 # Python but never a count or a weight here.
@@ -439,7 +442,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
+            try:
+                file_values = json.load(handle)
+            except ValueError as exc:
+                raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(file_values) - names)
@@ -465,13 +471,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("TEMPLATER_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("TEMPLATER_LOG_LEVEL", "WARNING")
+        if level.upper() not in LOG_LEVELS:
+            raise ValueError(
+                f"TEMPLATER_LOG_LEVEL must be one of {', '.join(LOG_LEVELS)}, not {level!r}"
+            )
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         cfg = _config_from_args(args)
         if args.command == "run":
             written = run_pipeline(cfg).written

@@ -289,15 +289,11 @@ def iterate_conserved(
             }
             if images:
                 required[r_gid] = images
-        best: tuple[int, list[tuple[int, int]], tuple[int, int]] | None = None
+        best: tuple[int, list[tuple[int, int]]] | None = None
         for rc in sorted(g_reac.components):
             rest_r = {g for g in g_reac.components[rc] if g not in mapping.pairs}
-            if not rest_r:
-                continue
             for pc in sorted(g_prod.components):
                 rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
-                if not rest_p:
-                    continue
                 pairs, expansions = max_common_subgraph(
                     g_reac, g_prod, rest_r, rest_p, budget, required
                 )
@@ -309,7 +305,7 @@ def iterate_conserved(
                 )
                 if not pairs:
                     continue
-                candidate = (-len(pairs), pairs, (rc, pc))
+                candidate = (-len(pairs), pairs)
                 if best is None or candidate < best:
                     best = candidate
         if best is None:

@@ -31,11 +31,11 @@ sorted pair list is lexicographically smallest, so results are reproducible
 regardless of exploration order.  Work is metered in pair expansions against
 a caller-supplied budget.
 
-Symmetric nodes, such as the hydrogens on one carbon, are twins; the search
-explores only one representative of each twin group, and drops a whole
-group with one precomputed mask (see ``max_common_connected_subgraph`` for
-why this is exact), which keeps their permutations from multiplying the
-search without changing the result.
+Symmetric product nodes, such as the hydrogens on one carbon, are twins;
+each reactant node is tried against only one member of each twin group,
+skipped with one precomputed mask (see ``max_common_connected_subgraph``
+for why this is exact), which keeps their permutations from multiplying
+the search without changing the result.
 
 The search is depth first on a stack of its own rather than on Python's
 call stack, so a conserved chain of any length needs neither a raised
@@ -112,17 +112,15 @@ def max_common_connected_subgraph(
 ) -> tuple[list[tuple[int, int]], int]:
     """Find the best connected common induced subgraph mapping.
 
-    Two reactant nodes are twins when they have the same label, leaf
-    counts, adjacency mask and ``allowed`` row; two product nodes are twins
-    when they have the same label, leaf counts, adjacency mask and
-    ``allowed`` column.  The search branches the lowest node ``v`` of a
-    class over only the first product candidate of each twin group, and in
-    the branch where ``v`` stays unmatched it drops ``v``'s twins from the
-    class too.  Both prunes are exact: swapping two twins is a
-    label-preserving automorphism that keeps ``allowed`` and every pair
-    weight, and because ``v`` and the candidates are taken in ascending
-    order, a mapping either prune skips turns under that swap into one of
-    the same weight with a strictly smaller sorted pair list.  The
+    Two product nodes are twins when they have the same label, leaf
+    counts, adjacency mask and ``allowed`` column.  The search branches the
+    lowest node ``v`` of a class over only the first free product candidate
+    of each twin group.  The prune is exact.  Swapping two twins ``w <
+    w'`` is a label-preserving automorphism that keeps ``allowed`` and
+    every pair weight.  A mapping the prune skips pairs ``v`` with ``w'``,
+    and ``w``, if at all, with a node ``u`` of ``v``'s class, so ``u >
+    v``.  The swap turns it into a mapping of the same weight whose sorted
+    pair list is strictly smaller, first differing at ``v``.  The
     lexicographically smallest maximum mapping is therefore never skipped;
     only the expansion count drops.
 
@@ -167,19 +165,12 @@ def max_common_connected_subgraph(
     classes = [(g, h, False) for g, h in by_label.values()]
     leaf_pairs = list(zip(leaves_r, leaves_p)) if leaves_r is not None else []
 
-    def key_r(v: int) -> Hashable:
-        return (
-            None if allowed is None else allowed[v],
-            tuple(counts_r[v] for counts_r, _ in leaf_pairs),
-        )
-
     def key_p(w: int) -> Hashable:
         return (
             None if allowed is None else tuple((row >> w) & 1 for row in allowed),
             tuple(counts_p[w] for _, counts_p in leaf_pairs),
         )
 
-    twins_r = _twin_masks(labels_r, adj_r, key_r, by_label)
     twins_p = _twin_masks(labels_p, adj_p, key_p, by_label)
     # (R[k], P[k]) per folded label and k >= 1, for the bound; a level
     # empty on either side adds nothing and is left out.
@@ -269,9 +260,9 @@ def max_common_connected_subgraph(
             continue
         g, h, adjacent = chosen
         v = (g & -g).bit_length() - 1
-        # Leave v unmatched, and with it its whole twin group.
+        # Leave v, the class's lowest bit, unmatched.
         remainder = [cls for cls in current if cls is not chosen]
-        rest = g & ~twins_r[v]
+        rest = g & (g - 1)
         if rest:
             remainder.append((rest, h, adjacent))
         stack.append((remainder, weight, mapping))

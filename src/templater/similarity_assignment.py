@@ -335,10 +335,7 @@ def _advance_frontier(
 
 
 def _anchored_pair(
-    matrix: SimilarityMatrix,
-    bonus: float,
-    frontier: dict[int, dict[int, int]],
-    lines: dict[int, list[float]],
+    matrix: SimilarityMatrix, bonus: float, frontier: dict[int, dict[int, int]]
 ) -> tuple[int, int] | None:
     """The pair one anchored round accepts, or None.
 
@@ -349,8 +346,7 @@ def _anchored_pair(
     anchor adds ``bonus`` (more than the whole similarity span) to the
     cell's similarity, so kept bonds outrank similarity, and atoms of
     different mass may pair, as a united-atom ``=CH-`` does with its ``CH2``
-    image.  The similarities are read from ``lines``, which holds the
-    matrix rows of the frontier as lists and gains those it lacks.
+    image.
 
     A round accepts one pair, the best anchored pair of its matching, so
     the next round sees it: two paths growing toward each other from
@@ -364,9 +360,7 @@ def _anchored_pair(
     at = [bisect_left(matrix.cols, q) for q in cols]
     scores = []
     for r in rows:
-        line = lines.get(r)
-        if line is None:
-            line = lines[r] = matrix.scores[bisect_left(matrix.rows, r)].tolist()
+        line = matrix.scores[bisect_left(matrix.rows, r)].tolist()
         counts = frontier[r]
         scores.append([line[j] + bonus * counts.get(q, 0) for q, j in zip(cols, at)])
     return _best_pair(SimilarityMatrix(rows, cols, np.array(scores)), frontier)
@@ -398,11 +392,10 @@ def assign_similarity(
     frontier: dict[int, dict[int, int]] = {}
     for r in {x for row in rows for x in result.g_reac.neighbors(row) if x in result.pairs}:
         _advance_frontier(frontier, result, r, result.pairs[r])
-    lines: dict[int, list[float]] = {}
     rounds = min(len(rows), len(cols))
     seeds = 0
     for _ in range(rounds):
-        pair = _anchored_pair(matrix, bonus, frontier, lines)
+        pair = _anchored_pair(matrix, bonus, frontier)
         if pair is not None:
             result.add(*pair, ANCHORED)
         else:
@@ -410,7 +403,6 @@ def assign_similarity(
             pair = _best_pair(matrix.block(*map(sorted, result.unmapped())))
             result.add(*pair, SIMILARITY)
         _advance_frontier(frontier, result, *pair)
-        lines.pop(pair[0], None)
     logger.info(
         "anchored assignment: %d round(s), %d anchored pair(s), %d seed(s)",
         rounds, rounds - seeds, seeds,

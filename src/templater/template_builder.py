@@ -9,6 +9,7 @@ the user's force field.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from templater.errors import InconsistentPruning
@@ -52,16 +53,24 @@ def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:
 
 
 def carry_features(
-    interactions: list[tuple[int, tuple[int, ...]]], local_index: dict[int, int]
+    interactions: list[tuple[int, tuple[int, ...]]],
+    local_index: dict[int, int],
+    changed: Container[int] = frozenset(),
+    refusal: str = "",
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Keep the interactions whose atoms all lie in ``local_index``, renumbered by it.
 
     Input order is preserved so the emitted sections mirror the data files.
+    An interaction left out that holds an atom of ``changed`` raises
+    ``InconsistentPruning`` with ``refusal`` formatted with the smallest such
+    atom id.
     """
     kept = []
     for type_id, members in interactions:
         if all(map(local_index.__contains__, members)):
             kept.append((type_id, tuple(map(local_index.__getitem__, members))))
+        elif any(map(changed.__contains__, members)):
+            raise InconsistentPruning(refusal.format(min(filter(changed.__contains__, members))))
     return kept
 
 
@@ -92,27 +101,40 @@ class ReactionTemplates:
 
 
 def _side_template(
-    graph: UnifiedGraph, pruned: set[int]
+    graph: UnifiedGraph, pruned: set[int], changed: set[int], side: str
 ) -> tuple[MoleculeTemplateFile, dict[int, int]]:
     """One side's template, cut from the graph's data files, plus its global
     id to template-local index map.
 
     Atoms are numbered in global-id order.  Each interaction section holds
     the kept interactions of the first data file, then of the next, each in
-    its file's order.
+    its file's order.  ``fix bond/react`` needs every interaction of a
+    changed atom inside the template, so one left out raises
+    ``InconsistentPruning`` naming the section, the ``side`` template and
+    the atom as ``molecule.atom``.
     """
     index = {gid: i for i, gid in enumerate(sorted(pruned), start=1)}
     atoms = [None] * len(index)
     sections: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
     for component, topology in enumerate(graph.topologies, start=1):
         local = {}
+        changed_ids = set()
         for atom in topology.atoms:
-            i = index.get(graph.gid_for(component, atom.atom_id))
+            gid = graph.gid_for(component, atom.atom_id)
+            i = index.get(gid)
             if i is not None:
                 local[atom.atom_id] = i
                 atoms[i - 1] = TemplateAtom(atom.type_id, atom.charge, atom.x, atom.y, atom.z)
-        for name, kept in sections.items():
-            kept.extend(carry_features(getattr(topology, name), local))
+            if gid in changed:
+                changed_ids.add(atom.atom_id)
+        for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
+            refusal = (
+                f"{name} entry of changed atom {component}.{{}} leaves the {side} template, "
+                "which fix bond/react forbids; raise the cutoff"
+            )
+            sections[keyword].extend(
+                carry_features(getattr(topology, keyword), local, changed_ids, refusal)
+            )
     return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 
@@ -160,9 +182,12 @@ def assemble_templates(
 ) -> ReactionTemplates:
     """Renumber the pruned sets and assemble both templates plus the map.
 
-    ``fix bond/react`` forbids an edge atom whose bonds, type or charge
-    change, so such an atom, a deleted one included, raises
-    ``InconsistentPruning`` naming the smallest as ``molecule.atom``.
+    ``fix bond/react`` has two rules for the atoms that are deleted or
+    created, or mapped with a new type, a new charge or a bond delta: (a) no
+    such atom is an edge atom, and (b) every interaction that holds one lies
+    inside both templates.  A break of (a) raises ``InconsistentPruning``
+    naming the smallest such edge atom as ``molecule.atom``, before (b) is
+    checked (see ``_side_template``).
     """
     mapping = report.mapping
     g_reac, g_prod = mapping.g_reac, mapping.g_prod
@@ -174,15 +199,17 @@ def assemble_templates(
     if not set(report.deleted) <= pre_pruned or not set(report.created) <= post_pruned:
         raise InconsistentPruning("created/deleted atoms missing from the templates")
 
-    def changes(r_gid: int) -> bool:
-        if r_gid not in mapping.pairs:
-            return True
-        before, after = g_reac.nodes[r_gid], g_prod.nodes[mapping.pairs[r_gid]]
+    changed_pre = set(report.deleted)
+    for r_gid, p_gid in mapping.pairs.items():
+        before, after = g_reac.nodes[r_gid], g_prod.nodes[p_gid]
         retyped = before.type_id != after.type_id or before.charge != after.charge
-        return retyped or bool(report.bond_deltas[r_gid])
+        if retyped or report.bond_deltas[r_gid]:
+            changed_pre.add(r_gid)
+    changed_post = set(report.created)
+    changed_post.update(mapping.pairs[r_gid] for r_gid in changed_pre - report.deleted)
 
     edge_atoms = mark_edge_atoms(pre_pruned, g_reac)
-    changed = [r_gid for r_gid in edge_atoms if changes(r_gid)]
+    changed = edge_atoms & changed_pre
     if changed:
         node = g_reac.nodes[min(changed)]
         raise InconsistentPruning(
@@ -190,8 +217,8 @@ def assemble_templates(
             "charge, which fix bond/react forbids; raise the cutoff"
         )
 
-    pre_template, pre_index = _side_template(g_reac, pre_pruned)
-    post_template, post_index = _side_template(g_prod, post_pruned)
+    pre_template, pre_index = _side_template(g_reac, pre_pruned, changed_pre, "pre")
+    post_template, post_index = _side_template(g_prod, post_pruned, changed_post, "post")
 
     equivalences = sorted(
         (pre_index[r], post_index[p])

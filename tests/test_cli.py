@@ -128,6 +128,59 @@ class TestRunCommand:
         assert "edge atom 2.12 " in err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name, cutoff, row",
+        [
+            ("chain", 2, "Dihedrals entry of changed atom 1.2 leaves the pre template"),
+            ("polyaddition", 2, "Dihedrals entry of changed atom 1.17 leaves the pre template"),
+            ("polyaddition", 3, "Dihedrals entry of changed atom 2.12 leaves the pre template"),
+            ("polycondensation", 2, "Dihedrals entry of changed atom 1.7 leaves the pre template"),
+        ],
+    )
+    def test_changed_interaction_outside_exit_code(self, tmp_path, capsys, name, cutoff, row):
+        # fix bond/react needs every interaction that holds a deleted, created
+        # or changed atom inside both templates.  At these cutoffs no changed
+        # atom is an edge atom, but a dihedral of one is cut.
+        reactants, products = CASE_STUDIES[name]
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--reactants", *reactants, "--products", *products,
+            "--out", str(out_dir), "--cutoff", str(cutoff),
+        ])
+        assert code == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: InconsistentPruning: ")
+        assert err.count("\n") == 1
+        assert row in err
+        assert not out_dir.exists()
+
+    def test_unknown_log_level_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Checked before any file is read: the reactant file does not exist.
+        monkeypatch.setenv("TEMPLATER_LOG_LEVEL", "verbose")
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--reactants", str(tmp_path / "missing.data"),
+            "--products", *PC_PRODUCTS, "--out", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: TEMPLATER_LOG_LEVEL must be one of "
+            "DEBUG, INFO, WARNING, ERROR, CRITICAL, not 'verbose'\n"
+        )
+        assert not out_dir.exists()
+
+    def test_malformed_config_file_named(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"cutoff": 4,\n}\n')
+        out_dir = tmp_path / "out"
+        code = main(run_args(out_dir, ["--config", str(config_path)]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: config file {config_path}: Expecting property name "
+            "enclosed in double quotes: line 2 column 1 (char 14)\n"
+        )
+        assert not out_dir.exists()
+
     def test_directory_target_refused_before_staging(self, tmp_path, capsys):
         # report.json sorts after the templates and the map file, whose
         # renames would have landed before its own failed.
@@ -276,7 +329,7 @@ class TestRunCommand:
             "reactants": PC_REACTANTS,
             "products": PC_PRODUCTS,
             "out_dir": str(tmp_path / "from-file"),
-            "cutoff": 2,
+            "cutoff": 5,
         }
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
@@ -285,7 +338,7 @@ class TestRunCommand:
         assert code == 0
         assert (out_dir / "report.json").exists()
         payload = json.loads((out_dir / "report.json").read_text())
-        assert payload["templates"]["cutoff"] == 2
+        assert payload["templates"]["cutoff"] == 5
 
     @pytest.mark.parametrize(
         "config, message",

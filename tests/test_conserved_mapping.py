@@ -1,10 +1,13 @@
+import logging
 import random
 
 import pytest
 
 from conftest import (
+    CASE_STUDIES,
     alkene_dimerization,
     all_atom_kernel_input,
+    fixture_path,
     hydrogen_decorated_pair,
     kernel_form_graphs,
     make_graph,
@@ -383,6 +386,30 @@ class TestIterateConserved:
         mapping = iterate_conserved(g1, g2)
         assert mapping.pairs == {}
         assert mapping.unmapped()[0] == {1}
+
+    def test_spectator_molecule_changes_nothing(self, caplog):
+        # A third molecule, unchanged, on both sides is the largest conserved
+        # candidate: iteration 1 maps it whole.  The later iterations search
+        # its empty remainder on both sides and find nothing there, so the
+        # reacting pair, given the extra iteration, gets the initiators and
+        # templates of the run without it.
+        from templater.cli import RunConfig, run_stages
+
+        reactants, products = CASE_STUDIES["polycondensation"]
+        spectator = fixture_path("octane.data")
+        alone = run_stages(RunConfig(reactants, products))
+        with caplog.at_level(logging.INFO, logger="templater"):
+            joined = run_stages(
+                RunConfig(reactants + [spectator], products + [spectator], iterations=3)
+            )
+        mapping = joined.mapping
+        for r_gid in joined.g_reac.components[3]:
+            assert mapping.provenance[r_gid] == "conserved-1"
+            assert joined.g_prod.nodes[mapping.pairs[r_gid]].component == 2
+        for empty in ("molecules 3 -> 1", "molecules 3 -> 2", "molecules 1 -> 2"):
+            assert f"iteration 2, {empty}: 0 pairs, 0 expansions" in caplog.text
+        assert joined.report.initiators == alone.report.initiators
+        assert joined.templates == alone.templates
 
     def test_monotone_residual(self):
         rng = random.Random(7)

@@ -116,7 +116,7 @@ PINNED_RANDOM = [
     ("attributed", 0, False, 2195,
      [(0, 13), (1, 14), (2, 5), (3, 0), (6, 10), (8, 9), (10, 6), (12, 12)]),
     ("attributed", 1, False, 13, [(0, 5), (3, 6)]),
-    ("attributed", 2, False, 2, [(0, 2)]),
+    ("attributed", 2, False, 4, [(0, 2)]),
     ("attributed", 3, False, 9, [(0, 0), (1, 1)]),
     ("attributed", 4, False, 105, [(0, 4), (1, 9), (2, 2), (3, 7), (5, 0)]),
     ("attributed", 5, False, 308, [(0, 1), (1, 9), (2, 3), (4, 6), (8, 4)]),
@@ -124,7 +124,7 @@ PINNED_RANDOM = [
     ("attributed", 7, False, 670, [(0, 11), (1, 3), (2, 0), (5, 12), (6, 4), (7, 1), (9, 5)]),
     ("attributed", 0, True, 489, [(1, 9), (2, 0), (3, 5), (6, 3), (9, 11), (11, 14), (12, 4)]),
     ("attributed", 1, True, 12, [(0, 3)]),
-    ("attributed", 2, True, 2, [(0, 2)]),
+    ("attributed", 2, True, 4, [(0, 2)]),
     ("attributed", 3, True, 7, [(0, 0), (1, 1)]),
     ("attributed", 4, True, 35, [(0, 1), (5, 0)]),
     ("attributed", 5, True, 32, [(0, 1), (2, 8), (5, 10), (7, 5), (8, 3)]),
@@ -133,18 +133,18 @@ PINNED_RANDOM = [
     ("hydrogen", 0, False, 38, [(0, 5), (2, 4), (3, 6), (4, 1), (5, 10), (6, 3), (7, 11)]),
     ("hydrogen", 1, False, 13, [(0, 1), (1, 3), (2, 9), (3, 2), (4, 4), (5, 6), (6, 7), (7, 8)]),
     ("hydrogen", 2, False, 1, [(0, 3)]),
-    ("hydrogen", 3, False, 11, [(0, 0), (1, 14), (3, 8)]),
-    ("hydrogen", 4, False, 4, [(0, 0), (2, 2)]),
-    ("hydrogen", 5, False, 16, [(0, 0), (1, 1), (2, 5), (5, 4), (6, 2), (8, 6), (11, 3)]),
-    ("hydrogen", 6, False, 4, [(1, 1), (3, 0)]),
-    ("hydrogen", 7, False, 1, [(1, 0)]),
+    ("hydrogen", 3, False, 15, [(0, 0), (1, 14), (3, 8)]),
+    ("hydrogen", 4, False, 5, [(0, 0), (2, 2)]),
+    ("hydrogen", 5, False, 30, [(0, 0), (1, 1), (2, 5), (5, 4), (6, 2), (8, 6), (11, 3)]),
+    ("hydrogen", 6, False, 6, [(1, 1), (3, 0)]),
+    ("hydrogen", 7, False, 2, [(1, 0)]),
     ("hydrogen", 0, True, 31, [(0, 5), (2, 4), (3, 6), (4, 1), (6, 3), (7, 10)]),
-    ("hydrogen", 1, True, 20, [(0, 1), (1, 3), (2, 9), (3, 2), (5, 6), (6, 7), (7, 8)]),
+    ("hydrogen", 1, True, 24, [(0, 1), (1, 3), (2, 9), (3, 2), (5, 6), (6, 7), (7, 8)]),
     ("hydrogen", 2, True, 1, [(0, 3)]),
-    ("hydrogen", 3, True, 14, [(0, 14), (1, 0), (3, 8)]),
+    ("hydrogen", 3, True, 17, [(0, 14), (1, 0), (3, 8)]),
     ("hydrogen", 4, True, 6, [(0, 1), (2, 2)]),
-    ("hydrogen", 5, True, 18, [(0, 0), (11, 3), (12, 5)]),
-    ("hydrogen", 6, True, 4, [(1, 1), (3, 0)]),
+    ("hydrogen", 5, True, 28, [(0, 0), (11, 3), (12, 5)]),
+    ("hydrogen", 6, True, 6, [(1, 1), (3, 0)]),
     ("hydrogen", 7, True, 1, [(3, 0)]),
 ]
 

@@ -114,6 +114,14 @@ class TestCarryFeatures:
         index = {4: 1, 6: 2}
         assert carry_features(interactions, index) == [(7, (1, 2))]
 
+    def test_dropped_interaction_of_a_changed_atom_refused(self):
+        # Dropping (2, 3) is fine; (3, 4, 2) holds the changed atoms 2 and 4.
+        interactions = [(1, (1, 2)), (2, (2, 3)), (3, (3, 4, 2))]
+        index = {1: 1, 2: 2}
+        assert carry_features(interactions[:2], index, {1}, "atom {}") == [(1, (1, 2))]
+        with pytest.raises(InconsistentPruning, match=r"^atom 2$"):
+            carry_features(interactions, index, {2, 4}, "atom {}")
+
 
 def small_reaction():
     """A-B + C-D -> A-B-C-D with one new bond between B and C."""
@@ -291,7 +299,7 @@ class TestCutoffMonotonicity:
 
         reactants, products = CASE_STUDIES["polycondensation"]
         sizes = []
-        for cutoff in (1, 2, 4, 6):
+        for cutoff in (3, 4, 5, 6):
             cfg = RunConfig(reactants=reactants, products=products, out_dir=".", cutoff=cutoff)
             state = run_stages(cfg)
             sizes.append(state.templates.pre.atom_count)
@@ -363,7 +371,7 @@ class TestEdgeAtomRule:
     """``fix bond/react`` forbids an edge atom whose bonds, type or charge
     change."""
 
-    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    @pytest.mark.parametrize("cutoff", [4, 5, 6])
     @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
     def test_case_studies_keep_edge_atoms(self, tmp_path, name, cutoff):
         reactants, products = CASE_STUDIES[name]
@@ -383,7 +391,7 @@ class TestEdgeAtomRule:
         # Listing the pre atom of BD atom 12, whose charge goes from 0.15
         # to 0.2, among the edge atoms of a valid template must be caught.
         reactants, products = CASE_STUDIES["polyaddition"]
-        state = run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=2))
+        state = run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=4))
         bd_12 = state.templates.pre_index_of[state.g_reac.gid_for(2, 12)]
         assert bd_12 not in state.templates.edge_atoms
         path = tmp_path / "reaction_map.txt"
@@ -554,14 +562,14 @@ class TestMapFileReplay:
     """Replaying the map file on the pre template breaks and forms exactly
     the bonds of the reaction's minimal map."""
 
-    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    @pytest.mark.parametrize("cutoff", [4, 5, 6])
     @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
     def test_case_studies(self, tmp_path, name, cutoff):
         reactants, products = CASE_STUDIES[name]
         run_pipeline(RunConfig(reactants, products, str(tmp_path), cutoff=cutoff))
         assert replayed_bond_edits(tmp_path) == EXPECTED_BOND_EDITS[name]
 
-    @pytest.mark.parametrize("cutoff", [2, 4, 6])
+    @pytest.mark.parametrize("cutoff", [3, 4, 6])
     def test_generated_families(self, tmp_path, cutoff):
         for kind, instance in first_generated(tmp_path):
             out_dir = tmp_path / kind
