@@ -33,9 +33,9 @@ a caller-supplied budget.
 
 Symmetric product nodes, such as the hydrogens on one carbon, are twins;
 each reactant node is tried against only one member of each twin group,
-skipped with one precomputed mask (see ``max_common_connected_subgraph``
-for why this is exact), which keeps their permutations from multiplying
-the search without changing the result.
+the rest skipped with one precomputed mask (see
+``max_common_connected_subgraph`` for why this is exact), which keeps their
+permutations from multiplying the search without changing the result.
 
 The search is depth first on a stack of its own rather than on Python's
 call stack, so a conserved chain of any length needs neither a raised

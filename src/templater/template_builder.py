@@ -9,7 +9,6 @@ the user's force field.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from dataclasses import dataclass, field
 
 from templater.errors import InconsistentPruning
@@ -55,7 +54,7 @@ def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:
 def carry_features(
     interactions: list[tuple[int, tuple[int, ...]]],
     local_index: dict[int, int],
-    changed: Container[int] = frozenset(),
+    changed: set[int] | frozenset[int] = frozenset(),
     refusal: str = "",
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Keep the interactions whose atoms all lie in ``local_index``, renumbered by it.
@@ -69,7 +68,7 @@ def carry_features(
     for type_id, members in interactions:
         if all(map(local_index.__contains__, members)):
             kept.append((type_id, tuple(map(local_index.__getitem__, members))))
-        elif any(map(changed.__contains__, members)):
+        elif not changed.isdisjoint(members):
             raise InconsistentPruning(refusal.format(min(filter(changed.__contains__, members))))
     return kept
 
