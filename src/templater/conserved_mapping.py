@@ -4,7 +4,8 @@ The largest attribute-preserving connected common subgraph is searched per
 (reactant molecule, product molecule) pair on the still-unmapped remainder;
 the single best candidate wins each iteration and its pairs enter the
 mapping.  Two iterations cover conserved matter on both sides of a reaction
-site that splits a molecule.
+site that splits a molecule.  The best candidate so far is a floor for the
+later searches of its iteration (see ``iterate_conserved``).
 
 Matching criteria are mass and type only; charge never participates.
 Grouped leaves, such as the hydrogens of a CH2 or CH3, fold into counts on
@@ -19,8 +20,10 @@ independent of search order.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from templater.errors import ValidationError
 from templater.graph_core import UnifiedGraph
@@ -108,24 +111,22 @@ def _leaf_groups(
     of its nodes has two or more neighbours, and none is the only
     neighbour of a node; degrees come from the masks by popcount.
     """
+    spoiled = {label for label, mask in zip(labels, masks) if mask & (mask - 1)}
+    spoiled.update(
+        labels[mask.bit_length() - 1] for mask in masks if mask and not mask & (mask - 1)
+    )
     members: dict[Hashable, int] = {}
     parents: dict[Hashable, int] = {}
     crowded = set()
-    spoiled = set()
-    for node, (label, mask) in enumerate(zip(labels, masks)):
-        if mask & (mask - 1):
-            spoiled.add(label)
-        elif mask:
-            spoiled.add(labels[mask.bit_length() - 1])
+    for node, label in enumerate(labels):
+        if label in spoiled:
+            continue
+        mask = masks[node]
         if parents.get(label, 0) & mask:
             crowded.add(label)
         parents[label] = parents.get(label, 0) | mask
         members[label] = members.get(label, 0) | 1 << node
-    return {
-        label: (nodes, label in crowded)
-        for label, nodes in members.items()
-        if label not in spoiled
-    }
+    return {label: (nodes, label in crowded) for label, nodes in members.items()}
 
 
 def _bits(mask: int) -> list[int]:
@@ -136,6 +137,38 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+class _Side:
+    """One side of a search: its nodes in gid order and their labels, with
+    the neighbour masks among them and their leaf groups built on first use.
+
+    The kernel only tests labels for equality, so (mass, type) is the label.
+    """
+
+    def __init__(self, graph: UnifiedGraph, nodes: list[int]):
+        self.graph = graph
+        self.nodes = nodes
+        self.labels = [(atom.mass, atom.type_id) for atom in map(graph.nodes.__getitem__, nodes)]
+        self.tally = Counter(self.labels)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {gid: i for i, gid in enumerate(self.nodes)}
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return [_neighbour_mask(self.graph, gid, self.index) for gid in self.nodes]
+
+    @cached_property
+    def groups(self) -> dict[Hashable, tuple[int, bool]]:
+        return _leaf_groups(self.labels, self.masks)
+
+
+def _count_bound(side_r: _Side, side_p: _Side) -> int:
+    """The most pairs a search can find: per label, the smaller count."""
+    tally_p = side_p.tally
+    return sum(min(count, tally_p[label]) for label, count in side_r.tally.items())
 
 
 def max_common_subgraph(
@@ -183,16 +216,28 @@ def max_common_subgraph(
     """
     nodes_r = sorted(include_r) if include_r is not None else g_r.sorted_gids()
     nodes_p = sorted(include_p) if include_p is not None else g_p.sorted_gids()
-    # The kernel only tests labels for equality, so (mass, type) is the label.
-    labels_r = [(atom.mass, atom.type_id) for atom in map(g_r.nodes.__getitem__, nodes_r)]
-    labels_p = [(atom.mass, atom.type_id) for atom in map(g_p.nodes.__getitem__, nodes_p)]
-    common = set(labels_r) & set(labels_p)
+    return _search(_Side(g_r, nodes_r), _Side(g_p, nodes_p), budget, required_images, 0)
+
+
+def _search(
+    side_r: _Side,
+    side_p: _Side,
+    budget: int,
+    required_images: dict[int, set[int]] | None,
+    floor: int,
+) -> tuple[list[tuple[int, int]], int]:
+    """``max_common_subgraph`` between two sides already set up.
+
+    A ``floor`` of 2 or more returns no pairs unless the best subgraph has
+    at least that many; the kernel takes it as a weight, since the largest
+    weight is the largest pair count.  Below 2 it changes nothing.
+    """
+    nodes_r, labels_r = side_r.nodes, side_r.labels
+    nodes_p, labels_p = side_p.nodes, side_p.labels
+    common = side_r.tally.keys() & side_p.tally.keys()
     if not common:
         return [], 0
-    index_r = {gid: i for i, gid in enumerate(nodes_r)}
-    index_p = {gid: j for j, gid in enumerate(nodes_p)}
-    masks_r = [_neighbour_mask(g_r, gid, index_r) for gid in nodes_r]
-    masks_p = [_neighbour_mask(g_p, gid, index_p) for gid in nodes_p]
+    masks_r, masks_p = side_r.masks, side_p.masks
     allowed = None
     if required_images:
         # A product node is adjacent to every required image exactly when
@@ -201,15 +246,15 @@ def max_common_subgraph(
         for r_gid in nodes_r:
             row = (1 << len(nodes_p)) - 1
             for image in required_images.get(r_gid, ()):
-                row &= _neighbour_mask(g_p, image, index_p)
+                row &= _neighbour_mask(side_p.graph, image, side_p.index)
             allowed.append(row)
         common -= {
             label for r_gid, label in zip(nodes_r, labels_r) if required_images.get(r_gid)
         }
     # The reactant and product node masks of each folding label: a label
     # folds only where some node carries two or more of its leaves.
-    groups_r = _leaf_groups(labels_r, masks_r)
-    groups_p = _leaf_groups(labels_p, masks_p)
+    groups_r = side_r.groups
+    groups_p = side_p.groups
     folded = []
     for label in sorted(common & groups_r.keys() & groups_p.keys()):
         members_r, crowded_r = groups_r[label]
@@ -234,10 +279,11 @@ def max_common_subgraph(
             [m & ~gone_p for m in masks_p],
         )
     pairs, expansions = max_common_connected_subgraph(
-        *skeleton, budget, allowed, counts_r or None, counts_p or None
+        *skeleton, budget, allowed, counts_r or None, counts_p or None, floor
     )
-    # A weight of 1 or less: at most one pair, and it matches no leaf.
-    if len(pairs) < 2 and not any(
+    # A weight of 1 or less: at most one pair, and it matches no leaf.  A
+    # floor of 2 or more has then cut every mapping.
+    if floor < 2 and len(pairs) < 2 and not any(
         r[v] and p[w] for v, w in pairs for r, p in zip(counts_r, counts_p)
     ):
         # The smallest label-compatible allowed pair over every node.
@@ -259,6 +305,21 @@ def max_common_subgraph(
     return sorted(matched), expansions
 
 
+def _molecule_side(
+    graph: UnifiedGraph, component: int, taken: dict[int, int], whole: dict[int, _Side]
+) -> _Side:
+    """The nodes of one molecule not in ``taken``, as a search side; a
+    molecule with none taken reuses its set-up from ``whole``."""
+    gids = graph.components[component]
+    rest = [gid for gid in gids if gid not in taken]
+    if len(rest) < len(gids):
+        return _Side(graph, rest)
+    side = whole.get(component)
+    if side is None:
+        side = whole[component] = _Side(graph, rest)
+    return side
+
+
 def iterate_conserved(
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
@@ -269,12 +330,31 @@ def iterate_conserved(
 
     Each iteration searches every (reactant molecule, product molecule)
     pair restricted to unmapped nodes and accepts the single global best
-    candidate; molecules are never mixed within one candidate.  An empty
-    mapping is legal when nothing is conserved.
+    candidate: the most pairs, ties to the smallest sorted pair list.
+    Molecules are never mixed within one candidate.  An empty mapping is
+    legal when nothing is conserved.
+
+    The best candidate so far is a floor for the later searches of its
+    iteration, which leaves the accepted candidate exact.  Molecules are
+    searched in order and each one's gids are all larger than the previous
+    one's, so a later reactant molecule loses every tie and must find
+    strictly more pairs; a search in the incumbent's own reactant molecule
+    must find at least as many, and ties are compared here.  A search
+    whose per-label count bound cannot reach the floor is not run; the
+    others pass the floor to the kernel, which cuts only search nodes that
+    cannot reach it and otherwise returns what it would without one.  No
+    floor is set below 2 pairs, where a search falls back to a single pair
+    outside the kernel.
+
+    Each molecule's set-up (labels, neighbour masks, leaf groups) is built
+    once per call and reused while none of its nodes is mapped.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     mapping = AtomMapping(g_reac, g_prod)
+    whole_r: dict[int, _Side] = {}
+    whole_p: dict[int, _Side] = {}
+    searches = cut = 0
     for iteration in range(1, iterations + 1):
         # Candidates must keep reactant edges toward already-mapped nodes
         # preserved, so accumulated conserved pairs stay edge-consistent.
@@ -289,29 +369,45 @@ def iterate_conserved(
             }
             if images:
                 required[r_gid] = images
-        best: tuple[int, list[tuple[int, int]]] | None = None
+        sides_p = {
+            pc: _molecule_side(g_prod, pc, mapping.reverse, whole_p)
+            for pc in sorted(g_prod.components)
+        }
+        # The incumbent: the best pairs so far and their molecules.
+        best: list[tuple[int, int]] = []
+        best_from = (0, 0)
         for rc in sorted(g_reac.components):
-            rest_r = {g for g in g_reac.components[rc] if g not in mapping.pairs}
-            for pc in sorted(g_prod.components):
-                rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
-                pairs, expansions = max_common_subgraph(
-                    g_reac, g_prod, rest_r, rest_p, budget, required
-                )
-                mapping.search_expansions += expansions
+            side_r = _molecule_side(g_reac, rc, mapping.pairs, whole_r)
+            for pc, side_p in sides_p.items():
+                searches += 1
+                floor = len(best) + (best_from[0] < rc) if best else 0
+                if floor < 2:
+                    floor = 0
+                bound = _count_bound(side_r, side_p)
+                pairs, expansions = [], 0
+                if bound >= floor:
+                    pairs, expansions = _search(side_r, side_p, budget, required, floor)
+                    mapping.search_expansions += expansions
+                note = ""
+                if floor and not pairs:
+                    cut += 1
+                    note = (
+                        f", cut by the incumbent (bound {bound}, incumbent {len(best)} "
+                        f"pairs from molecules {best_from[0]} -> {best_from[1]})"
+                    )
                 logger.info(
                     "conserved search: iteration %d, molecules %d -> %d: "
-                    "%d pairs, %d expansions",
-                    iteration, rc, pc, len(pairs), expansions,
+                    "%d pairs, %d expansions%s",
+                    iteration, rc, pc, len(pairs), expansions, note,
                 )
-                if not pairs:
-                    continue
-                candidate = (-len(pairs), pairs)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
+                if pairs and (not best or (-len(pairs), pairs) < (-len(best), best)):
+                    best, best_from = pairs, (rc, pc)
+        if not best:
             break
-        for r_gid, p_gid in best[1]:
-            mapping.add(r_gid, p_gid, conserved_tag(iteration))
+        tag = conserved_tag(iteration)
+        for r_gid, p_gid in best:
+            mapping.add(r_gid, p_gid, tag)
+    logger.info("conserved stage: %d searches, %d cut by the incumbent", searches, cut)
     return mapping
 
 

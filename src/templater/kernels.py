@@ -15,9 +15,11 @@ adj_p[w])`` and ``(g & ~adj_r[v], h & ~adj_p[w])`` without ``v`` and
 a pass over its nodes.  The bound adds ``min(g.bit_count(),
 h.bit_count())`` over the classes (``int.bit_count`` needs Python 3.10).
 The search branches on the eligible class with the fewest nodes on its
-wider side, ties to the lowest reactant bit; it takes that class's lowest
-reactant node ``v`` and tries its product candidates in ascending bit
-order.
+wider side, ties to the lowest reactant bit, as McSplit does (McCreesh,
+Prosser & Trimble, IJCAI 2017).  Inside that class it takes the reactant
+node ``v`` with the fewest skeleton bonds, ties to the lowest bit, or the
+class's lowest reactant node when the class holds product twins (below),
+and tries ``v``'s product candidates in ascending bit order.
 
 Nodes may carry leaf counts: per folded label, how many leaves of that
 label hang off the node (``conserved_mapping`` folds hydrogens this way).
@@ -29,13 +31,17 @@ every pair weighs 1, and the search is the plain cardinality search.
 Among all mappings of maximum weight the kernel returns the one whose
 sorted pair list is lexicographically smallest, so results are reproducible
 regardless of exploration order.  Work is metered in pair expansions against
-a caller-supplied budget.
+a caller-supplied budget.  A caller that only wants mappings of at least
+some weight passes it as a floor: the bound then cuts every search node
+that cannot reach it, and the kernel returns nothing when no mapping does.
 
-Symmetric product nodes, such as the hydrogens on one carbon, are twins;
-each reactant node is tried against only one member of each twin group,
-the rest skipped with one precomputed mask (see
-``max_common_connected_subgraph`` for why this is exact), which keeps their
+Symmetric product nodes, such as the two methyls on one carbon, are
+twins; each reactant node is tried against only one member of each twin
+group, the rest skipped with one precomputed mask, which keeps their
 permutations from multiplying the search without changing the result.
+That is exact only when ``v`` is its class's lowest reactant node (see
+``max_common_connected_subgraph``), which is why a class with twins
+branches on that node.
 
 The search is depth first on a stack of its own rather than on Python's
 call stack, so a conserved chain of any length needs neither a raised
@@ -109,20 +115,29 @@ def max_common_connected_subgraph(
     allowed: list[int] | None = None,
     leaves_r: list[list[int]] | None = None,
     leaves_p: list[list[int]] | None = None,
+    floor: int = 0,
 ) -> tuple[list[tuple[int, int]], int]:
     """Find the best connected common induced subgraph mapping.
 
     Two product nodes are twins when they have the same label, leaf
-    counts, adjacency mask and ``allowed`` column.  The search branches the
-    lowest node ``v`` of a class over only the first free product candidate
-    of each twin group.  The prune is exact.  Swapping two twins ``w <
-    w'`` is a label-preserving automorphism that keeps ``allowed`` and
-    every pair weight.  A mapping the prune skips pairs ``v`` with ``w'``,
-    and ``w``, if at all, with a node ``u`` of ``v``'s class, so ``u >
-    v``.  The swap turns it into a mapping of the same weight whose sorted
-    pair list is strictly smaller, first differing at ``v``.  The
-    lexicographically smallest maximum mapping is therefore never skipped;
-    only the expansion count drops.
+    counts, adjacency mask and ``allowed`` column.  The search branches a
+    class on its reactant node ``v`` with the fewest bonds in ``adj_r``,
+    ties to the lowest bit, unless the class's product side holds a node
+    with a twin; then ``v`` is the class's lowest reactant node.  ``v`` is
+    matched to only the first free product candidate of each twin group.
+    The prune is exact.  Swapping two twins ``w < w'`` is a
+    label-preserving automorphism that keeps ``allowed`` and every pair
+    weight.  A mapping the prune skips pairs ``v`` with ``w'``, and ``w``,
+    if at all, with a node ``u`` of ``v``'s class, since twins share their
+    adjacency and so stay in one class.  As ``v`` is the class's lowest
+    node, ``u > v``.  The swap turns the mapping into one of the same
+    weight, in the branch ``(v, w)``, whose sorted pair list is strictly
+    smaller, first differing at ``v``.  The lexicographically smallest
+    maximum mapping is therefore never skipped; only the expansion count
+    drops.  The proof needs ``v`` lowest: with a node ``u < v`` left in
+    the class, the swap moves the first difference to ``u``, where ``(u,
+    w) < (u, w')``, so the skipped mapping can be the smallest one.  A
+    class without twins skips nothing, and there ``v`` may be any node.
 
     With leaf counts the bound of a class ``(g, h)`` adds, to ``min(|g|,
     |h|)``, the sum over labels and ``k >= 1`` of ``min(|g & R[k]|, |h &
@@ -132,6 +147,12 @@ def max_common_connected_subgraph(
     ``k`` at which ``v`` lies in ``R[k]`` and ``w`` in ``P[k]``, so no
     matching inside the class matches more leaves than that sum.  Without
     leaf counts the sum is empty and the bound is the plain one.
+
+    A ``floor`` starts the search with that weight as the one to reach:
+    a search node is cut only when its bound, the leaf levels included,
+    is below it, so no mapping of weight ``floor`` or more is lost, and
+    the result is the one the search without a floor returns whenever
+    that one weighs at least ``floor``.
 
     Args:
         labels_r: attribute label per reactant node (0..n-1 index order),
@@ -147,11 +168,14 @@ def max_common_connected_subgraph(
             count per reactant node; None (with ``leaves_p``) weighs every
             pair 1.
         leaves_p: leaf counts per product node, in the same label order.
+        floor: the least total weight worth returning; 0 returns the best
+            mapping whatever its weight.
 
     Returns:
         (pairs, expansions) where pairs is the sorted list of matched
         (reactant index, product index) pairs of maximum total weight, empty
-        when no node pair is label-compatible.
+        when no node pair is label-compatible or no mapping reaches
+        ``floor``.
     """
     # Initial classes: one per label present on both sides.
     by_label: dict[Hashable, list[int]] = {}
@@ -172,6 +196,16 @@ def max_common_connected_subgraph(
         )
 
     twins_p = _twin_masks(labels_p, adj_p, key_p, by_label)
+    twinned_p = 0
+    for w, mask in enumerate(twins_p):
+        if mask & (mask - 1):
+            twinned_p |= 1 << w
+    # Reactant nodes by bond count, fewest first, for the branch node.
+    by_degree: dict[int, int] = {}
+    for v, mask in enumerate(adj_r):
+        degree = (mask & ~(1 << v)).bit_count()
+        by_degree[degree] = by_degree.get(degree, 0) | 1 << v
+    degree_masks = [by_degree[degree] for degree in sorted(by_degree)]
     # (R[k], P[k]) per folded label and k >= 1, for the bound; a level
     # empty on either side adds nothing and is left out.
     levels = [
@@ -180,8 +214,10 @@ def max_common_connected_subgraph(
         for level in zip(_at_least(counts_r), _at_least(counts_p))
     ]
 
+    # Nothing below the floor is found; without one the empty mapping is.
     best: Cell = None
-    best_weight = 0
+    best_weight = floor
+    found = floor <= 0
     best_key: list[tuple[int, int]] | None = None
     expansions = 0
 
@@ -215,10 +251,11 @@ def max_common_connected_subgraph(
         current, weight, mapping = stack.pop()
         # The sorted key of the best mapping is built only when a mapping
         # of equal weight has to be compared with it.
-        if weight > best_weight:
+        if weight > best_weight or weight == best_weight and not found:
             best = mapping
             best_weight = weight
             best_key = None
+            found = True
         elif weight == best_weight:
             key = sorted(_pairs(mapping))
             if best_key is None:
@@ -259,10 +296,19 @@ def max_common_connected_subgraph(
         if bound < best_weight:
             continue
         g, h, adjacent = chosen
-        v = (g & -g).bit_length() - 1
-        # Leave v, the class's lowest bit, unmatched.
+        # The node with the fewest bonds, or the lowest where a twin prune
+        # may skip candidates.
+        fewest = g
+        if not h & twinned_p:
+            for mask in degree_masks:
+                fewest = g & mask
+                if fewest:
+                    break
+        v_bit = fewest & -fewest
+        v = v_bit.bit_length() - 1
+        # Leave v unmatched.
         remainder = [cls for cls in current if cls is not chosen]
-        rest = g & (g - 1)
+        rest = g & ~v_bit
         if rest:
             remainder.append((rest, h, adjacent))
         stack.append((remainder, weight, mapping))
@@ -283,7 +329,7 @@ def max_common_connected_subgraph(
                 gain += min(counts_r[v], counts_p[w])
             children.append((refine(current, v, w), weight + gain, ((v, w), mapping)))
         stack.extend(reversed(children))
-    return sorted(_pairs(best)), expansions
+    return (sorted(_pairs(best)) if found else []), expansions
 
 
 # There is one kernel, in pure Python.  The benchmark harness

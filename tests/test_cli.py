@@ -539,7 +539,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "07986dfdf25ad6c9cd2f1379ed6f7b58099272349328373d5fa4409748c21e72",
         "pre_template.mol": "229dbfb1a33d535f6002544c9fab046b75aad8770772bf733b59c6b6310f81a9",
         "reaction_map.txt": "a9b93c6ab3d78b8b51bbfeff7d404c715a04624d8f629eb4711615d1a90eabd7",
-        "report.json": "0da7dbc2f8c6fc5289f4163b9a56490c0906508bae774b6e6be9f8e8810e30b6",
+        "report.json": "88c3efc0e145d3bbdba84533a1b13eb5e034c30e2504defceac309385513195c",
         "report.txt": "7199d37d4698ea1879c14a97d20032dd57b2a34277ec304b4e9a536b99ee15be",
         "similarity.csv": "8b8b21a0116056bead0af3e6c7b80b4d5f40b815c590324c67512761e4072e2a",
     },
@@ -549,7 +549,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "f9af83ac690c7b0bff321bb3c4862c28075b4dd90ef239a1369bfefa0f7563bf",
         "pre_template.mol": "70d8e077dcb1c4e0ceec9c9645fd605d83507baa04a162e6f3994506e0deb910",
         "reaction_map.txt": "345224d6430f3eb93c20e20feb55c62185f33ddfd83c64584caadd5e219601e2",
-        "report.json": "5a8cff531282fb12024c7227a4babd730249b08769ac4f9c2428caaca07b4618",
+        "report.json": "be08520bf58b3418dfd0883c2e6634397398c0c0b721b69101d70bbba989cd49",
         "report.txt": "badbb902af406092acc62efed1df277550cd9f3882bb5c436c2725ad7fa3e220",
         "similarity.csv": "f0f3b2d334a24e6e8395543635b994405a1527f8d4d2c3ed557e427903468e78",
     },
@@ -559,7 +559,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "702eaa9632d118009fcdf8f30892222eb48a6bae7a5d4e7543fc89e5cfea6b63",
         "pre_template.mol": "ecc798f1d61321611945bbed1b66cb03f343b33c0da7851e4543c03988bba9ec",
         "reaction_map.txt": "fa90ddb99d93350a8728adee35ed3cf32c1c14ee5d117cb10843699e7148a665",
-        "report.json": "4487dc9a00df044a5927da86a14becbea1b59ae616d6ba3e2883076897dd8c57",
+        "report.json": "ecc5bd018cb1eead695d86080f8c68bd063fe05993d64aa8841ca0ff1b7880fa",
         "report.txt": "4e9e2e69bbfe638d4181bd2131cb67e8e3d2af3917238514904bfb27f01c648a",
         "similarity.csv": "522dba02747e791442dbaca47b7ed818230b202b7579b0f22e08e591b94c65c6",
     },

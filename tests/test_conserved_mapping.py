@@ -16,10 +16,14 @@ from conftest import (
     mcs_oracle_size,
     random_allowed,
     random_attributed_pair,
+    ua_dimerization,
     weighted_oracle_pairs,
 )
 from templater.conserved_mapping import (
+    DEFAULT_BUDGET,
+    DEFAULT_ITERATIONS,
     AtomMapping,
+    conserved_tag,
     iterate_conserved,
     max_common_subgraph,
     validate_mapping,
@@ -277,6 +281,109 @@ class TestFoldedSearch:
         assert calls == [1, 0]
 
 
+def shuffled(rng, labels, adj):
+    """The same kernel-form side with its node indices permuted."""
+    order = list(range(len(labels)))
+    rng.shuffle(order)
+    new_labels = [None] * len(labels)
+    new_adj = [0] * len(labels)
+    for old, new in enumerate(order):
+        new_labels[new] = labels[old]
+        for nbr in range(len(labels)):
+            if (adj[old] >> nbr) & 1:
+                new_adj[new] |= 1 << order[nbr]
+    return new_labels, new_adj
+
+
+def branched_alkane(kind, size):
+    """Kernel-form all-atom alkane, carbons label 0 and hydrogens label 1:
+    ``size`` -CH2-C(CH3)2- units (gem-dimethyl), or a chain of ``size``
+    carbons ending in a tert-butyl group."""
+    bonds = []
+    if kind == "gem-dimethyl":
+        carbons, backbone = 0, None
+        for _ in range(size):
+            ch2, quaternary = carbons, carbons + 1
+            bonds += [(ch2, quaternary), (quaternary, carbons + 2), (quaternary, carbons + 3)]
+            if backbone is not None:
+                bonds.append((backbone, ch2))
+            backbone, carbons = quaternary, carbons + 4
+    else:
+        bonds = [(i, i + 1) for i in range(size)]
+        bonds += [(size, size + k) for k in (1, 2, 3)]
+        carbons = size + 4
+    labels = [0] * carbons
+    adj = [0] * carbons
+    for a, b in bonds:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    for carbon in range(carbons):
+        for _ in range(4 - adj[carbon].bit_count()):
+            adj.append(1 << carbon)
+            adj[carbon] |= 1 << len(labels)
+            labels.append(1)
+    return labels, adj
+
+
+def methyl_twin_side(rng):
+    """Random kernel-form alkane, carbons label 0 and hydrogens label 1: a
+    tree of 1-3 carbons, two more carbons on one of them, and at most one
+    more carbon anywhere.  Each carbon has 2-4 neighbours and mostly four,
+    so the two added carbons are often methyl twins and sometimes differ
+    by a branch or a hydrogen."""
+    labels = [0] * rng.randint(1, 3)
+    adj = [0] * len(labels)
+
+    def add(label, parent):
+        labels.append(label)
+        adj.append(1 << parent)
+        adj[parent] |= 1 << len(labels) - 1
+
+    for atom in range(1, len(labels)):
+        other = rng.randrange(atom)
+        adj[atom] |= 1 << other
+        adj[other] |= 1 << atom
+    parent = rng.randrange(len(labels))
+    add(0, parent)
+    add(0, parent)
+    if rng.random() < 0.5:
+        add(0, rng.randrange(len(labels)))
+    for atom in range(len(labels)):
+        most = max(4 - adj[atom].bit_count(), 0)
+        least = min(max(2 - adj[atom].bit_count(), 0), most)
+        for _ in range(rng.choice((most, most, rng.randint(least, most)))):
+            add(1, atom)
+    return shuffled(rng, labels, adj)
+
+
+class TestRestrictedTwinPrune:
+    """The search branches on the least-connected node of a class; only when
+    that node is also the class's lowest does it skip product twins.  These
+    inputs have twin groups (two methyls on one carbon, three in a
+    tert-butyl group) in shuffled node order, so the least-connected node is
+    often not the lowest; the folded search must equal the exhaustive oracle."""
+
+    def assert_oracle(self, labels_r, adj_r, labels_p, adj_p):
+        g_r, g_p = kernel_form_graphs(labels_r, adj_r, labels_p, adj_p)
+        pairs, _ = max_common_subgraph(g_r, g_p)
+        expected = folded_oracle(labels_r, adj_r, labels_p, adj_p)
+        assert pairs == [(v + 1, w + 1) for v, w in expected]
+
+    def test_shuffled_branched_alkanes(self):
+        rng = random.Random(8086)
+        shapes = [("gem-dimethyl", 1), ("gem-dimethyl", 2), ("tert-butyl", 1),
+                  ("tert-butyl", 2), ("tert-butyl", 4)]
+        for _ in range(60):
+            side_r = shuffled(rng, *branched_alkane(*rng.choice(shapes)))
+            side_p = shuffled(rng, *branched_alkane(*rng.choice(shapes)))
+            self.assert_oracle(*side_r, *side_p)
+
+    def test_random_pairs_with_methyl_twins(self):
+        rng = random.Random(6502)
+        for _ in range(400):
+            self.assert_oracle(*methyl_twin_side(rng), *methyl_twin_side(rng))
+
+
 class TestLargeMolecules:
     def test_alkene_dimerizations_finish_within_budget(self):
         # Searched atom by atom, these take thousands to millions of
@@ -445,6 +552,107 @@ class TestIterateConserved:
                 if r in mapping.pairs
             }
             assert len(images) == 1
+
+
+def iterate_conserved_without_floor(
+    g_reac, g_prod, iterations=DEFAULT_ITERATIONS, budget=DEFAULT_BUDGET
+):
+    """``iterate_conserved`` with every search run in full, no floor: each
+    (reactant molecule, product molecule) search of an iteration is
+    compared here, and the most pairs, ties to the smallest sorted pair
+    list, wins."""
+    mapping = AtomMapping(g_reac, g_prod)
+    for iteration in range(1, iterations + 1):
+        required = {}
+        for r_gid in g_reac.nodes:
+            images = {mapping.pairs[u] for u in g_reac.neighbors(r_gid) if u in mapping.pairs}
+            if images and r_gid not in mapping.pairs:
+                required[r_gid] = images
+        best = None
+        for rc in sorted(g_reac.components):
+            rest_r = {g for g in g_reac.components[rc] if g not in mapping.pairs}
+            for pc in sorted(g_prod.components):
+                rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
+                pairs, _ = max_common_subgraph(g_reac, g_prod, rest_r, rest_p, budget, required)
+                if pairs and (best is None or (-len(pairs), pairs) < best):
+                    best = (-len(pairs), pairs)
+        if best is None:
+            break
+        for r_gid, p_gid in best[1]:
+            mapping.add(r_gid, p_gid, conserved_tag(iteration))
+    return mapping
+
+
+def graphs_of(reactants, products):
+    from templater.cli import RunConfig, run_stages
+
+    state = run_stages(RunConfig(reactants, products), through="graphs")
+    return state.g_reac, state.g_prod
+
+
+class TestIncumbentFloor:
+    """The best candidate so far is a floor for the later searches of its
+    iteration; the accepted candidates must equal those of full searches."""
+
+    def assert_same_as_full_searches(self, g_reac, g_prod):
+        mapping = iterate_conserved(g_reac, g_prod)
+        reference = iterate_conserved_without_floor(g_reac, g_prod)
+        assert mapping.pairs == reference.pairs
+        assert mapping.provenance == reference.provenance
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generated_families(self, seed):
+        for g_reac, g_prod in (
+            alkene_dimerization(7, random.Random(seed)),
+            alkene_dimerization(5, random.Random(seed), 4),
+            ua_dimerization(96, random.Random(seed)),
+        ):
+            self.assert_same_as_full_searches(g_reac, g_prod)
+
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_case_studies_with_a_spectator(self, name):
+        reactants, products = CASE_STUDIES[name]
+        spectator = fixture_path("octane.data")
+        self.assert_same_as_full_searches(
+            *graphs_of(reactants + [spectator], products + [spectator])
+        )
+
+    def test_ties_across_molecules(self):
+        # Two copies of one reactant tie across reactant molecules; a
+        # product given twice makes each reactant molecule tie across
+        # product molecules.
+        reactants, products = CASE_STUDIES["chain"]
+        self.assert_same_as_full_searches(*graphs_of(reactants, products))
+        reactants, products = CASE_STUDIES["polycondensation"]
+        self.assert_same_as_full_searches(*graphs_of(reactants, products))
+        self.assert_same_as_full_searches(*graphs_of(reactants, products * 2))
+
+    def test_later_product_molecule_wins_a_tie(self):
+        # Reactant a-b-c-Z-d-e-f: its d-e-f end is product molecule 1 and its
+        # a-b-c end product molecule 2.  Both searches find 3 pairs; the
+        # second has the smaller pair list, so a floor in one reactant
+        # molecule must be reached, not beaten.
+        masses = {t: 10.0 + t for t in range(1, 8)}
+        chain = [(i, t, 0.0) for i, t in enumerate((1, 2, 3, 7, 4, 5, 6), start=1)]
+        reactant = make_topology(chain, [(i, i + 1) for i in range(1, 7)], masses)
+        ends = [
+            make_topology([(1, a, 0.0), (2, b, 0.0), (3, c, 0.0)], [(1, 2), (2, 3)], masses)
+            for a, b, c in ((4, 5, 6), (1, 2, 3))
+        ]
+        g_reac = build_unified_graph([reactant], "reactant")
+        g_prod = build_unified_graph(ends, "product")
+        mapping = iterate_conserved(g_reac, g_prod, iterations=1)
+        assert mapping.sorted_pairs() == [(1, 4), (2, 5), (3, 6)]
+        self.assert_same_as_full_searches(g_reac, g_prod)
+
+    def test_cut_searches_are_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="templater"):
+            iterate_conserved(*alkene_dimerization(7, random.Random(0)))
+        assert (
+            "iteration 1, molecules 2 -> 1: 0 pairs, 0 expansions, cut by the incumbent "
+            "(bound 16, incumbent 16 pairs from molecules 1 -> 1)"
+        ) in caplog.text
+        assert "conserved stage: 4 searches, 1 cut by the incumbent" in caplog.text
 
 
 class TestValidator:
