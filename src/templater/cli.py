@@ -21,7 +21,6 @@ from json.encoder import encode_basestring_ascii
 from templater import errors
 from templater.conserved_mapping import (
     DEFAULT_BUDGET,
-    DEFAULT_ITERATIONS,
     AtomMapping,
     iterate_conserved,
 )
@@ -96,7 +95,6 @@ _CONFIG_VALUE_RANGES = {
     "reactants": (bool, _NEED_BOTH_SIDES),
     "products": (bool, _NEED_BOTH_SIDES),
     "cutoff": (lambda v: v >= 1, "cutoff must be >= 1"),
-    "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
     "search_budget": (lambda v: v >= 0, "search budget must be non-negative"),
 }
 
@@ -130,7 +128,6 @@ class RunConfig:
     alpha: float = ScoringWeights.alpha
     beta: float = ScoringWeights.beta
     gamma: float = ScoringWeights.gamma
-    iterations: int = DEFAULT_ITERATIONS
     cutoff: int = DEFAULT_CUTOFF
     export_dot: bool = False
     export_similarity_csv: bool = False
@@ -209,16 +206,13 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
         return state
 
     logger.info(
-        "knobs: weights (%g, %g, %g), cutoff %d, iterations %d, budget %d, "
-        "cost normalization min-max",
-        cfg.alpha, cfg.beta, cfg.gamma, cfg.cutoff, cfg.iterations, cfg.search_budget,
+        "knobs: weights (%g, %g, %g), cutoff %d, budget %d, cost normalization min-max",
+        cfg.alpha, cfg.beta, cfg.gamma, cfg.cutoff, cfg.search_budget,
     )
-    mapping = iterate_conserved(
-        g_reac, g_prod, iterations=cfg.iterations, budget=cfg.search_budget
-    )
+    mapping = iterate_conserved(g_reac, g_prod, budget=cfg.search_budget)
     logger.info(
-        "conserved mapping: %d pairs after %d iteration(s), %d expansions",
-        len(mapping.pairs), cfg.iterations, mapping.search_expansions,
+        "conserved mapping: %d pairs, %d expansions",
+        len(mapping.pairs), mapping.search_expansions,
     )
 
     state.mapping, state.similarity = assign_similarity(mapping, cfg.weights)
@@ -340,7 +334,6 @@ def _report_json(cfg: RunConfig, state: PipelineState, payload: dict) -> str:
     }
     payload["config"] = {
         "weights": [cfg.alpha, cfg.beta, cfg.gamma],
-        "iterations": cfg.iterations,
         "cutoff": cfg.cutoff,
         "search_budget": cfg.search_budget,
         "search_expansions": state.mapping.search_expansions,
@@ -416,8 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=None, help="mass-match weight")
         p.add_argument("--gamma", type=float, default=None, help="neighborhood weight")
         p.add_argument("--cutoff", type=int, default=None, help="template hop cutoff")
-        p.add_argument("--iterations", type=int, default=None,
-                       help="conserved-search iterations")
         p.add_argument("--search-budget", type=int, default=None,
                        help="pair-expansion cap for the subgraph search")
         p.add_argument("--config", default=None,

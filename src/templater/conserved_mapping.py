@@ -1,11 +1,13 @@
 """Conserved-region detection between reactant and product graphs.
 
 The largest attribute-preserving connected common subgraph is searched per
-(reactant molecule, product molecule) pair on the still-unmapped remainder;
-the single best candidate wins each iteration and its pairs enter the
-mapping.  Two iterations cover conserved matter on both sides of a reaction
-site that splits a molecule.  The best candidate so far is a floor for the
-later searches of its iteration (see ``iterate_conserved``).
+(reactant molecule, product molecule) pair on the still-unmapped remainder.
+Each iteration accepts the single best candidate that keeps a bond (two or
+more pairs), and the stage stops when no search finds one; it ends, since
+each candidate maps two or more atoms.  A spectator molecule and each arm
+of a molecule cut in two take an iteration of their own.  The best
+candidate so far is a floor for the later searches of its iteration (see
+``iterate_conserved``).
 
 Matching criteria are mass and type only; charge never participates.
 Grouped leaves, such as the hydrogens of a CH2 or CH3, fold into counts on
@@ -31,7 +33,6 @@ from templater.kernels import max_common_connected_subgraph
 
 logger = logging.getLogger("templater")
 
-DEFAULT_ITERATIONS = 2
 DEFAULT_BUDGET = 10_000_000
 
 CONSERVED = "conserved"
@@ -165,6 +166,19 @@ class _Side:
         return _leaf_groups(self.labels, self.masks)
 
 
+def _may_keep_a_bond(side_r: _Side, side_p: _Side) -> bool:
+    """False only when no common subgraph keeps a bond.  With one label in
+    common, a kept bond joins two nodes of that label on each side."""
+    common = side_r.tally.keys() & side_p.tally.keys()
+    if len(common) != 1:
+        return bool(common)
+    for side in (side_r, side_p):
+        members = {gid for gid, label in zip(side.nodes, side.labels) if label in common}
+        if not any(nbr in members for gid in members for nbr in side.graph.neighbors(gid)):
+            return False
+    return True
+
+
 def _count_bound(side_r: _Side, side_p: _Side) -> int:
     """The most pairs a search can find: per label, the smaller count."""
     tally_p = side_p.tally
@@ -182,10 +196,12 @@ def max_common_subgraph(
     """Best connected common induced subgraph between two node restrictions.
 
     Returns the matched (reactant gid, product gid) pairs plus the number of
-    pair expansions spent; ``([], 0)`` when no node pair agrees on mass and
-    type.  ``required_images`` constrains individual reactant nodes to
-    product nodes adjacent to all the given product gids; iteration uses it
-    to keep edges toward already-mapped pairs preserved.
+    pair expansions spent.  A result has two or more pairs, or none: a
+    single pair keeps no bond and is not returned; ``([], 0)`` when no node
+    pair agrees on mass and type.  ``required_images`` constrains individual
+    reactant nodes to product nodes adjacent to all the given product gids;
+    ``iterate_conserved`` uses it to keep edges toward already-mapped pairs
+    preserved.
 
     Grouped leaves, such as the hydrogens of a CH2 or CH3, fold into counts
     on their parent, and the kernel searches the remaining skeleton with
@@ -205,8 +221,8 @@ def max_common_subgraph(
     skeleton mapping S plus leaf pairs inside S's pairs, at most W(S) =
     sum over (v, w) in S of 1 + sum over labels of min(leaves of v, leaves
     of w) pairs, and pairing the leaves attains W(S).  The largest W is the
-    largest pair count.  When it is 1 or less no mapping has two pairs, and
-    the result is the smallest label-compatible allowed pair.
+    largest pair count, so the kernel's floor of 2 in weight is a floor of
+    2 pairs.
 
     Ties: the kernel returns the smallest sorted skeleton pair list among
     those of maximum weight, and the leaves of each matched pair are paired
@@ -216,7 +232,7 @@ def max_common_subgraph(
     """
     nodes_r = sorted(include_r) if include_r is not None else g_r.sorted_gids()
     nodes_p = sorted(include_p) if include_p is not None else g_p.sorted_gids()
-    return _search(_Side(g_r, nodes_r), _Side(g_p, nodes_p), budget, required_images, 0)
+    return _search(_Side(g_r, nodes_r), _Side(g_p, nodes_p), budget, required_images, 2)
 
 
 def _search(
@@ -228,9 +244,9 @@ def _search(
 ) -> tuple[list[tuple[int, int]], int]:
     """``max_common_subgraph`` between two sides already set up.
 
-    A ``floor`` of 2 or more returns no pairs unless the best subgraph has
-    at least that many; the kernel takes it as a weight, since the largest
-    weight is the largest pair count.  Below 2 it changes nothing.
+    Returns no pairs unless the best subgraph has at least ``floor``, 2 or
+    more; the kernel takes it as a weight, since the largest weight is the
+    largest pair count.
     """
     nodes_r, labels_r = side_r.nodes, side_r.labels
     nodes_p, labels_p = side_p.nodes, side_p.labels
@@ -281,20 +297,6 @@ def _search(
     pairs, expansions = max_common_connected_subgraph(
         *skeleton, budget, allowed, counts_r or None, counts_p or None, floor
     )
-    # A weight of 1 or less: at most one pair, and it matches no leaf.  A
-    # floor of 2 or more has then cut every mapping.
-    if floor < 2 and len(pairs) < 2 and not any(
-        r[v] and p[w] for v, w in pairs for r, p in zip(counts_r, counts_p)
-    ):
-        # The smallest label-compatible allowed pair over every node.
-        by_label: dict[Hashable, int] = {}
-        for j, label in enumerate(labels_p):
-            by_label[label] = by_label.get(label, 0) | 1 << j
-        for i, label in enumerate(labels_r):
-            row = by_label.get(label, 0) & (-1 if allowed is None else allowed[i])
-            if row:
-                return [(nodes_r[i], nodes_p[(row & -row).bit_length() - 1])], expansions
-        return [], expansions
     matched = [(nodes_r[v], nodes_p[w]) for v, w in pairs]
     for members_r, members_p in folded:
         for v, w in pairs:
@@ -323,39 +325,41 @@ def _molecule_side(
 def iterate_conserved(
     g_reac: UnifiedGraph,
     g_prod: UnifiedGraph,
-    iterations: int = DEFAULT_ITERATIONS,
     budget: int = DEFAULT_BUDGET,
 ) -> AtomMapping:
-    """Accumulate conserved-region mappings over several search iterations.
+    """Accumulate conserved-region mappings, one accepted candidate an iteration.
 
-    Each iteration searches every (reactant molecule, product molecule)
-    pair restricted to unmapped nodes and accepts the single global best
-    candidate: the most pairs, ties to the smallest sorted pair list.
+    Each iteration searches every (reactant molecule, product molecule) pair
+    restricted to unmapped nodes and accepts the single global best
+    candidate: the most pairs, ties to the smallest sorted pair list.  A
+    candidate must keep a bond, so every search has a floor of 2 pairs (a
+    lone atom pair is left to the similarity stage).  The stage stops after
+    the first iteration in which no search reaches 2 pairs, which comes, as
+    each accepted candidate maps 2 or more of the finitely many atoms.
     Molecules are never mixed within one candidate.  An empty mapping is
-    legal when nothing is conserved.
+    legal when nothing is conserved.  The ``k``-th accepted candidate is
+    tagged ``conserved-k``.
 
-    The best candidate so far is a floor for the later searches of its
-    iteration, which leaves the accepted candidate exact.  Molecules are
+    The best candidate so far raises the floor for the later searches of
+    its iteration, which leaves the accepted candidate exact.  Molecules are
     searched in order and each one's gids are all larger than the previous
     one's, so a later reactant molecule loses every tie and must find
     strictly more pairs; a search in the incumbent's own reactant molecule
     must find at least as many, and ties are compared here.  A search
-    whose per-label count bound cannot reach the floor is not run; the
-    others pass the floor to the kernel, which cuts only search nodes that
-    cannot reach it and otherwise returns what it would without one.  No
-    floor is set below 2 pairs, where a search falls back to a single pair
-    outside the kernel.
+    whose per-label count bound cannot reach the floor is not run, nor one
+    whose sides have a single label in common and, on one side, no bond
+    between two of its nodes, which a kept bond would need; the others
+    pass the floor to the kernel, which cuts only search nodes that
+    cannot reach it and otherwise returns what it would without one.
 
     Each molecule's set-up (labels, neighbour masks, leaf groups) is built
     once per call and reused while none of its nodes is mapped.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     mapping = AtomMapping(g_reac, g_prod)
     whole_r: dict[int, _Side] = {}
     whole_p: dict[int, _Side] = {}
-    searches = cut = 0
-    for iteration in range(1, iterations + 1):
+    searches = cut = accepted = 0
+    while True:
         # Candidates must keep reactant edges toward already-mapped nodes
         # preserved, so accumulated conserved pairs stay edge-consistent.
         required: dict[int, set[int]] = {}
@@ -380,16 +384,14 @@ def iterate_conserved(
             side_r = _molecule_side(g_reac, rc, mapping.pairs, whole_r)
             for pc, side_p in sides_p.items():
                 searches += 1
-                floor = len(best) + (best_from[0] < rc) if best else 0
-                if floor < 2:
-                    floor = 0
+                floor = len(best) + (best_from[0] < rc) if best else 2
                 bound = _count_bound(side_r, side_p)
                 pairs, expansions = [], 0
-                if bound >= floor:
+                if bound >= floor and _may_keep_a_bond(side_r, side_p):
                     pairs, expansions = _search(side_r, side_p, budget, required, floor)
                     mapping.search_expansions += expansions
                 note = ""
-                if floor and not pairs:
+                if best and not pairs:
                     cut += 1
                     note = (
                         f", cut by the incumbent (bound {bound}, incumbent {len(best)} "
@@ -398,16 +400,20 @@ def iterate_conserved(
                 logger.info(
                     "conserved search: iteration %d, molecules %d -> %d: "
                     "%d pairs, %d expansions%s",
-                    iteration, rc, pc, len(pairs), expansions, note,
+                    accepted + 1, rc, pc, len(pairs), expansions, note,
                 )
                 if pairs and (not best or (-len(pairs), pairs) < (-len(best), best)):
                     best, best_from = pairs, (rc, pc)
         if not best:
             break
-        tag = conserved_tag(iteration)
+        accepted += 1
+        tag = conserved_tag(accepted)
         for r_gid, p_gid in best:
             mapping.add(r_gid, p_gid, tag)
-    logger.info("conserved stage: %d searches, %d cut by the incumbent", searches, cut)
+    logger.info(
+        "conserved stage: %d candidates, %d searches, %d cut by the incumbent",
+        accepted, searches, cut,
+    )
     return mapping
 
 

@@ -259,9 +259,19 @@ class TestRunCommand:
                 )
                 for value in ("-1", "nan", "inf")
             ),
+            # The conserved stage stops by rule now, not after a count of
+            # iterations, so the flag went too.
+            (
+                "--iterations", "2", 2,
+                "usage: templater [-h] {run,export-dot} ...\n"
+                "templater: error: unrecognized arguments: --iterations 2\n",
+            ),
             ("--search-budget", "-1", 1, "error: ValueError: search budget must be non-negative\n"),
         ],
-        ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "budget-negative"],
+        ids=[
+            "tolerance-negative", "tolerance-nan", "tolerance-inf", "iterations-retired",
+            "budget-negative",
+        ],
     )
     def test_out_of_range_knob_error_exit(self, tmp_path, capsys, flag, value, code, err):
         # A negative or NaN tolerance used to switch the hydrogen swap off
@@ -278,8 +288,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
     @pytest.mark.parametrize(
         "name, message",
-        [("cutoff", "cutoff must be >= 1"), ("iterations", "iterations must be >= 1")],
-        ids=["cutoff", "iterations"],
+        [("cutoff", "cutoff must be >= 1")],
+        ids=["cutoff"],
     )
     def test_zero_count_rejected_before_reading(self, tmp_path, capsys, name, message, from_file):
         # These used to pass the config and fail as FileNotFoundError (exit 2)
@@ -301,7 +311,7 @@ class TestRunCommand:
 
     def test_flag_error_beside_config_file_names_no_file(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps({"iterations": 2}))
+        config_path.write_text(json.dumps({"search_budget": 100_000}))
         out_dir = tmp_path / "out"
         code = main(run_args(out_dir, ["--config", str(config_path), "--cutoff", "0"]))
         assert code == 1
@@ -339,6 +349,7 @@ class TestRunCommand:
         assert (out_dir / "report.json").exists()
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["templates"]["cutoff"] == 5
+        assert "iterations" not in payload["config"]
 
     @pytest.mark.parametrize(
         "config, message",
@@ -349,11 +360,12 @@ class TestRunCommand:
             ({"products": ["a.data", 3]}, "products must be a list of strings"),
             ({"out_dir": 5}, "out_dir must be a string"),
             ({"cutoff": "4"}, "cutoff must be an integer"),
-            ({"iterations": 2.0}, "iterations must be an integer"),
             ({"search_budget": True}, "search_budget must be an integer"),
             ({"alpha": "0.5"}, "alpha must be a number"),
             # The hydrogen tolerance went with the hydrogen swap it tuned.
             ({"hydrogen_tolerance": False}, "has unknown keys: hydrogen_tolerance"),
+            # So did the conserved-search iteration count.
+            ({"iterations": 2}, "has unknown keys: iterations"),
             ({"export_dot": 1}, "export_dot must be true or false"),
             ({"export_similarity_csv": "yes"}, "export_similarity_csv must be true or false"),
             ({"search_budget": -1}, "search budget must be non-negative"),
@@ -362,8 +374,8 @@ class TestRunCommand:
         ],
         ids=[
             "unknown-keys", "not-an-object", "reactants-string", "products-non-string",
-            "out-dir-number", "cutoff-string", "iterations-float", "budget-bool",
-            "weight-string", "tolerance-bool", "export-dot-int", "export-csv-string",
+            "out-dir-number", "cutoff-string", "budget-bool",
+            "weight-string", "tolerance-bool", "iterations-retired", "export-dot-int", "export-csv-string",
             "budget-negative", "tolerance-negative", "weight-negative",
         ],
     )
@@ -539,7 +551,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "07986dfdf25ad6c9cd2f1379ed6f7b58099272349328373d5fa4409748c21e72",
         "pre_template.mol": "229dbfb1a33d535f6002544c9fab046b75aad8770772bf733b59c6b6310f81a9",
         "reaction_map.txt": "a9b93c6ab3d78b8b51bbfeff7d404c715a04624d8f629eb4711615d1a90eabd7",
-        "report.json": "88c3efc0e145d3bbdba84533a1b13eb5e034c30e2504defceac309385513195c",
+        "report.json": "3088254b6f4b9a49c499c221c518944cc13a78f619afcc28919d24f12dc82add",
         "report.txt": "7199d37d4698ea1879c14a97d20032dd57b2a34277ec304b4e9a536b99ee15be",
         "similarity.csv": "8b8b21a0116056bead0af3e6c7b80b4d5f40b815c590324c67512761e4072e2a",
     },
@@ -549,7 +561,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "f9af83ac690c7b0bff321bb3c4862c28075b4dd90ef239a1369bfefa0f7563bf",
         "pre_template.mol": "70d8e077dcb1c4e0ceec9c9645fd605d83507baa04a162e6f3994506e0deb910",
         "reaction_map.txt": "345224d6430f3eb93c20e20feb55c62185f33ddfd83c64584caadd5e219601e2",
-        "report.json": "be08520bf58b3418dfd0883c2e6634397398c0c0b721b69101d70bbba989cd49",
+        "report.json": "c94f048c8868791f90920ea29d65877db6127e280a9bede319ade86bb532f2cc",
         "report.txt": "badbb902af406092acc62efed1df277550cd9f3882bb5c436c2725ad7fa3e220",
         "similarity.csv": "f0f3b2d334a24e6e8395543635b994405a1527f8d4d2c3ed557e427903468e78",
     },
@@ -559,7 +571,7 @@ PINNED_OUTPUTS = {
         "post_template.mol": "702eaa9632d118009fcdf8f30892222eb48a6bae7a5d4e7543fc89e5cfea6b63",
         "pre_template.mol": "ecc798f1d61321611945bbed1b66cb03f343b33c0da7851e4543c03988bba9ec",
         "reaction_map.txt": "fa90ddb99d93350a8728adee35ed3cf32c1c14ee5d117cb10843699e7148a665",
-        "report.json": "ecc5bd018cb1eead695d86080f8c68bd063fe05993d64aa8841ca0ff1b7880fa",
+        "report.json": "e0c8c50efee93433f128121661825bb69a2f80de824276561048de02f2691024",
         "report.txt": "4e9e2e69bbfe638d4181bd2131cb67e8e3d2af3917238514904bfb27f01c648a",
         "similarity.csv": "522dba02747e791442dbaca47b7ed818230b202b7579b0f22e08e591b94c65c6",
     },

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 
@@ -7,6 +8,7 @@ from conftest import (
     CASE_STUDIES,
     alkene_dimerization,
     all_atom_kernel_input,
+    bond_edits,
     fixture_path,
     hydrogen_decorated_pair,
     kernel_form_graphs,
@@ -16,12 +18,12 @@ from conftest import (
     mcs_oracle_size,
     random_allowed,
     random_attributed_pair,
+    ring_opening,
     ua_dimerization,
     weighted_oracle_pairs,
 )
 from templater.conserved_mapping import (
     DEFAULT_BUDGET,
-    DEFAULT_ITERATIONS,
     AtomMapping,
     conserved_tag,
     iterate_conserved,
@@ -65,10 +67,16 @@ class TestMaxCommonSubgraph:
         assert max_common_subgraph(g1, g2) == ([], 0)
 
     def test_charge_not_a_criterion(self):
-        g1 = make_graph([(1, 1, 0.5)], [], MASSES, "reactant")
-        g2 = make_graph([(1, 1, -0.5)], [], MASSES, "product")
+        g1 = make_graph([(1, 1, 0.5), (2, 2, 0.1)], [(1, 2)], MASSES, "reactant")
+        g2 = make_graph([(1, 1, -0.5), (2, 2, -0.1)], [(1, 2)], MASSES, "product")
         pairs, _ = max_common_subgraph(g1, g2)
-        assert pairs == [(1, 1)]
+        assert pairs == [(1, 1), (2, 2)]
+
+    def test_single_pair_is_no_result(self):
+        # One pair keeps no bond, so it is not a conserved region.
+        g1 = make_graph([(1, 1, 0.0), (2, 2, 0.0)], [(1, 2)], MASSES, "reactant")
+        g2 = make_graph([(1, 1, 0.0), (2, 1, 0.0)], [(1, 2)], MASSES, "product")
+        assert max_common_subgraph(g1, g2)[0] == []
 
 
 class TestOracleEquivalence:
@@ -201,12 +209,20 @@ def folded_oracle(labels_r, adj_r, labels_p, adj_p):
 
 
 def all_atom_size(g_r, g_p, include_r, include_p, required):
-    """Conserved pair count of the kernel searching every atom as a node."""
+    """Pair count of the kernel searching every atom as a node."""
     labels_r, labels_p, adj_r, adj_p, allowed = all_atom_kernel_input(
         g_r, g_p, include_r, include_p, required
     )
     pairs, _ = max_common_connected_subgraph(labels_r, labels_p, adj_r, adj_p, 10**7, allowed)
     return len(pairs)
+
+
+def at_least_two(result):
+    """An oracle's pair count or pair list as ``max_common_subgraph`` gives
+    it: nothing when it has fewer than 2 pairs."""
+    if isinstance(result, int):
+        return result if result >= 2 else 0
+    return result if len(result) >= 2 else []
 
 
 def recorded_kernel_calls(monkeypatch):
@@ -245,7 +261,9 @@ class TestFoldedSearch:
                 for gid in rng.sample(sorted(include_r), min(2, len(include_r))):
                     required[gid] = {rng.choice(sorted(g_p.nodes))}
             pairs, _ = max_common_subgraph(g_r, g_p, include_r, include_p, 10**7, required)
-            assert len(pairs) == all_atom_size(g_r, g_p, include_r, include_p, required)
+            assert len(pairs) == at_least_two(
+                all_atom_size(g_r, g_p, include_r, include_p, required)
+            )
             assert {v for v, _ in pairs} <= include_r and {w for _, w in pairs} <= include_p
             assert_common_subgraph(pairs, g_r, g_p, required)
         # A quarter of the searches fold; in the others a rule keeps the
@@ -261,7 +279,7 @@ class TestFoldedSearch:
             labels_p, adj_p = with_odd_hydrogens(rng, labels_p, adj_p, 2)
             g_r, g_p = kernel_form_graphs(labels_r, adj_r, labels_p, adj_p)
             pairs, _ = max_common_subgraph(g_r, g_p)
-            expected = folded_oracle(labels_r, adj_r, labels_p, adj_p)
+            expected = at_least_two(folded_oracle(labels_r, adj_r, labels_p, adj_p))
             assert pairs == [(v + 1, w + 1) for v, w in expected]
         assert calls.count(1) > 250
 
@@ -277,7 +295,7 @@ class TestFoldedSearch:
         image = min(g for g in rest_p if g_p.nodes[g].mass == 12.011)
         for required in ({}, {hydrogen: {image}}):
             pairs, _ = max_common_subgraph(g_r, g_p, rest_r, rest_p, 10**7, required)
-            assert len(pairs) == all_atom_size(g_r, g_p, rest_r, rest_p, required)
+            assert len(pairs) == at_least_two(all_atom_size(g_r, g_p, rest_r, rest_p, required))
         assert calls == [1, 0]
 
 
@@ -366,7 +384,7 @@ class TestRestrictedTwinPrune:
     def assert_oracle(self, labels_r, adj_r, labels_p, adj_p):
         g_r, g_p = kernel_form_graphs(labels_r, adj_r, labels_p, adj_p)
         pairs, _ = max_common_subgraph(g_r, g_p)
-        expected = folded_oracle(labels_r, adj_r, labels_p, adj_p)
+        expected = at_least_two(folded_oracle(labels_r, adj_r, labels_p, adj_p))
         assert pairs == [(v + 1, w + 1) for v, w in expected]
 
     def test_shuffled_branched_alkanes(self):
@@ -477,15 +495,15 @@ class TestIterateConserved:
             validate_mapping(mapping, g_reac, g_prod)
             assert len(mapping.pairs) == 32
 
-    def test_two_fragments_need_two_iterations(self):
+    def test_split_molecule_maps_both_arms(self):
+        # One reactant molecule, one product molecule: each arm is a
+        # candidate of its own, and the retyped centre keeps no bond.
         g_reac, g_prod = split_reaction_graphs()
-        one = iterate_conserved(g_reac, g_prod, iterations=1)
-        assert len(one.pairs) == 2
-        two = iterate_conserved(g_reac, g_prod, iterations=2)
-        assert len(two.pairs) == 4
-        assert two.unmapped()[0] == {3}
-        assert {two.provenance[r] for r in (1, 2)} == {"conserved-1"}
-        assert {two.provenance[r] for r in (4, 5)} == {"conserved-2"}
+        mapping = iterate_conserved(g_reac, g_prod)
+        assert len(mapping.pairs) == 4
+        assert mapping.unmapped()[0] == {3}
+        assert {mapping.provenance[r] for r in (1, 2)} == {"conserved-1"}
+        assert {mapping.provenance[r] for r in (4, 5)} == {"conserved-2"}
 
     def test_empty_mapping_legal(self):
         g1 = make_graph([(1, 1, 0.0)], [], {1: C}, "reactant")
@@ -498,40 +516,83 @@ class TestIterateConserved:
         # A third molecule, unchanged, on both sides is the largest conserved
         # candidate: iteration 1 maps it whole.  The later iterations search
         # its empty remainder on both sides and find nothing there, so the
-        # reacting pair, given the extra iteration, gets the initiators and
-        # templates of the run without it.
+        # reacting pair gets the initiators and templates of the run
+        # without it.
         from templater.cli import RunConfig, run_stages
 
         reactants, products = CASE_STUDIES["polycondensation"]
         spectator = fixture_path("octane.data")
         alone = run_stages(RunConfig(reactants, products))
         with caplog.at_level(logging.INFO, logger="templater"):
-            joined = run_stages(
-                RunConfig(reactants + [spectator], products + [spectator], iterations=3)
-            )
+            joined = run_stages(RunConfig(reactants + [spectator], products + [spectator]))
         mapping = joined.mapping
         for r_gid in joined.g_reac.components[3]:
             assert mapping.provenance[r_gid] == "conserved-1"
             assert joined.g_prod.nodes[mapping.pairs[r_gid]].component == 2
         for empty in ("molecules 3 -> 1", "molecules 3 -> 2", "molecules 1 -> 2"):
             assert f"iteration 2, {empty}: 0 pairs, 0 expansions" in caplog.text
-        assert joined.report.initiators == alone.report.initiators
+        assert joined.report.initiators == alone.report.initiators == (7, 34)
         assert joined.templates == alone.templates
+        assert joined.templates.pre.atom_count == 32
 
-    def test_monotone_residual(self):
+    @pytest.mark.parametrize(
+        "name, spectator, edits, initiators",
+        [
+            ("polyaddition", "octane.data", (1, 2), (28, 44)),
+            # A tie: the extra butene is a second copy of the chain's
+            # reactant.  Iteration 1 maps reactant molecule 1, the smallest
+            # pair list, whole onto it, and molecules 2 and 3 react at the
+            # atoms the run without it finds at (1, 13), 12 ids later.
+            ("chain", "butene.data", (0, 3), (13, 25)),
+        ],
+        ids=["polyaddition-octane", "chain-butene"],
+    )
+    def test_spectator_keeps_the_minimal_map(self, name, spectator, edits, initiators):
+        from templater.cli import RunConfig, run_stages
+
+        reactants, products = CASE_STUDIES[name]
+        extra = fixture_path(spectator)
+        alone = run_stages(RunConfig(reactants, products))
+        joined = run_stages(RunConfig(reactants + [extra], products + [extra]))
+        assert bond_edits(joined.mapping, joined.g_reac, joined.g_prod) == edits
+        assert bond_edits(alone.mapping, alone.g_reac, alone.g_prod) == edits
+        assert joined.report.initiators == initiators
+        assert joined.templates.pre.atom_count == alone.templates.pre.atom_count
+
+    def test_one_common_label_needs_a_bond_of_its_own(self, monkeypatch):
+        # C-C-O against C-N-C: two carbons a side reach the count bound of
+        # 2, but the product has no C-C bond to keep, so no kernel call is
+        # made.  Against C-C-N the C-C bond is kept.
+        calls = recorded_kernel_calls(monkeypatch)
+        masses = {1: C, 2: O, 4: 14.007}
+        g_r = make_graph([(1, 1, 0.0), (2, 1, 0.0), (3, 2, 0.0)], [(1, 2), (2, 3)], masses)
+        g_p = make_graph([(1, 1, 0.0), (2, 4, 0.0), (3, 1, 0.0)], [(1, 2), (2, 3)], masses, "product")
+        assert iterate_conserved(g_r, g_p).pairs == {}
+        assert calls == []
+        g_p = make_graph([(1, 1, 0.0), (2, 1, 0.0), (3, 4, 0.0)], [(1, 2), (2, 3)], masses, "product")
+        assert iterate_conserved(g_r, g_p).sorted_pairs() == [(1, 1), (2, 2)]
+        assert calls == [0]
+
+    def test_no_bond_left_to_conserve(self):
+        # After the stage, no (reactant molecule, product molecule) pair of
+        # remainders has a common subgraph of 2 or more pairs that keeps
+        # the edges toward the mapped atoms.
         rng = random.Random(7)
         for _ in range(20):
             g_reac, g_prod = kernel_form_graphs(
                 *random_attributed_pair(rng, max_nodes=8)
             )
-            previous = None
-            for iterations in (1, 2, 3):
-                mapping = iterate_conserved(g_reac, g_prod, iterations=iterations)
-                residual = len(mapping.unmapped()[0])
-                if previous is not None:
-                    assert residual <= previous
-                previous = residual
-                validate_mapping(mapping, g_reac, g_prod)
+            mapping = iterate_conserved(g_reac, g_prod)
+            validate_mapping(mapping, g_reac, g_prod)
+            required = required_images(mapping)
+            for rc in g_reac.components:
+                rest_r = {g for g in g_reac.components[rc] if g not in mapping.pairs}
+                for pc in g_prod.components:
+                    rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
+                    pairs, _ = max_common_subgraph(
+                        g_reac, g_prod, rest_r, rest_p, DEFAULT_BUDGET, required
+                    )
+                    assert pairs == []
 
     def test_determinism(self):
         g_reac, g_prod = split_reaction_graphs()
@@ -554,33 +615,37 @@ class TestIterateConserved:
             assert len(images) == 1
 
 
-def iterate_conserved_without_floor(
-    g_reac, g_prod, iterations=DEFAULT_ITERATIONS, budget=DEFAULT_BUDGET
-):
-    """``iterate_conserved`` with every search run in full, no floor: each
-    (reactant molecule, product molecule) search of an iteration is
+def required_images(mapping):
+    """Per unmapped reactant node, the images of its mapped neighbours."""
+    g_reac = mapping.g_reac
+    required = {}
+    for r_gid in g_reac.nodes:
+        images = {mapping.pairs[u] for u in g_reac.neighbors(r_gid) if u in mapping.pairs}
+        if images and r_gid not in mapping.pairs:
+            required[r_gid] = images
+    return required
+
+
+def iterate_conserved_without_floor(g_reac, g_prod, budget=DEFAULT_BUDGET):
+    """``iterate_conserved`` with every search run in full, no incumbent:
+    each (reactant molecule, product molecule) search of an iteration is
     compared here, and the most pairs, ties to the smallest sorted pair
-    list, wins."""
+    list, wins.  It stops when no search finds 2 or more pairs."""
     mapping = AtomMapping(g_reac, g_prod)
-    for iteration in range(1, iterations + 1):
-        required = {}
-        for r_gid in g_reac.nodes:
-            images = {mapping.pairs[u] for u in g_reac.neighbors(r_gid) if u in mapping.pairs}
-            if images and r_gid not in mapping.pairs:
-                required[r_gid] = images
+    for iteration in itertools.count(1):
+        required = required_images(mapping)
         best = None
         for rc in sorted(g_reac.components):
             rest_r = {g for g in g_reac.components[rc] if g not in mapping.pairs}
             for pc in sorted(g_prod.components):
                 rest_p = {g for g in g_prod.components[pc] if g not in mapping.reverse}
                 pairs, _ = max_common_subgraph(g_reac, g_prod, rest_r, rest_p, budget, required)
-                if pairs and (best is None or (-len(pairs), pairs) < best):
+                if len(pairs) >= 2 and (best is None or (-len(pairs), pairs) < best):
                     best = (-len(pairs), pairs)
         if best is None:
-            break
+            return mapping
         for r_gid, p_gid in best[1]:
             mapping.add(r_gid, p_gid, conserved_tag(iteration))
-    return mapping
 
 
 def graphs_of(reactants, products):
@@ -606,8 +671,17 @@ class TestIncumbentFloor:
             alkene_dimerization(7, random.Random(seed)),
             alkene_dimerization(5, random.Random(seed), 4),
             ua_dimerization(96, random.Random(seed)),
+            ring_opening(4, random.Random(seed), 3),
         ):
             self.assert_same_as_full_searches(g_reac, g_prod)
+
+    def test_split_molecule_and_a_third_candidate(self):
+        self.assert_same_as_full_searches(*split_reaction_graphs())
+        # Retyping within 3 bonds of the new bonds leaves a third conserved
+        # fragment of 2 pairs.
+        g_reac, g_prod = ring_opening(4, random.Random(0), 3)
+        mapping = iterate_conserved(g_reac, g_prod)
+        assert list(mapping.provenance.values()).count("conserved-3") == 2
 
     @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
     def test_case_studies_with_a_spectator(self, name):
@@ -641,8 +715,11 @@ class TestIncumbentFloor:
         ]
         g_reac = build_unified_graph([reactant], "reactant")
         g_prod = build_unified_graph(ends, "product")
-        mapping = iterate_conserved(g_reac, g_prod, iterations=1)
-        assert mapping.sorted_pairs() == [(1, 4), (2, 5), (3, 6)]
+        mapping = iterate_conserved(g_reac, g_prod)
+        first = sorted(
+            (r, p) for r, p in mapping.pairs.items() if mapping.provenance[r] == "conserved-1"
+        )
+        assert first == [(1, 4), (2, 5), (3, 6)]
         self.assert_same_as_full_searches(g_reac, g_prod)
 
     def test_cut_searches_are_logged(self, caplog):
@@ -652,7 +729,12 @@ class TestIncumbentFloor:
             "iteration 1, molecules 2 -> 1: 0 pairs, 0 expansions, cut by the incumbent "
             "(bound 16, incumbent 16 pairs from molecules 1 -> 1)"
         ) in caplog.text
-        assert "conserved stage: 4 searches, 1 cut by the incumbent" in caplog.text
+        # The last iteration finds nothing and has no incumbent to cut by.
+        assert caplog.messages[-3:] == [
+            "conserved search: iteration 3, molecules 1 -> 1: 0 pairs, 0 expansions",
+            "conserved search: iteration 3, molecules 2 -> 1: 0 pairs, 0 expansions",
+            "conserved stage: 2 candidates, 6 searches, 1 cut by the incumbent",
+        ]
 
 
 class TestValidator:

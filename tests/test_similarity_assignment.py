@@ -381,6 +381,8 @@ RING_BONDS = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7), (4, 8)]
 SCENARIOS = {
     # A para-substituted 6-ring whose ring atoms are all retyped: the two
     # ring halves between the substituents 7 and 8 are interchangeable.
+    # The substituents keep their types but share no bond, so nothing is
+    # conserved and a seed starts the map.
     "para-ring": (
         ([(i, 1) for i in range(1, 7)] + [(7, 2), (8, 4)], RING_BONDS),
         ([(i, 5) for i in range(1, 7)] + [(7, 2), (8, 4)], RING_BONDS),
@@ -416,8 +418,9 @@ SCENARIOS = {
         {2: {2}, 3: {3}, 5: {5, 6}, 6: {5, 6}, 7: {7, 8}, 8: {7, 8}},
         (0, 0),
     ),
-    # A CH2 whose carbon is retyped and gains a hydrogen: its hydrogens are
-    # the conserved pairs, and the carbon is mapped around them.
+    # A CH2 whose carbon is retyped and gains a hydrogen: its hydrogens keep
+    # their type but share no bond, so nothing is conserved, and the
+    # similarity stage maps every atom.
     "conserved-hydrogens": (
         ([(1, 1), (2, 3), (3, 3)], [(1, 2), (1, 3)]),
         ([(1, 5), (2, 3), (3, 3), (4, 3)], [(1, 2), (1, 3), (1, 4)]),
@@ -487,7 +490,7 @@ class TestRefineSymmetricPaths:
     def test_edge_consistency_resolves_equivalent_paths(self):
         for seed in ORDERS:
             g_reac, g_prod, conserved, mapping = mapped_scenario("para-ring", seed)
-            assert set(conserved.pairs) == {7, 8}
+            assert conserved.pairs == {}
             assert {mapping.provenance[r] for r in range(1, 7)} == {ANCHORED}
 
     def test_no_op_on_asymmetric_molecule(self):
@@ -541,10 +544,14 @@ class TestSwapHydrogens:
             assert again.pairs == mapping.pairs
 
     def test_never_touches_conserved(self):
+        # The O-C-C-N backbone is conserved; its retyped hydrogens are not.
         for seed in ORDERS:
-            _, _, conserved, mapping = mapped_scenario("conserved-hydrogens", seed)
-            assert sorted(conserved.pairs) == [2, 3]
+            _, _, conserved, mapping = mapped_scenario("crosswise-ch2", seed)
+            assert sorted(conserved.pairs) == [1, 2, 3, 4]
             assert all(mapping.pairs[r] == p for r, p in conserved.pairs.items())
+        for seed in ORDERS:
+            _, _, conserved, _ = mapped_scenario("conserved-hydrogens", seed)
+            assert conserved.pairs == {}
 
     def test_no_hydrogens_no_op(self):
         g_reac, g_prod, _ = scenario_graphs("no-hydrogens")
@@ -562,8 +569,8 @@ class TestAnchoredAssignment:
         g_reac, g_prod, _ = scenario_graphs("para-ring")
         assign_similarity(iterate_conserved(g_reac, g_prod))
         assert caplog.messages[-2:] == [
-            "similarity matrix: 6 x 6",
-            "anchored assignment: 6 round(s), 6 anchored pair(s), 0 seed(s)",
+            "similarity matrix: 8 x 8",
+            "anchored assignment: 8 round(s), 7 anchored pair(s), 1 seed(s)",
         ]
         caplog.clear()
         # Nothing is conserved, so one seed starts each molecule.
