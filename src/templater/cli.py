@@ -323,7 +323,16 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
 
 
 def _report_json(cfg: RunConfig, state: PipelineState, payload: dict) -> str:
-    """Add the template sizes and the run's settings to ``payload``; JSON text."""
+    """Add the template sizes and the run's settings to ``payload``; JSON text.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
+    final newline, byte for byte.  ``initiators``, ``created``, ``deleted`` and the
+    ``mapping`` rows, which hold most of the file, are written one
+    f-string per node reference or row (``_node_json``, ``_row_json``);
+    ``counts``, ``templates``, ``config`` and any other section go through
+    ``_json_text``.  Every piece, the braces and the final newline
+    included, is joined once, so the text is never copied whole.
+    """
     payload["templates"] = {
         "pre_atoms": state.templates.pre.atom_count,
         "post_atoms": state.templates.post.atom_count,
@@ -343,11 +352,67 @@ def _report_json(cfg: RunConfig, state: PipelineState, payload: dict) -> str:
             "by ascending id; smallest id"
         ),
     }
-    return _json_text(payload) + "\n"
+    parts = ["{"]
+    separator = "\n  "
+    for key, value in sorted(payload.items()):
+        parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
+        separator = ",\n  "
+        write = _LIST_ITEM_WRITERS.get(key)
+        if write is None or not value:
+            parts.append(_json_text(value, "\n  "))
+            continue
+        parts.append("[\n    ")
+        for item in value:
+            parts += (write(item), ",\n    ")
+        parts[-1] = "\n  ]"
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _node_json(node: dict, newline: str = "\n    ") -> str:
+    """A ``report_to_dict`` node reference as ``json.dumps(indent=2)``
+    writes it on the line ``newline`` starts."""
+    inner = newline + "  "
+    return (
+        f'{{{inner}"atom": {int.__repr__(node["atom"])},'
+        f'{inner}"global_id": {int.__repr__(node["global_id"])},'
+        f'{inner}"molecule": {int.__repr__(node["molecule"])}{newline}}}'
+    )
+
+
+def _row_json(row: dict) -> str:
+    """A ``report_to_dict`` mapping row as ``json.dumps(indent=2)`` writes
+    it in the top-level ``mapping`` list; ``delta_c`` may be any float."""
+    row_line = "\n      "
+    tokens = row["delta_e"]
+    delta_e = (
+        "[\n        " + ",\n        ".join(map(encode_basestring_ascii, tokens)) + "\n      ]"
+        if tokens
+        else "[]"
+    )
+    return (
+        f'{{{row_line}"delta_c": {_json_text(row["delta_c"])},'
+        f'{row_line}"delta_e": {delta_e},'
+        f'{row_line}"product": {_node_json(row["product"], row_line)},'
+        f'{row_line}"provenance": {encode_basestring_ascii(row["provenance"])},'
+        f'{row_line}"reactant": {_node_json(row["reactant"], row_line)}\n    }}'
+    )
+
+
+# The top-level lists whose items _report_json writes without _json_text.
+_LIST_ITEM_WRITERS = {
+    "initiators": _node_json,
+    "created": _node_json,
+    "deleted": _node_json,
+    "mapping": _row_json,
+}
 
 
 def _json_text(value: object, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``report.json`` uses it for its small sections (``counts``,
+    ``templates``, ``config``) and for each ``delta_c``.
 
     ``newline`` is the line break plus the indent of the line ``value``
     starts on.  Types are tested in the order ``json``'s encoder tests them,

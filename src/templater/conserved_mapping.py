@@ -386,12 +386,14 @@ def iterate_conserved(
                 searches += 1
                 floor = len(best) + (best_from[0] < rc) if best else 2
                 bound = _count_bound(side_r, side_p)
+                # Only a search that could reach 2 pairs alone is cut by the incumbent.
+                reachable = bound >= 2 and _may_keep_a_bond(side_r, side_p)
                 pairs, expansions = [], 0
-                if bound >= floor and _may_keep_a_bond(side_r, side_p):
+                if reachable and bound >= floor:
                     pairs, expansions = _search(side_r, side_p, budget, required, floor)
                     mapping.search_expansions += expansions
                 note = ""
-                if best and not pairs:
+                if best and reachable and not pairs:
                     cut += 1
                     note = (
                         f", cut by the incumbent (bound {bound}, incumbent {len(best)} "

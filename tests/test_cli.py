@@ -4,20 +4,35 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CASE_STUDIES, fixture_path
+from conftest import CASE_STUDIES, alkene_dimerization, fixture_path, ring_opening
+from test_lammps_io import load_workloads
 import templater
-from templater.cli import RunConfig, _json_text, export_dot, main, run_pipeline, run_stages
+from templater.cli import (
+    PipelineState,
+    RunConfig,
+    _json_text,
+    _report_json,
+    export_dot,
+    main,
+    run_pipeline,
+    run_stages,
+)
+from templater.conserved_mapping import iterate_conserved
 from templater.errors import UnknownStage
-from templater.reaction_analysis import report_to_dict
+from templater.reaction_analysis import build_report, report_to_dict
+from templater.similarity_assignment import assign_similarity
+from templater.template_builder import assemble_templates, prune_reaction
 
 PC_REACTANTS, PC_PRODUCTS = CASE_STUDIES["polycondensation"]
 
@@ -672,6 +687,10 @@ class Count(enum.IntEnum):
     HUGE = 2**70
 
 
+# Quotes, backslashes, control characters and non-ASCII.
+ESCAPED_CHARACTERS = '"\\\x00\x07\x1f\x7f\n\t\u00e9\u2603\U0001f600'
+
+
 def reference_json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -685,7 +704,7 @@ json_scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.sampled_from(list(Count)),
     st.text(),
-    st.text(alphabet='"\\\x00\x07\x1f\x7f\n\t\u00e9\u2603\U0001f600'),
+    st.text(alphabet=ESCAPED_CHARACTERS),
 )
 json_values = st.recursive(
     json_scalars,
@@ -695,6 +714,66 @@ json_values = st.recursive(
         st.dictionaries(st.text(max_size=6), children, max_size=4),
     ),
     max_leaves=25,
+)
+
+# Payloads with the report_to_dict schema, and the run settings and
+# templates _report_json adds to them.
+report_ints = st.one_of(
+    st.sampled_from([0, 2**70]), st.integers(min_value=-(2**70), max_value=2**70)
+)
+report_strings = st.one_of(st.text(), st.text(alphabet=ESCAPED_CHARACTERS))
+report_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+node_refs = st.fixed_dictionaries(
+    {"global_id": report_ints, "molecule": report_ints, "atom": report_ints}
+)
+mapping_rows = st.fixed_dictionaries(
+    {
+        "reactant": node_refs,
+        "product": node_refs,
+        "provenance": report_strings,
+        "delta_e": st.one_of(st.just([]), st.lists(report_strings, min_size=1, max_size=40)),
+        "delta_c": report_floats,
+    }
+)
+report_payloads = st.fixed_dictionaries(
+    {
+        "initiators": st.lists(node_refs, max_size=3),
+        "created": st.lists(node_refs, max_size=4),
+        "deleted": st.lists(node_refs, max_size=4),
+        "mapping": st.lists(mapping_rows, max_size=6),
+        "counts": st.fixed_dictionaries(
+            {
+                key: report_ints
+                for key in (
+                    "reactant_nodes", "product_nodes", "mapped", "conserved", "created",
+                    "deleted",
+                )
+            }
+        ),
+    }
+)
+report_configs = st.builds(
+    SimpleNamespace,
+    alpha=report_floats,
+    beta=report_floats,
+    gamma=report_floats,
+    cutoff=report_ints,
+    search_budget=report_ints,
+)
+report_states = st.builds(
+    SimpleNamespace,
+    templates=st.builds(
+        SimpleNamespace,
+        pre=st.builds(SimpleNamespace, atom_count=report_ints),
+        post=st.builds(SimpleNamespace, atom_count=report_ints),
+        edge_atoms=st.lists(report_ints, max_size=4),
+        equivalences=st.lists(st.tuples(report_ints, report_ints), max_size=4),
+    ),
+    mapping=st.builds(SimpleNamespace, search_expansions=report_ints),
 )
 
 
@@ -721,10 +800,45 @@ class TestReportJsonWriter:
         with pytest.raises(TypeError):
             _json_text(value)
 
-    def test_case_study_payloads(self, case_states):
+    def test_case_study_payloads(self, case_states, tmp_path):
         for name, state in case_states.items():
             payload = report_to_dict(state.report)
             assert _json_text(payload) == reference_json(payload), name
+            assert_report_json_matches(RunConfig(*CASE_STUDIES[name]), state)
+        workloads = load_workloads()
+        checked = 0
+        for kind in workloads.GENERATED:
+            for seed in (1, 2):
+                directory = tmp_path / f"{kind}-{seed}"
+                directory.mkdir()
+                for instance in workloads.generated(kind, seed, str(directory)):
+                    cfg = RunConfig(instance.reactants, instance.products)
+                    assert_report_json_matches(cfg, run_stages(cfg))
+                    checked += 1
+        assert checked == 2 * (72 + 72 + 24)
+        # An epoxide ring opened by an amine, with rows of every provenance,
+        # and a chain with every atom retyped: no conserved row, and two
+        # created hydrogens.
+        for g_reac, g_prod in (
+            ring_opening(4, random.Random(0), 3),
+            alkene_dimerization(6, random.Random(0), 7),
+        ):
+            mapping, _ = assign_similarity(iterate_conserved(g_reac, g_prod))
+            report = build_report(mapping)
+            templates = assemble_templates(report, *prune_reaction(report))
+            state = PipelineState(mapping, report=report, templates=templates)
+            assert_report_json_matches(RunConfig(["reactants"], ["products"]), state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(report_payloads, report_configs, report_states)
+    def test_report_payloads_match_json_dumps(self, payload, cfg, state):
+        text = _report_json(cfg, state, payload)
+        assert text == reference_json(payload) + "\n"
+
+
+def assert_report_json_matches(cfg, state):
+    payload = report_to_dict(state.report)
+    assert _report_json(cfg, state, payload) == reference_json(payload) + "\n"
 
 
 # Runs the CLI with every scipy import made to fail, recording each attempt,

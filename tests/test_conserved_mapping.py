@@ -736,6 +736,23 @@ class TestIncumbentFloor:
             "conserved stage: 2 candidates, 6 searches, 1 cut by the incumbent",
         ]
 
+    def test_only_searches_that_could_reach_two_pairs_are_cut(self, caplog):
+        # Octane on both sides of polyaddition: most searches pair molecules
+        # with no bond to keep in common, and the incumbent cut none of them.
+        from templater.cli import RunConfig, run_stages
+
+        reactants, products = CASE_STUDIES["polyaddition"]
+        spectator = fixture_path("octane.data")
+        with caplog.at_level(logging.INFO, logger="templater"):
+            run_stages(RunConfig(reactants + [spectator], products + [spectator]))
+        cut = [m for m in caplog.messages if "cut by the incumbent (" in m]
+        assert len(cut) == 2
+        assert all("molecules 2 -> 1" in m and "(bound 14," in m for m in cut)
+        assert "bound 0" not in caplog.text
+        assert "conserved stage: 3 candidates, 24 searches, 2 cut by the incumbent" in (
+            caplog.messages
+        )
+
 
 class TestValidator:
     def test_detects_attribute_violation(self):
