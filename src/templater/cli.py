@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 
 from templater import errors
 from templater.conserved_mapping import (
@@ -35,6 +33,7 @@ from templater.reaction_analysis import (
     ReactionReport,
     build_report,
     report_to_dict,
+    report_to_json,
     report_to_text,
 )
 from templater.similarity_assignment import (
@@ -310,9 +309,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
         "post_template.mol": write_molecule_template(templates.post, "post-reaction template"),
         "reaction_map.txt": write_map_file(templates.to_map_file()),
         "report.txt": report_to_text(payload),
-        "report.json": _report_json(cfg, state, payload),
+        "report.json": report_to_json(payload | _report_sections(cfg, state)),
     }
-    if cfg.export_similarity_csv and state.similarity is not None:
+    if cfg.export_similarity_csv:
         contents["similarity.csv"] = similarity_csv(
             state.similarity, state.g_reac, state.g_prod
         )
@@ -322,138 +321,30 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
     return state
 
 
-def _report_json(cfg: RunConfig, state: PipelineState, payload: dict) -> str:
-    """Add the template sizes and the run's settings to ``payload``; JSON text.
-
-    The text is ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
-    final newline, byte for byte.  ``initiators``, ``created``, ``deleted`` and the
-    ``mapping`` rows, which hold most of the file, are written one
-    f-string per node reference or row (``_node_json``, ``_row_json``);
-    ``counts``, ``templates``, ``config`` and any other section go through
-    ``_json_text``.  Every piece, the braces and the final newline
-    included, is joined once, so the text is never copied whole.
-    """
-    payload["templates"] = {
-        "pre_atoms": state.templates.pre.atom_count,
-        "post_atoms": state.templates.post.atom_count,
-        "cutoff": cfg.cutoff,
-        "edge_atoms": state.templates.edge_atoms,
-        "equivalences": len(state.templates.equivalences),
-        "count_convention": "pre template includes deleted atoms; post includes created",
+def _report_sections(cfg: RunConfig, state: PipelineState) -> dict:
+    """The ``templates`` and ``config`` sections ``report.json`` adds to
+    ``report_to_dict``'s payload: the template sizes and the run's settings."""
+    return {
+        "templates": {
+            "pre_atoms": state.templates.pre.atom_count,
+            "post_atoms": state.templates.post.atom_count,
+            "cutoff": cfg.cutoff,
+            "edge_atoms": state.templates.edge_atoms,
+            "equivalences": len(state.templates.equivalences),
+            "count_convention": "pre template includes deleted atoms; post includes created",
+        },
+        "config": {
+            "weights": [cfg.alpha, cfg.beta, cfg.gamma],
+            "cutoff": cfg.cutoff,
+            "search_budget": cfg.search_budget,
+            "search_expansions": state.mapping.search_expansions,
+            "cost_normalization": "min-max",
+            "tie_break": (
+                "lexicographically smallest skeleton pair list, then leaves paired "
+                "by ascending id; smallest id"
+            ),
+        },
     }
-    payload["config"] = {
-        "weights": [cfg.alpha, cfg.beta, cfg.gamma],
-        "cutoff": cfg.cutoff,
-        "search_budget": cfg.search_budget,
-        "search_expansions": state.mapping.search_expansions,
-        "cost_normalization": "min-max",
-        "tie_break": (
-            "lexicographically smallest skeleton pair list, then leaves paired "
-            "by ascending id; smallest id"
-        ),
-    }
-    parts = ["{"]
-    separator = "\n  "
-    for key, value in sorted(payload.items()):
-        parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
-        separator = ",\n  "
-        write = _LIST_ITEM_WRITERS.get(key)
-        if write is None or not value:
-            parts.append(_json_text(value, "\n  "))
-            continue
-        parts.append("[\n    ")
-        for item in value:
-            parts += (write(item), ",\n    ")
-        parts[-1] = "\n  ]"
-    parts.append("\n}\n")
-    return "".join(parts)
-
-
-def _node_json(node: dict, newline: str = "\n    ") -> str:
-    """A ``report_to_dict`` node reference as ``json.dumps(indent=2)``
-    writes it on the line ``newline`` starts."""
-    inner = newline + "  "
-    return (
-        f'{{{inner}"atom": {int.__repr__(node["atom"])},'
-        f'{inner}"global_id": {int.__repr__(node["global_id"])},'
-        f'{inner}"molecule": {int.__repr__(node["molecule"])}{newline}}}'
-    )
-
-
-def _row_json(row: dict) -> str:
-    """A ``report_to_dict`` mapping row as ``json.dumps(indent=2)`` writes
-    it in the top-level ``mapping`` list; ``delta_c`` may be any float."""
-    row_line = "\n      "
-    tokens = row["delta_e"]
-    delta_e = (
-        "[\n        " + ",\n        ".join(map(encode_basestring_ascii, tokens)) + "\n      ]"
-        if tokens
-        else "[]"
-    )
-    return (
-        f'{{{row_line}"delta_c": {_json_text(row["delta_c"])},'
-        f'{row_line}"delta_e": {delta_e},'
-        f'{row_line}"product": {_node_json(row["product"], row_line)},'
-        f'{row_line}"provenance": {encode_basestring_ascii(row["provenance"])},'
-        f'{row_line}"reactant": {_node_json(row["reactant"], row_line)}\n    }}'
-    )
-
-
-# The top-level lists whose items _report_json writes without _json_text.
-_LIST_ITEM_WRITERS = {
-    "initiators": _node_json,
-    "created": _node_json,
-    "deleted": _node_json,
-    "mapping": _row_json,
-}
-
-
-def _json_text(value: object, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
-
-    ``report.json`` uses it for its small sections (``counts``,
-    ``templates``, ``config``) and for each ``delta_c``.
-
-    ``newline`` is the line break plus the indent of the line ``value``
-    starts on.  Types are tested in the order ``json``'s encoder tests them,
-    so subclasses (bool in int, numpy floats in float) encode as it does.
-    With ``indent`` set, CPython before 3.13 encodes in pure Python and
-    yields every token separately; this joins each container once.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str.
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _build_parser() -> argparse.ArgumentParser:

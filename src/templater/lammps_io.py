@@ -31,9 +31,6 @@ from templater.errors import (
     ValidationError,
 )
 
-# Charges and coordinates use a fixed width so diffs stay stable.
-_FLOAT_FMT = "{:.6f}"
-
 # The interaction sections, in file order.  Each section name maps to its
 # header count keyword (also the dataclass field holding its rows), its
 # singular noun and the number of atom ids per row.
@@ -352,16 +349,14 @@ def write_molecule_template(template: MoleculeTemplateFile, title: str = "molecu
     out.append("")
 
     atoms = list(enumerate(template.atoms, start=1))
-    _section(out, "Coords", (
-        f"{i} " + " ".join(_FLOAT_FMT.format(v) for v in (atom.x, atom.y, atom.z))
-        for i, atom in atoms
-    ))
+    # Charges and coordinates use a fixed width so diffs stay stable.
+    _section(out, "Coords", (f"{i} {atom.x:.6f} {atom.y:.6f} {atom.z:.6f}" for i, atom in atoms))
     _section(out, "Types", (f"{i} {atom.type_id}" for i, atom in atoms))
-    _section(out, "Charges", (f"{i} {_FLOAT_FMT.format(atom.charge)}" for i, atom in atoms))
+    _section(out, "Charges", (f"{i} {atom.charge:.6f}" for i, atom in atoms))
     for name, _, entries in sections:
         if entries:
             _section(out, name, (
-                f"{i} {type_id} " + " ".join(str(m) for m in members)
+                f"{i} {type_id} {' '.join(map(str, members))}"
                 for i, (type_id, members) in enumerate(entries, start=1)
             ))
     return "\n".join(out)

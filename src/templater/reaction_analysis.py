@@ -8,7 +8,9 @@ highest combined scorer of each of the two reacting molecules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from templater.conserved_mapping import AtomMapping
 from templater.errors import NoReactionDetected, UnsupportedReaction
@@ -166,6 +168,106 @@ def report_to_dict(report: ReactionReport) -> dict:
             "deleted": len(report.deleted),
         },
     }
+
+
+def report_to_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a final newline, byte for byte.
+
+    ``payload`` is a ``report_to_dict`` payload plus the ``templates`` and
+    ``config`` sections of a run.  Every key is written by name, in sorted
+    order: ints through ``int.__repr__``, strings through
+    ``encode_basestring_ascii`` and floats through ``_number_json``.  The
+    mapping rows, which hold most of the file, are one f-string each, and
+    every piece, the braces and the final newline included, is joined
+    once, so the text is never copied whole.
+    """
+    config, counts, templates = payload["config"], payload["counts"], payload["templates"]
+    weights = _json_list([_number_json(w) for w in config["weights"]], "\n    ")
+    edge_atoms = _json_list([int.__repr__(gid) for gid in templates["edge_atoms"]], "\n    ")
+    created, deleted, initiators = (
+        _json_list([_node_json(node) for node in payload[key]], "\n  ")
+        for key in ("created", "deleted", "initiators")
+    )
+    parts = [
+        '{\n  "config": {'
+        f'\n    "cost_normalization": {encode_basestring_ascii(config["cost_normalization"])},'
+        f'\n    "cutoff": {int.__repr__(config["cutoff"])},'
+        f'\n    "search_budget": {int.__repr__(config["search_budget"])},'
+        f'\n    "search_expansions": {int.__repr__(config["search_expansions"])},'
+        f'\n    "tie_break": {encode_basestring_ascii(config["tie_break"])},'
+        f'\n    "weights": {weights}'
+        '\n  },\n  "counts": {'
+        f'\n    "conserved": {int.__repr__(counts["conserved"])},'
+        f'\n    "created": {int.__repr__(counts["created"])},'
+        f'\n    "deleted": {int.__repr__(counts["deleted"])},'
+        f'\n    "mapped": {int.__repr__(counts["mapped"])},'
+        f'\n    "product_nodes": {int.__repr__(counts["product_nodes"])},'
+        f'\n    "reactant_nodes": {int.__repr__(counts["reactant_nodes"])}'
+        f'\n  }},\n  "created": {created},'
+        f'\n  "deleted": {deleted},'
+        f'\n  "initiators": {initiators},'
+        '\n  "mapping": ['
+    ]
+    separator = "\n    "
+    for row in payload["mapping"]:
+        parts += (separator, _row_json(row))
+        separator = ",\n    "
+    parts.append(
+        ("\n  ]" if payload["mapping"] else "]")
+        + ',\n  "templates": {'
+        f'\n    "count_convention": {encode_basestring_ascii(templates["count_convention"])},'
+        f'\n    "cutoff": {int.__repr__(templates["cutoff"])},'
+        f'\n    "edge_atoms": {edge_atoms},'
+        f'\n    "equivalences": {int.__repr__(templates["equivalences"])},'
+        f'\n    "post_atoms": {int.__repr__(templates["post_atoms"])},'
+        f'\n    "pre_atoms": {int.__repr__(templates["pre_atoms"])}'
+        "\n  }\n}\n"
+    )
+    return "".join(parts)
+
+
+def _json_list(items: list[str], newline: str) -> str:
+    """A list of encoded ``items`` as ``json.dumps(indent=2)`` writes it on
+    the line ``newline`` starts."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
+
+
+def _number_json(value: float) -> str:
+    """A float as ``json.dumps`` writes it, ``NaN`` and the infinities
+    included.  A weight given as an int stays one."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _node_json(node: dict, newline: str = "\n    ") -> str:
+    """A ``report_to_dict`` node reference on the line ``newline`` starts."""
+    inner = newline + "  "
+    return (
+        f'{{{inner}"atom": {int.__repr__(node["atom"])},'
+        f'{inner}"global_id": {int.__repr__(node["global_id"])},'
+        f'{inner}"molecule": {int.__repr__(node["molecule"])}{newline}}}'
+    )
+
+
+def _row_json(row: dict) -> str:
+    """A ``report_to_dict`` mapping row, an item of the top-level list."""
+    row_line = "\n      "
+    delta_e = _json_list([encode_basestring_ascii(t) for t in row["delta_e"]], row_line)
+    return (
+        f'{{{row_line}"delta_c": {_number_json(row["delta_c"])},'
+        f'{row_line}"delta_e": {delta_e},'
+        f'{row_line}"product": {_node_json(row["product"], row_line)},'
+        f'{row_line}"provenance": {encode_basestring_ascii(row["provenance"])},'
+        f'{row_line}"reactant": {_node_json(row["reactant"], row_line)}\n    }}'
+    )
 
 
 def report_to_text(payload: dict) -> str:

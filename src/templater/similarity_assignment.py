@@ -368,7 +368,7 @@ def _anchored_pair(
 
 def assign_similarity(
     mapping: AtomMapping, weights: ScoringWeights = ScoringWeights()
-) -> tuple[AtomMapping, SimilarityMatrix | None]:
+) -> tuple[AtomMapping, SimilarityMatrix]:
     """Extend a conserved mapping over the unmapped remainder.
 
     The similarity matrix is built once over the whole remainder, and the
@@ -381,11 +381,13 @@ def assign_similarity(
     paths and interchangeable hydrogens.  The anchor counts are kept up to
     date as pairs are accepted, not rebuilt each round.  A round accepts
     one pair, so the smaller side's free atoms give the number of rounds.
+    When one side has no free atom, the matrix of the remainder is empty.
     """
     result = mapping.copy()
     rows, cols = result.unmapped()
     if not rows or not cols:
-        return result, None
+        empty = np.zeros((len(rows), len(cols)))
+        return result, SimilarityMatrix(sorted(rows), sorted(cols), empty)
     matrix = build_similarity_matrix(result.g_reac, result.g_prod, rows, cols, weights)
     logger.info("similarity matrix: %d x %d", len(matrix.rows), len(matrix.cols))
     bonus = float(matrix.scores.max() - matrix.scores.min()) + 1.0

@@ -543,6 +543,47 @@ def render_system(system: ReactionSystem) -> tuple[list[str], list[str]]:
     return reactant_texts, product_texts
 
 
+def topology_system(name: str, reactants: list, products: list) -> ReactionSystem:
+    """Parsed or generated topologies of a reaction as a system.
+
+    Atom ids, types, charges and bonds are kept; the angles and dihedrals
+    are enumerated anew from the bonds when the system is rendered.
+    """
+    masses = {t: m for topology in (*reactants, *products) for t, m in topology.masses.items()}
+
+    def spec(position: int, topology) -> MolSpec:
+        return MolSpec(
+            f"molecule {position}",
+            {atom.atom_id: atom.type_id for atom in topology.atoms},
+            {atom.atom_id: atom.charge for atom in topology.atoms},
+            [members for _, members in topology.bonds],
+        )
+
+    return ReactionSystem(
+        name,
+        masses,
+        {t: f"type {t}" for t in masses},
+        [spec(k, topology) for k, topology in enumerate(reactants, start=1)],
+        [spec(k, topology) for k, topology in enumerate(products, start=1)],
+    )
+
+
+def write_system(system: ReactionSystem, target_dir: str) -> tuple[list[str], list[str]]:
+    """Write a system's data files, named after it; returns the (reactant,
+    product) paths."""
+
+    def write(side: str, texts: list[str]) -> list[str]:
+        paths = []
+        for k, text in enumerate(texts, start=1):
+            paths.append(os.path.join(target_dir, f"{system.name}-{side}{k}.data"))
+            with open(paths[-1], "w", encoding="ascii", newline="\n") as handle:
+                handle.write(text)
+        return paths
+
+    reactant_texts, product_texts = render_system(system)
+    return write("r", reactant_texts), write("p", product_texts)
+
+
 def write_fixture_files(target_dir: str) -> list[str]:
     """Write all committed fixture data files; returns the paths written."""
     written = []

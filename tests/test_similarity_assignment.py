@@ -511,7 +511,7 @@ class TestRefineSymmetricPaths:
         for name in SCENARIOS:
             g_reac, g_prod, _, mapping = mapped_scenario(name, 0)
             again, matrix = assign_similarity(mapping)
-            assert matrix is None
+            assert_empty_remainder(matrix, mapping)
             assert again.pairs == mapping.pairs
             assert again.provenance == mapping.provenance
 
@@ -527,6 +527,14 @@ class TestRefineSymmetricPaths:
             validate_mapping(mapping, g_reac, g_prod)
             assert mapping.reverse == {p: r for r, p in mapping.pairs.items()}
             assert mapping.provenance.keys() == mapping.pairs.keys()
+
+
+def assert_empty_remainder(matrix, mapping):
+    """``matrix`` is the empty matrix of ``mapping``'s unmapped remainder."""
+    rows, cols = mapping.unmapped()
+    assert not rows or not cols
+    assert (matrix.rows, matrix.cols) == (sorted(rows), sorted(cols))
+    assert matrix.scores.shape == (len(rows), len(cols))
 
 
 class TestSwapHydrogens:
@@ -557,7 +565,7 @@ class TestSwapHydrogens:
         g_reac, g_prod, _ = scenario_graphs("no-hydrogens")
         conserved = iterate_conserved(g_reac, g_prod)
         mapping, matrix = assign_similarity(conserved)
-        assert matrix is None
+        assert_empty_remainder(matrix, conserved)
         assert mapping.pairs == conserved.pairs == {1: 1, 2: 2}
         for seed in ORDERS:
             mapped_scenario("no-hydrogens", seed)

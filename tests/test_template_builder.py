@@ -1,9 +1,11 @@
 import json
 import os
+import random
 
 import pytest
 
-from conftest import CASE_STUDIES, make_graph, make_topology, path_topology
+import chemfix
+from conftest import CASE_STUDIES, make_graph, make_topology, path_topology, ring_opening
 from templater.cli import RunConfig, run_pipeline
 from templater.conserved_mapping import AtomMapping
 from templater.errors import InconsistentPruning
@@ -25,6 +27,7 @@ from templater.template_builder import (
     prune_to_cutoff,
 )
 from test_lammps_io import load_perfbench, load_workloads
+from test_similarity_assignment import RING_OPENINGS
 
 C = 12.011
 MASSES = {1: C, 2: 15.999, 3: 1.008}
@@ -333,6 +336,22 @@ def first_generated(directory):
     ]
 
 
+# The ``RING_OPENINGS`` shapes without their marks: tail 12 maps with
+# (3, 3) bond edits, but its templates still hold every change.
+RING_OPENING_SHAPES = [pytest.param(*shape.values, id=shape.id) for shape in RING_OPENINGS]
+
+
+def ring_opening_files(directory, tail, radius):
+    """``conftest.ring_opening`` in atom orders 0-2, written as data files
+    under ``directory``: (order, reactant paths, product paths) each."""
+    for order in range(3):
+        g_reac, g_prod = ring_opening(tail, random.Random(order), radius)
+        system = chemfix.topology_system(
+            f"ring-opening-{order}", g_reac.topologies, g_prod.topologies
+        )
+        yield (order, *chemfix.write_system(system, str(directory)))
+
+
 def changed_edge_atoms(out_dir):
     """Pre-template EdgeIDs that do not keep their type, charge and bonded
     partners through the Equivalences, read from the written files alone."""
@@ -386,6 +405,14 @@ class TestEdgeAtomRule:
             assert changed_edge_atoms(out_dir) == [], kind
             edges += len(read_sections(out_dir / "reaction_map.txt").get("EdgeIDs", []))
         assert edges > 0
+
+    @pytest.mark.parametrize("tail, radius", RING_OPENING_SHAPES)
+    def test_ring_openings_keep_edge_atoms(self, tmp_path, tail, radius):
+        for order, reactants, products in ring_opening_files(tmp_path, tail, radius):
+            for cutoff in (4, 6):
+                out_dir = tmp_path / f"out-{order}-{cutoff}"
+                run_pipeline(RunConfig(reactants, products, str(out_dir), cutoff=cutoff))
+                assert changed_edge_atoms(out_dir) == [], (order, cutoff)
 
     def test_oracle_flags_a_changed_edge_atom(self, tmp_path):
         # Listing the pre atom of BD atom 12, whose charge goes from 0.15
@@ -500,6 +527,13 @@ class TestChangedInteractionsInside:
         for kind, instance in first_generated(tmp_path):
             assert self.outside(instance.reactants, instance.products, tmp_path / kind) == [], kind
 
+    @pytest.mark.parametrize("tail, radius", RING_OPENING_SHAPES)
+    def test_ring_openings(self, tmp_path, tail, radius):
+        for order, reactants, products in ring_opening_files(tmp_path, tail, radius):
+            for cutoff in (4, 6):
+                out_dir = tmp_path / f"out-{order}-{cutoff}"
+                assert self.outside(reactants, products, out_dir, cutoff) == [], (order, cutoff)
+
     def test_oracle_flags_a_row_left_outside(self, tmp_path):
         # With the first initiator taken out of the pre template, each of
         # its bonds holds a changed atom and leaves the template.
@@ -523,6 +557,7 @@ EXPECTED_BOND_EDITS = {
     "alkene_dimer": (0, 3),
     "retyped_site": (0, 3),
     "ua_chain": (0, 1),
+    "ring_opening": (2, 2),
 }
 
 
@@ -575,3 +610,13 @@ class TestMapFileReplay:
             out_dir = tmp_path / kind
             run_pipeline(RunConfig(instance.reactants, instance.products, str(out_dir), cutoff=cutoff))
             assert replayed_bond_edits(out_dir) == EXPECTED_BOND_EDITS[kind], kind
+
+    @pytest.mark.parametrize("tail, radius", RING_OPENINGS)
+    def test_ring_openings(self, tmp_path, tail, radius):
+        for order, reactants, products in ring_opening_files(tmp_path, tail, radius):
+            for cutoff in (4, 6):
+                out_dir = tmp_path / f"out-{order}-{cutoff}"
+                run_pipeline(RunConfig(reactants, products, str(out_dir), cutoff=cutoff))
+                assert replayed_bond_edits(out_dir) == EXPECTED_BOND_EDITS["ring_opening"], (
+                    order, cutoff,
+                )
