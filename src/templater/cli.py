@@ -170,20 +170,24 @@ class PipelineState:
 
 
 def _read_topologies(paths: list[str]) -> list[SystemTopology]:
-    topologies = []
+    """One parsed topology per path; a path named twice is parsed once and
+    its topology, which nothing modifies, serves both molecules."""
+    parsed: dict[str, SystemTopology] = {}
     for path in paths:
+        if path in parsed:
+            continue
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 text = handle.read()
             except UnicodeDecodeError as exc:
                 raise errors.ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
         try:
-            topologies.append(parse_data_file(text))
+            parsed[path] = parse_data_file(text)
         except errors.ParseError as exc:
             # Name the file after the message, which may start with its line.
             exc.args = (f"{exc} (in {path})",)
             raise
-    return topologies
+    return [parsed[path] for path in paths]
 
 
 def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:

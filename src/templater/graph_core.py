@@ -5,9 +5,10 @@ globally unique node ids.  Nodes carry mass, type id, charge and the index
 of the source molecule; edges come from the Bonds section of the inputs,
 and the graph keeps those inputs for the templates cut from it.
 
-Graphs are immutable after construction, so every operation here is
-read-only and safe to call concurrently.  Expensive per-node quantities
-(BFS shells, centralities) are cached on first use.
+Graphs are immutable after construction: nothing writes to one after
+``__init__``, so every operation here is read-only and safe to call
+concurrently.  Derived quantities (BFS shells, the edge set, centralities)
+are computed on each call, and the caller keeps what it reuses.
 """
 
 from __future__ import annotations
@@ -71,17 +72,18 @@ class UnifiedGraph:
                     adjacency[a].add(b)
                     adjacency[b].add(a)
         self._adjacency = {gid: tuple(sorted(nbrs)) for gid, nbrs in adjacency.items()}
-        self.edges: frozenset[tuple[int, int]] = frozenset(
-            (a, b) for a, nbrs in self._adjacency.items() for b in nbrs if a < b
-        )
-        self._shells: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._centrality: dict[int, dict[int, float]] = {}
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every bond once, as ``(smaller gid, larger gid)``; built on each call."""
+        return frozenset((a, b) for a, nbrs in self._adjacency.items() for b in nbrs if a < b)
 
     def neighbors(self, gid: int) -> tuple[int, ...]:
         return self._adjacency[gid]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        """Whether a and b are bonded; False when either is not a node."""
+        return b in self._adjacency.get(a, ())
 
     def gid_for(self, component: int, source_id: int) -> int:
         return self._gid_of[component][source_id]
@@ -94,10 +96,8 @@ class UnifiedGraph:
 
         Index 0 holds the root itself; index k the depth-k shell, in no set
         order.  Bonds never join two data files, so gid's molecule holds all.
+        Computed on each call.
         """
-        cached = self._shells.get(gid)
-        if cached is not None:
-            return cached
         seen = {gid}
         frontier = [gid]
         shells = [(gid,)]
@@ -111,9 +111,7 @@ class UnifiedGraph:
             if nxt:
                 shells.append(tuple(nxt))
             frontier = nxt
-        result = tuple(shells)
-        self._shells[gid] = result
-        return result
+        return tuple(shells)
 
 
 def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedGraph:
@@ -212,15 +210,6 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
             _, x = _perron_vector(bordered)
         result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
     return result
-
-
-def centrality_by_node(graph: UnifiedGraph, component: int) -> dict[int, float]:
-    """Cached per-molecule centrality; 0.0 for atoms without bonds."""
-    cached = graph._centrality.get(component)
-    if cached is None:
-        cached = eigenvector_centrality(graph, component)
-        graph._centrality[component] = cached
-    return cached
 
 
 _ROLE_STYLE = {

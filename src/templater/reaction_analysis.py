@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
+from templater import graph_core
 from templater.conserved_mapping import AtomMapping
 from templater.errors import NoReactionDetected, UnsupportedReaction
-from templater.graph_core import UnifiedGraph, centrality_by_node
+from templater.graph_core import UnifiedGraph
 
 # Token marking a product-side neighbor with no preimage (a created atom).
 CREATED_MARK = "created"
@@ -29,6 +30,11 @@ CREATED_MARK = "created"
 # deltas compare equal, so initiator ties go to the smallest id as documented.
 CENTRALITY_DELTA_DECIMALS = 9
 
+# The bond delta of every atom whose bonds did not change, shared: most
+# atoms of a large molecule keep their bonds, and each empty frozenset
+# would take its own 216 bytes (CPython 3.11).
+_NO_BOND_CHANGE: frozenset = frozenset()
+
 
 def bond_delta(pair: tuple[int, int], mapping: AtomMapping) -> frozenset:
     """Symmetric difference between reactant and pulled-back product neighbors.
@@ -41,20 +47,26 @@ def bond_delta(pair: tuple[int, int], mapping: AtomMapping) -> frozenset:
     for nbr in mapping.g_prod.neighbors(p_gid):
         pre = mapping.reverse.get(nbr)
         pulled.add(pre if pre is not None else (CREATED_MARK, nbr))
-    return frozenset(pulled ^ set(mapping.g_reac.neighbors(r_gid)))
+    pulled.symmetric_difference_update(mapping.g_reac.neighbors(r_gid))
+    return frozenset(pulled) if pulled else _NO_BOND_CHANGE
 
 
-def centrality_delta(
-    pair: tuple[int, int], g_reac: UnifiedGraph, g_prod: UnifiedGraph
-) -> float:
-    """Absolute change in per-molecule unit-norm eigenvector centrality.
+def centrality_delta(c_r: float, c_p: float) -> float:
+    """Absolute change between a reactant atom's per-molecule unit-norm
+    eigenvector centrality ``c_r`` and its product image's ``c_p``.
 
     Rounded to ``CENTRALITY_DELTA_DECIMALS`` places.
     """
-    r_gid, p_gid = pair
-    c_r = centrality_by_node(g_reac, g_reac.nodes[r_gid].component)[r_gid]
-    c_p = centrality_by_node(g_prod, g_prod.nodes[p_gid].component)[p_gid]
     return round(abs(c_p - c_r), CENTRALITY_DELTA_DECIMALS)
+
+
+def _centrality(graph: UnifiedGraph, gid: int, solved: dict[int, float]) -> float:
+    """The centrality of gid, solving its whole molecule into ``solved`` on
+    first use.  The solver is looked up on ``graph_core`` at call time, so a
+    wrapper set there sees every solve."""
+    if gid not in solved:
+        solved.update(graph_core.eigenvector_centrality(graph, graph.nodes[gid].component))
+    return solved[gid]
 
 
 def select_initiators(
@@ -106,12 +118,20 @@ class ReactionReport:
 
 
 def build_report(mapping: AtomMapping) -> ReactionReport:
-    """Compute all per-pair deltas, classify atoms and select initiators."""
+    """Compute all per-pair deltas, classify atoms and select initiators.
+
+    Each molecule's centrality is solved once and kept for this call only.
+    """
+    g_reac, g_prod = mapping.g_reac, mapping.g_prod
+    solved_r: dict[int, float] = {}
+    solved_p: dict[int, float] = {}
     bond_deltas = {}
     centrality_deltas = {}
-    for pair in mapping.sorted_pairs():
-        bond_deltas[pair[0]] = bond_delta(pair, mapping)
-        centrality_deltas[pair[0]] = centrality_delta(pair, mapping.g_reac, mapping.g_prod)
+    for r_gid, p_gid in mapping.sorted_pairs():
+        bond_deltas[r_gid] = bond_delta((r_gid, p_gid), mapping)
+        centrality_deltas[r_gid] = centrality_delta(
+            _centrality(g_reac, r_gid, solved_r), _centrality(g_prod, p_gid, solved_p)
+        )
     deleted, created = mapping.unmapped()
     initiators = select_initiators(bond_deltas, centrality_deltas, mapping)
     return ReactionReport(

@@ -93,36 +93,36 @@ def _node_labels(
 
 
 def _shell_histograms(
-    graph: UnifiedGraph,
-    gids: list[int],
+    shells: list[tuple[tuple[int, ...], ...]],
     max_depth: int,
     labels: np.ndarray,
     n_labels: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label counts ``(max_depth, n_labels, len(gids))`` and sizes
-    ``(max_depth, len(gids))`` of the depth 1..max_depth shells of each node.
+    """Label counts ``(max_depth, n_labels, len(shells))`` and sizes
+    ``(max_depth, len(shells))`` of the depth 1..max_depth shells of each
+    node, given its ``UnifiedGraph.shells``.
 
-    The counts are built from the graph's cached shells by one ``bincount``
-    and kept in the smallest unsigned dtype that holds the largest of them.
-    Nodes are the last axis, so a shell overlap sums whole planes.
+    The counts are built by one ``bincount`` and kept in the smallest
+    unsigned dtype that holds the largest of them.  Nodes are the last axis,
+    so a shell overlap sums whole planes.
     """
-    shells = [graph.shells(gid) for gid in gids]
+    n = len(shells)
     sizes = np.fromiter(
         (len(node[k]) if k < len(node) else 0 for node in shells for k in range(1, max_depth + 1)),
         np.intp,
-        len(gids) * max_depth,
+        n * max_depth,
     )
     members = np.fromiter(
         chain.from_iterable(chain.from_iterable(islice(node, 1, max_depth + 1) for node in shells)),
         np.intp,
         int(sizes.sum()),
     )
-    # Label l of shell k of node i is counted at (k * n_labels + l) * len(gids) + i.
-    keys = np.arange(max_depth) * (n_labels * len(gids)) + np.arange(len(gids))[:, None]
-    cells = np.repeat(keys.ravel(), sizes)[:, None] + labels[members] * len(gids)
-    counts = np.bincount(cells.ravel(), minlength=max_depth * n_labels * len(gids))
+    # Label l of shell k of node i is counted at (k * n_labels + l) * n + i.
+    keys = np.arange(max_depth) * (n_labels * n) + np.arange(n)[:, None]
+    cells = np.repeat(keys.ravel(), sizes)[:, None] + labels[members] * n
+    counts = np.bincount(cells.ravel(), minlength=max_depth * n_labels * n)
     counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
-    return counts.reshape(max_depth, n_labels, len(gids)), sizes.reshape(len(gids), max_depth).T
+    return counts.reshape(max_depth, n_labels, n), sizes.reshape(n, max_depth).T
 
 
 def build_similarity_matrix(
@@ -155,12 +155,16 @@ def build_similarity_matrix(
     row_ids = sorted(rows)
     col_ids = sorted(cols)
     labels_reac, labels_prod, n_labels = _node_labels(g_reac, g_prod)
-    ecc_r = np.fromiter((len(g_reac.shells(r)) - 1 for r in row_ids), np.intp, len(row_ids))
-    ecc_p = np.fromiter((len(g_prod.shells(p)) - 1 for p in col_ids), np.intp, len(col_ids))
+    shells_r = [g_reac.shells(r) for r in row_ids]
+    shells_p = [g_prod.shells(p) for p in col_ids]
+    ecc_r = np.fromiter(map(len, shells_r), np.intp, len(row_ids)) - 1
+    ecc_p = np.fromiter(map(len, shells_p), np.intp, len(col_ids)) - 1
     depth = np.maximum(1, np.minimum.outer(ecc_r, ecc_p))
     max_depth = int(depth.max(initial=1))
-    hist_r, size_r = _shell_histograms(g_reac, row_ids, max_depth, labels_reac, n_labels)
-    hist_p, size_p = _shell_histograms(g_prod, col_ids, max_depth, labels_prod, n_labels)
+    hist_r, size_r = _shell_histograms(shells_r, max_depth, labels_reac, n_labels)
+    hist_p, size_p = _shell_histograms(shells_p, max_depth, labels_prod, n_labels)
+    # Free the shells before the depth loop allocates its temporaries.
+    del shells_r, shells_p
 
     root_r = labels_reac[row_ids]
     root_p = labels_prod[col_ids]

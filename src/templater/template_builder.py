@@ -30,16 +30,27 @@ def prune_to_cutoff(
     cutoff: int,
     always_include: frozenset[int] | set[int] = frozenset(),
 ) -> set[int]:
-    """Nodes within ``cutoff`` hops of any site, plus forced inclusions."""
+    """Nodes within ``cutoff`` hops of any site, plus forced inclusions.
+
+    One breadth-first search runs from all sites together and stops at the
+    cutoff.
+    """
     if not sites:
         raise ValueError("at least one site node is required")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    kept = set(always_include)
-    for site in sites:
-        for shell in graph.shells(site)[: cutoff + 1]:
-            kept.update(shell)
-    return kept
+    reached = set(sites)
+    frontier = list(sites)
+    for _ in range(cutoff):
+        nxt = []
+        for node in frontier:
+            for nbr in graph.neighbors(node):
+                if nbr not in reached:
+                    reached.add(nbr)
+                    nxt.append(nbr)
+        frontier = nxt
+    reached.update(always_include)
+    return reached
 
 
 def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import logging
@@ -18,6 +19,7 @@ import chemfix
 from conftest import CASE_STUDIES, alkene_dimerization, fixture_path, path_topology, ring_opening
 from test_lammps_io import load_workloads
 import templater
+from templater import cli
 from templater.cli import (
     PipelineState,
     RunConfig,
@@ -692,6 +694,48 @@ class TestLibraryEntryPoint:
             "pre_template.mol", "post_template.mol", "reaction_map.txt",
             "report.txt", "report.json",
         }
+
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_graphs_left_as_built(self, tmp_path, monkeypatch, name):
+        # Every reader of a graph keeps what it derives to itself: after a
+        # run with every export on, each graph's attributes equal those that
+        # ``__init__`` set.
+        built = []
+        build = cli.build_unified_graph
+
+        def recording(topologies, side):
+            graph = build(topologies, side)
+            built.append((graph, copy.deepcopy(vars(graph))))
+            return graph
+
+        monkeypatch.setattr(cli, "build_unified_graph", recording)
+        reactants, products = CASE_STUDIES[name]
+        cfg = RunConfig(
+            reactants=reactants, products=products, out_dir=str(tmp_path),
+            export_dot=True, export_similarity_csv=True,
+        )
+        state = run_pipeline(cfg)
+        assert [graph for graph, _ in built] == [state.g_reac, state.g_prod]
+        for graph, as_built in built:
+            assert vars(graph) == as_built
+
+    def test_path_named_twice_parsed_once(self, tmp_path, monkeypatch):
+        # The chain case study names butene.data twice: one parse, one
+        # topology for both molecules.
+        parsed = []
+        parse = cli.parse_data_file
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_data_file", counting)
+        reactants, products = CASE_STUDIES["chain"]
+        assert reactants[0] == reactants[1]
+        state = run_pipeline(RunConfig(reactants=reactants, products=products, out_dir=str(tmp_path)))
+        assert len(parsed) == 2
+        first, second = state.g_reac.topologies
+        assert first is second
 
     def test_run_stages_unknown_stage(self):
         cfg = RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS)

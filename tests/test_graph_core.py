@@ -167,6 +167,34 @@ class TestBuildUnifiedGraph:
         assert [graph.gid_for(c, s) for c, s in sources] == [1, 2, 3, 4, 5, 6]
         assert graph.sorted_gids() == [1, 2, 3, 4, 5, 6]
 
+    def test_edges_and_has_edge_follow_bonds_rows(self):
+        # Random files with id gaps, repeated and reversed rows and self
+        # bonds: ``edges`` holds each bond of the Bonds rows once, and
+        # ``has_edge`` agrees with it on every ordered pair, self pairs and
+        # absent atoms included.
+        rng = random.Random(23)
+        for _ in range(60):
+            topologies, rows = [], []
+            for _ in range(rng.randint(1, 3)):
+                ids = rng.sample(range(1, 40), rng.randint(1, 9))
+                bonds = [
+                    (rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * len(ids)))
+                ]
+                topologies.append(make_topology([(i, 1, 0.0) for i in ids], bonds, C_MASS))
+                rows.append(bonds)
+            graph = build_unified_graph(topologies, "reactant")
+            bonded = set()
+            for component, bonds in enumerate(rows, start=1):
+                for a, b in bonds:
+                    if a != b:
+                        a, b = graph.gid_for(component, a), graph.gid_for(component, b)
+                        bonded.add((min(a, b), max(a, b)))
+            assert graph.edges == frozenset(bonded)
+            absent = len(graph.nodes) + 1
+            for a in [*graph.nodes, absent]:
+                for b in [*graph.nodes, absent]:
+                    assert graph.has_edge(a, b) == ((min(a, b), max(a, b)) in bonded), (a, b)
+
 
 class TestEigenvectorCentrality:
     def test_path_three_center_dominates(self):

@@ -7,7 +7,7 @@ from conftest import CASE_STUDIES, alkene_dimerization, fixture_path, make_graph
 from templater.cli import RunConfig, run_pipeline
 from templater.conserved_mapping import AtomMapping, iterate_conserved
 from templater.errors import NoReactionDetected, UnsupportedReaction
-from templater.graph_core import build_unified_graph, centrality_by_node
+from templater.graph_core import build_unified_graph, eigenvector_centrality
 from templater.lammps_io import parse_data_file
 from templater.reaction_analysis import (
     CENTRALITY_DELTA_DECIMALS,
@@ -22,6 +22,14 @@ from templater.similarity_assignment import assign_similarity
 
 C = 12.011
 MASSES = {1: C, 2: 15.999, 3: 1.008, 4: 14.007}
+
+
+def centralities(graph):
+    """Every atom's centrality within its molecule, each molecule solved once."""
+    solved = {}
+    for component in graph.components:
+        solved.update(eigenvector_centrality(graph, component))
+    return solved
 
 
 def identity_system(n=4):
@@ -108,14 +116,15 @@ class TestBondDelta:
 class TestCentralityDelta:
     def test_identity_reaction_zero(self):
         g_reac, g_prod, mapping = identity_system()
+        c_reac, c_prod = centralities(g_reac), centralities(g_prod)
         for r, p in mapping.pairs.items():
-            assert centrality_delta((r, p), g_reac, g_prod) == pytest.approx(0.0, abs=1e-9)
+            assert centrality_delta(c_reac[r], c_prod[p]) == pytest.approx(0.0, abs=1e-9)
 
     def test_path_extension_changes_end(self):
         g_reac = make_graph([(i, 1, 0.0) for i in range(1, 4)], [(1, 2), (2, 3)], MASSES, "reactant")
         g_prod = make_graph([(i, 1, 0.0) for i in range(1, 5)], [(1, 2), (2, 3), (3, 4)], MASSES, "product")
         # closed-form: P3 end = 0.5; P4 node-3 entry of the Perron vector
-        delta = centrality_delta((3, 3), g_reac, g_prod)
+        delta = centrality_delta(centralities(g_reac)[3], centralities(g_prod)[3])
         assert delta > 0.0
 
     def test_leaf_swap_symmetric_zero(self):
@@ -123,7 +132,8 @@ class TestCentralityDelta:
         bonds = [(1, 2), (1, 3)]
         g_reac = make_graph(atoms, bonds, MASSES, "reactant")
         g_prod = make_graph(atoms, bonds, MASSES, "product")
-        assert centrality_delta((2, 3), g_reac, g_prod) == pytest.approx(0.0, abs=1e-9)
+        delta = centrality_delta(centralities(g_reac)[2], centralities(g_prod)[3])
+        assert delta == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCentralityTies:
@@ -144,7 +154,8 @@ class TestCentralityTies:
             g_prod = build_unified_graph([octane], "product")
         else:
             g_reac, g_prod = alkene_dimerization(20, random.Random(3))
-        centrality = centrality_by_node(g_prod, 1)
+        centrality = eigenvector_centrality(g_prod, 1)
+        c_reac = centralities(g_reac)
         pairs = mirror_images(g_prod)
         assert len({a for a, _ in pairs}) == len(g_prod.nodes)
         for a, b in pairs:
@@ -152,8 +163,8 @@ class TestCentralityTies:
                 centrality[b], CENTRALITY_DELTA_DECIMALS
             )
             for r in g_reac.nodes:
-                assert centrality_delta((r, a), g_reac, g_prod) == centrality_delta(
-                    (r, b), g_reac, g_prod
+                assert centrality_delta(c_reac[r], centrality[a]) == centrality_delta(
+                    c_reac[r], centrality[b]
                 )
 
 
@@ -217,8 +228,9 @@ class TestSelectInitiators:
         for r, p in ((1, 1), (2, 2), (3, 3), (4, 4)):
             mapping.add(r, p, "similarity")
         deltas = {r: bond_delta((r, mapping.pairs[r]), mapping) for r in mapping.pairs}
-        centralities = {r: centrality_delta((r, mapping.pairs[r]), g_reac, g_prod) for r in mapping.pairs}
-        initiators = select_initiators(deltas, centralities, mapping)
+        c_reac, c_prod = centralities(g_reac), centralities(g_prod)
+        deltas_c = {r: centrality_delta(c_reac[r], c_prod[p]) for r, p in mapping.pairs.items()}
+        initiators = select_initiators(deltas, deltas_c, mapping)
         assert initiators == (1, 3)
 
 

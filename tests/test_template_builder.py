@@ -25,6 +25,7 @@ from templater.template_builder import (
     mark_edge_atoms,
     prune_reaction,
     prune_to_cutoff,
+    reaction_site_nodes,
 )
 from test_lammps_io import load_perfbench, load_workloads
 from test_similarity_assignment import RING_OPENINGS
@@ -88,6 +89,42 @@ class TestPruneToCutoff:
         graph = build_unified_graph([path_topology(3)], "reactant")
         with pytest.raises(ValueError):
             prune_to_cutoff(graph, set(), 4)
+
+    def test_matches_union_of_shells(self, case_states):
+        # The reference is every site's shells up to the cutoff, read off
+        # ``graph.shells``: on random graphs (some disconnected), both sides
+        # of the case studies (at their reaction sites too) and the ring
+        # openings, with random site sets and forced inclusions.
+        rng = random.Random(17)
+        graphs = []
+        for _ in range(60):
+            n = rng.randint(1, 16)
+            bonds = [
+                (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.18
+            ]
+            graphs.append(make_graph([(i, 1, 0.0) for i in range(1, n + 1)], bonds, {1: C}))
+        for state in case_states.values():
+            graphs += [state.g_reac, state.g_prod]
+        for tail in (1, 4, 12):
+            graphs += ring_opening(tail, random.Random(tail))
+        cases = []
+        for graph in graphs:
+            nodes = graph.sorted_gids()
+            for k in (1, 2, 5):
+                sites = set(rng.sample(nodes, min(k, len(nodes))))
+                forced = set(rng.sample(nodes, min(rng.randint(0, 2), len(nodes))))
+                cases.append((graph, sites, forced))
+        for state in case_states.values():
+            sites = reaction_site_nodes(state.report)
+            cases.append((state.g_reac, sites, set()))
+            cases.append((state.g_prod, {state.mapping.pairs[r] for r in sites}, set()))
+        for graph, sites, forced in cases:
+            for cutoff in range(1, 7):
+                expected = set(forced)
+                for site in sites:
+                    for shell in graph.shells(site)[: cutoff + 1]:
+                        expected.update(shell)
+                assert prune_to_cutoff(graph, sites, cutoff, forced) == expected
 
 
 class TestMarkEdgeAtoms:
