@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from templater import errors
@@ -32,8 +33,8 @@ from templater.lammps_io import (
 from templater.reaction_analysis import (
     ReactionReport,
     build_report,
+    report_json_pieces,
     report_to_dict,
-    report_to_json,
     report_to_text,
 )
 from templater.similarity_assignment import (
@@ -212,13 +213,15 @@ def run_stages(cfg: RunConfig, through: str = "templates") -> PipelineState:
         "knobs: weights (%g, %g, %g), cutoff %d, budget %d, cost normalization min-max",
         cfg.alpha, cfg.beta, cfg.gamma, cfg.cutoff, cfg.search_budget,
     )
-    mapping = iterate_conserved(g_reac, g_prod, budget=cfg.search_budget)
+    conserved = iterate_conserved(g_reac, g_prod, budget=cfg.search_budget)
     logger.info(
         "conserved mapping: %d pairs, %d expansions",
-        len(mapping.pairs), mapping.search_expansions,
+        len(conserved.pairs), conserved.search_expansions,
     )
 
-    state.mapping, state.similarity = assign_similarity(mapping, cfg.weights)
+    # assign_similarity works on a copy; the conserved-only mapping goes now.
+    state.mapping, state.similarity = assign_similarity(conserved, cfg.weights)
+    del conserved
     logger.info("similarity assignment: %d pairs total", len(state.mapping.pairs))
 
     state.report = build_report(state.mapping)
@@ -273,12 +276,17 @@ def export_dot(cfg: RunConfig, stage: str, state: PipelineState | None = None) -
     }
 
 
-def _write_atomic(out_dir: str, contents: dict[str, str]) -> dict[str, str]:
+def _write_atomic(out_dir: str, contents: dict[str, str | Iterable[str]]) -> dict[str, str]:
     """Stage every file, then rename; nothing lands on failure.
 
-    A target that is a directory is refused before anything is staged, as
-    its rename would fail after others had landed.  The staged names are
-    fixed, so concurrent runs need distinct output directories.
+    Each file's content is a string or an iterable of strings.  Every piece
+    is encoded as ASCII and written to the staged file as it comes, newlines
+    as they are, so the text of a generator is never held whole.  Any
+    failure, one raised by such a generator included, removes every staged
+    file and renames none.  A target that is a directory is refused before
+    anything is staged, as its rename would fail after others had landed.
+    The staged names are fixed, so concurrent runs need distinct output
+    directories.
     """
     for path in (os.path.join(out_dir, name) for name in contents):
         if os.path.isdir(path):
@@ -289,9 +297,11 @@ def _write_atomic(out_dir: str, contents: dict[str, str]) -> dict[str, str]:
     try:
         for name in sorted(contents):
             tmp_path = os.path.join(out_dir, name + ".tmp")
-            with open(tmp_path, "w", encoding="ascii", newline="\n") as handle:
-                handle.write(contents[name])
             staged.append((tmp_path, os.path.join(out_dir, name)))
+            content = contents[name]
+            with open(tmp_path, "wb") as handle:
+                for piece in (content,) if isinstance(content, str) else content:
+                    handle.write(piece.encode("ascii"))
         for tmp_path, final_path in staged:
             os.replace(tmp_path, final_path)
             written[os.path.basename(final_path)] = final_path
@@ -313,7 +323,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineState:
         "post_template.mol": write_molecule_template(templates.post, "post-reaction template"),
         "reaction_map.txt": write_map_file(templates.to_map_file()),
         "report.txt": report_to_text(payload),
-        "report.json": report_to_json(payload | _report_sections(cfg, state)),
+        "report.json": report_json_pieces(payload | _report_sections(cfg, state)),
     }
     if cfg.export_similarity_csv:
         contents["similarity.csv"] = similarity_csv(

@@ -135,15 +135,18 @@ def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:
     the eigenvector of a full eigendecomposition, which costs about twice
     as much from a few dozen atoms up.  M is turned into top*I - M in
     place: separate arrays for M, I and their difference triple the memory
-    of the solve.
+    of the solve.  The whole contiguous array is negated, its zero border
+    with it, and the border then rewritten: negating the strided n x n
+    block alone makes numpy buffer a copy of it.  The corner is reset to
+    +0.0, so ``solve`` gets the same bits either way.
     """
     n = len(bordered) - 1
-    matrix = bordered[:n, :n]
-    top = np.linalg.eigvalsh(matrix)[-1]
-    np.negative(matrix, out=matrix)
+    top = np.linalg.eigvalsh(bordered[:n, :n])[-1]
+    np.negative(bordered, out=bordered)
     # The diagonal of the block, a view into the flat bordered array.
     bordered.reshape(-1)[: n * (n + 2) : n + 2] += top
     bordered[:n, n] = bordered[n, :n] = 1.0
+    bordered[n, n] = 0.0
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     return top, np.linalg.solve(bordered, rhs)[:n]
@@ -159,8 +162,10 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
     to the larger part L.  Its principal eigenvector [u; v] has u the
     Perron vector of K = B B^T, whose top eigenvalue is sigma^2, and
     v = B^T u / sigma, so the cubic work runs on |S| <= n/2 atoms.  K is
-    primitive (connected, with the atom degrees on its diagonal), so sigma^2
-    is simple.  Any other piece has an odd ring and is solved on
+    counted from the bonds into the bordered array, and B is built only
+    after the solve, so the two never share memory.  K is primitive
+    (connected, with the atom degrees on its diagonal), so sigma^2 is
+    simple.  Any other piece has an odd ring and is solved on
     M = A + I: the shift leaves the eigenvectors unchanged and makes the
     matrix primitive, so its top eigenvalue is simple too.  Should the
     component be disconnected, each connected piece is treated on its own
@@ -187,14 +192,22 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
             odd = [gid for gid in piece if depth[gid] & 1]
             small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
             s = len(small)
-            column = {gid: j for j, gid in enumerate(large)}
+            row = {gid: i for i, gid in enumerate(small)}
+            # The neighbours of each L atom, as rows of S.
+            adjacent = [[row[nbr] for nbr in graph.neighbors(gid)] for gid in large]
+            # K[i, k] counts the common neighbours of small[i] and small[k]:
+            # each L atom adds one to every cell of its neighbours' pairs, its
+            # degree to their diagonal.  Small integers, so K is exact in any
+            # summation order and holds the bits B B^T would.
+            cells = [i * (s + 1) + k for rows in adjacent for i in rows for k in rows]
+            bordered = np.bincount(cells, np.ones(len(cells)), (s + 1) ** 2)
+            top, u = _perron_vector(bordered.reshape(s + 1, s + 1))
+            del bordered
+            # B is built only now, beside no s x s array, for v = B^T u / sigma.
             biadjacency = np.zeros((s, len(large)))
-            for i, gid in enumerate(small):
-                for nbr in graph.neighbors(gid):
-                    biadjacency[i, column[nbr]] = 1.0
-            bordered = np.zeros((s + 1, s + 1))
-            np.matmul(biadjacency, biadjacency.T, out=bordered[:s, :s])
-            top, u = _perron_vector(bordered)
+            biadjacency.reshape(-1)[
+                [i * len(large) + j for j, rows in enumerate(adjacent) for i in rows]
+            ] = 1.0
             x = np.concatenate((u, biadjacency.T @ u / np.sqrt(top)))
             # x lists S, then L.
             piece = small + large

@@ -9,6 +9,7 @@ highest combined scorer of each of the two reacting molecules.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -191,15 +192,24 @@ def report_to_dict(report: ReactionReport) -> dict:
 
 
 def report_to_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` and a final newline, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a final newline,
+    byte for byte: the pieces of ``report_json_pieces`` joined once.
 
     ``payload`` is a ``report_to_dict`` payload plus the ``templates`` and
-    ``config`` sections of a run.  Every key is written by name, in sorted
-    order: ints through ``int.__repr__``, strings through
-    ``encode_basestring_ascii`` and floats through ``_number_json``.  The
-    mapping rows, which hold most of the file, are one f-string each, and
-    every piece, the braces and the final newline included, is joined
-    once, so the text is never copied whole.
+    ``config`` sections of a run.
+    """
+    return "".join(report_json_pieces(payload))
+
+
+def report_json_pieces(payload: dict) -> Iterator[str]:
+    """The text of ``report_to_json``, in pieces: the sections before the
+    mapping, each mapping row and the separator before it, then the rest.
+
+    A run writes the pieces into its staged file as they come, so the text
+    is never held whole.  Every key is written by name, in sorted order:
+    ints through ``int.__repr__``, strings through ``encode_basestring_ascii``
+    and floats through ``_number_json``.  The mapping rows, which hold most
+    of the file, are one f-string each.
     """
     config, counts, templates = payload["config"], payload["counts"], payload["templates"]
     weights = _json_list([_number_json(w) for w in config["weights"]], "\n    ")
@@ -208,7 +218,7 @@ def report_to_json(payload: dict) -> str:
         _json_list([_node_json(node) for node in payload[key]], "\n  ")
         for key in ("created", "deleted", "initiators")
     )
-    parts = [
+    yield (
         '{\n  "config": {'
         f'\n    "cost_normalization": {encode_basestring_ascii(config["cost_normalization"])},'
         f'\n    "cutoff": {int.__repr__(config["cutoff"])},'
@@ -227,12 +237,13 @@ def report_to_json(payload: dict) -> str:
         f'\n  "deleted": {deleted},'
         f'\n  "initiators": {initiators},'
         '\n  "mapping": ['
-    ]
+    )
     separator = "\n    "
     for row in payload["mapping"]:
-        parts += (separator, _row_json(row))
+        yield separator
+        yield _row_json(row)
         separator = ",\n    "
-    parts.append(
+    yield (
         ("\n  ]" if payload["mapping"] else "]")
         + ',\n  "templates": {'
         f'\n    "count_convention": {encode_basestring_ascii(templates["count_convention"])},'
@@ -243,7 +254,6 @@ def report_to_json(payload: dict) -> str:
         f'\n    "pre_atoms": {int.__repr__(templates["pre_atoms"])}'
         "\n  }\n}\n"
     )
-    return "".join(parts)
 
 
 def _json_list(items: list[str], newline: str) -> str:

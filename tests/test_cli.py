@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import logging
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -228,6 +230,34 @@ class TestRunCommand:
         assert sorted(os.listdir(tmp_path)) == ["pre_template.mol", "report.json"]
         assert (tmp_path / "pre_template.mol").read_bytes() == b"sentinel\n"
         assert not os.listdir(tmp_path / "report.json")
+
+    def test_failing_report_stream_leaves_earlier_outputs(self, tmp_path, monkeypatch):
+        # report.json is written piece by piece into its staged file.  When
+        # its generator raises after the first piece, every staged file goes,
+        # nothing is renamed, and the files of an earlier run stay as they were.
+        run_pipeline(RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS, out_dir=str(tmp_path)))
+        before = read_outputs(tmp_path)
+        pieces = cli.report_json_pieces
+
+        def failing(payload):
+            yield next(pieces(payload))
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "report_json_pieces", failing)
+        cfg = RunConfig(
+            reactants=PC_REACTANTS, products=PC_PRODUCTS, out_dir=str(tmp_path),
+            export_dot=True, export_similarity_csv=True,
+        )
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            run_pipeline(cfg)
+        assert read_outputs(tmp_path) == before
+
+    def test_write_atomic_takes_strings_and_pieces(self, tmp_path):
+        written = cli._write_atomic(
+            str(tmp_path), {"a.txt": "one string\n", "b.txt": iter(["two ", "pieces\n"])}
+        )
+        assert written == {name: str(tmp_path / name) for name in ("a.txt", "b.txt")}
+        assert read_outputs(tmp_path) == {"a.txt": b"one string\n", "b.txt": b"two pieces\n"}
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.data"
@@ -736,6 +766,45 @@ class TestLibraryEntryPoint:
         assert len(parsed) == 2
         first, second = state.g_reac.topologies
         assert first is second
+
+    def test_conserved_mapping_freed_before_report(self, monkeypatch):
+        # assign_similarity copies the conserved-only mapping, so nothing
+        # holds it once the report stage starts.
+        conserved = []
+        alive_at_report = []
+        search, report = cli.iterate_conserved, cli.build_report
+
+        def recording_search(*args, **kwargs):
+            mapping = search(*args, **kwargs)
+            conserved.append(weakref.ref(mapping))
+            return mapping
+
+        def checking_report(mapping):
+            gc.collect()
+            alive_at_report.append(conserved[0]() is not None)
+            return report(mapping)
+
+        monkeypatch.setattr(cli, "iterate_conserved", recording_search)
+        monkeypatch.setattr(cli, "build_report", checking_report)
+        run_stages(RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS))
+        assert alive_at_report == [False]
+
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_report_json_is_report_to_json(self, tmp_path, monkeypatch, name):
+        # The streamed report.json holds what report_to_json joins; the
+        # pinned hashes in TestPinnedOutputs cover the bytes themselves.
+        payloads = []
+        to_dict = cli.report_to_dict
+
+        def recording(report):
+            payloads.append(to_dict(report))
+            return payloads[-1]
+
+        monkeypatch.setattr(cli, "report_to_dict", recording)
+        cfg = RunConfig(*CASE_STUDIES[name], out_dir=str(tmp_path))
+        state = run_pipeline(cfg)
+        expected = report_to_json(payloads[0] | _report_sections(cfg, state))
+        assert (tmp_path / "report.json").read_text(encoding="ascii") == expected
 
     def test_run_stages_unknown_stage(self):
         cfg = RunConfig(reactants=PC_REACTANTS, products=PC_PRODUCTS)

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_topology, path_topology
+from conftest import make_graph, make_topology, path_topology, ua_dimerization
+from test_lammps_io import load_workloads
 from templater.errors import EmptyTopology
 from templater.graph_core import (
     AtomNode,
@@ -312,6 +314,141 @@ class TestEigenvectorCentrality:
         # within 3.9e-13 (max over the chain; numpy 2.4 with OpenBLAS 0.3.31
         # on x86-64).
         assert_matches_dense_oracle(shuffled_chain(768, random.Random(7)), 1)
+
+
+def two_matrix_perron_vector(bordered):
+    """``_perron_vector`` as it was before it negated the whole bordered
+    array: ``np.negative`` writes into the strided n x n block."""
+    n = len(bordered) - 1
+    matrix = bordered[:n, :n]
+    top = np.linalg.eigvalsh(matrix)[-1]
+    np.negative(matrix, out=matrix)
+    bordered.reshape(-1)[: n * (n + 2) : n + 2] += top
+    bordered[:n, n] = bordered[n, :n] = 1.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    return top, np.linalg.solve(bordered, rhs)[:n]
+
+
+def two_matrix_centrality(graph, component):
+    """``eigenvector_centrality`` as it was before K came from the bonds: the
+    dense biadjacency B, K = B B^T by ``np.matmul`` beside it, and
+    ``two_matrix_perron_vector``.  The bits to match."""
+    result = {}
+    for start in graph.components[component]:
+        if start in result:
+            continue
+        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
+        if len(depth) == 1:
+            result[start] = 0.0
+            continue
+        piece = sorted(depth)
+        if all(depth[gid] != depth[nbr] for gid in piece for nbr in graph.neighbors(gid)):
+            even = [gid for gid in piece if not depth[gid] & 1]
+            odd = [gid for gid in piece if depth[gid] & 1]
+            small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
+            s = len(small)
+            column = {gid: j for j, gid in enumerate(large)}
+            biadjacency = np.zeros((s, len(large)))
+            for i, gid in enumerate(small):
+                for nbr in graph.neighbors(gid):
+                    biadjacency[i, column[nbr]] = 1.0
+            bordered = np.zeros((s + 1, s + 1))
+            np.matmul(biadjacency, biadjacency.T, out=bordered[:s, :s])
+            top, u = two_matrix_perron_vector(bordered)
+            x = np.concatenate((u, biadjacency.T @ u / np.sqrt(top)))
+            piece = small + large
+        else:
+            n = len(piece)
+            index = {gid: i for i, gid in enumerate(piece)}
+            bordered = np.zeros((n + 1, n + 1))
+            matrix = bordered[:n, :n]
+            np.fill_diagonal(matrix, 1.0)
+            for gid in piece:
+                for nbr in graph.neighbors(gid):
+                    matrix[index[gid], index[nbr]] = 1.0
+            _, x = two_matrix_perron_vector(bordered)
+        result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
+    return result
+
+
+def assert_same_bits_as_two_matrix_solve(graph):
+    for component in graph.components:
+        assert eigenvector_centrality(graph, component) == two_matrix_centrality(graph, component)
+
+
+def random_connected_graph(rng, bipartite):
+    """A random tree on 2 to 40 shuffled ids plus random extra bonds: only
+    between opposite tree-depth parities when ``bipartite``, else with at
+    least one bond closing an odd ring."""
+    n = rng.randint(2, 40)
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    parent = {k: rng.randrange(k) for k in range(1, n)}
+    depth = [0] * n
+    for k in range(1, n):
+        depth[k] = depth[parent[k]] + 1
+    bonds = {(parent[k], k) for k in range(1, n)}
+    odd_closer = [(a, b) for a in range(n) for b in range(a + 1, n)
+                  if (depth[a] ^ depth[b]) & 1 == 0 and (a, b) not in bonds]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.1 and (not bipartite or (depth[a] ^ depth[b]) & 1):
+                bonds.add((a, b))
+    if not bipartite and odd_closer:
+        bonds.add(rng.choice(odd_closer))
+    atoms = [(i, 1, 0.0) for i in range(1, n + 1)]
+    return make_graph(atoms, [(ids[a], ids[b]) for a, b in sorted(bonds)], C_MASS)
+
+
+class TestCentralitySolveBits:
+    """The solver returns exactly what the two-matrix solve returned, so
+    ``delta_c`` in ``report.json`` keeps every bit."""
+
+    def test_case_study_molecules(self, case_states):
+        for state in case_states.values():
+            assert_same_bits_as_two_matrix_solve(state.g_reac)
+            assert_same_bits_as_two_matrix_solve(state.g_prod)
+
+    def test_benchmark_molecules(self, tmp_path):
+        workloads = load_workloads()
+        for kind in workloads.GENERATED:
+            directory = tmp_path / kind
+            directory.mkdir()
+            for instance in workloads.generated(kind, 1, str(directory)):
+                for side, paths in (("reactant", instance.reactants), ("product", instance.products)):
+                    topologies = []
+                    for path in paths:
+                        with open(path, encoding="ascii") as handle:
+                            topologies.append(parse_data_file(handle.read()))
+                    assert_same_bits_as_two_matrix_solve(build_unified_graph(topologies, side))
+
+    @pytest.mark.parametrize("bipartite", [True, False], ids=["bipartite", "odd-ring"])
+    def test_random_connected_graphs(self, bipartite):
+        rng = random.Random(32 + bipartite)
+        for _ in range(100):
+            graph = random_connected_graph(rng, bipartite)
+            assert_same_bits_as_two_matrix_solve(graph)
+
+    def test_united_atom_product_at_size(self):
+        _, product = ua_dimerization(768, random.Random(0))
+        assert_same_bits_as_two_matrix_solve(product)
+
+    def test_peak_memory_of_chain_solve(self):
+        # The 192-site chain is solved on a 97 x 97 bordered array.  Its
+        # tracemalloc peak above live memory was 4.1 of those arrays while
+        # the biadjacency sat beside it and numpy buffered the strided
+        # negation; now it is under 2.
+        graph = build_unified_graph([path_topology(192)], "product")
+        eigenvector_centrality(graph, 1)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            eigenvector_centrality(graph, 1)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 97 * 97 * 8, peak / (97 * 97 * 8)
 
 
 def hop_distances(graph, sources):
