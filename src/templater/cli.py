@@ -94,6 +94,7 @@ _NEED_BOTH_SIDES = "at least one reactant and one product file are required"
 _CONFIG_VALUE_RANGES = {
     "reactants": (bool, _NEED_BOTH_SIDES),
     "products": (bool, _NEED_BOTH_SIDES),
+    "out_dir": (bool, "out_dir must not be empty"),
     "cutoff": (lambda v: v >= 1, "cutoff must be >= 1"),
     "search_budget": (lambda v: v >= 0, "search budget must be non-negative"),
 }

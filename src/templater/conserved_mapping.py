@@ -251,8 +251,6 @@ def _search(
     nodes_r, labels_r = side_r.nodes, side_r.labels
     nodes_p, labels_p = side_p.nodes, side_p.labels
     common = side_r.tally.keys() & side_p.tally.keys()
-    if not common:
-        return [], 0
     masks_r, masks_p = side_r.masks, side_p.masks
     allowed = None
     if required_images:

@@ -91,17 +91,19 @@ class UnifiedGraph:
     def sorted_gids(self) -> list[int]:
         return list(self.nodes)
 
-    def shells(self, gid: int) -> tuple[tuple[int, ...], ...]:
-        """Nodes grouped by exact hop distance from gid.
+    def shells(self, *roots: int, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """Nodes grouped by exact hop distance from the nearest of the roots.
 
-        Index 0 holds the root itself; index k the depth-k shell, in no set
-        order.  Bonds never join two data files, so gid's molecule holds all.
-        Computed on each call.
+        Index 0 holds the roots themselves, as given; index k the nodes k
+        hops from the nearest root, in no set order.  The search stops at
+        depth ``limit`` when one is given, or earlier where the roots'
+        molecules end: bonds never join two data files, so those molecules
+        hold all.  Computed on each call.
         """
-        seen = {gid}
-        frontier = [gid]
-        shells = [(gid,)]
-        while frontier:
+        seen = set(roots)
+        frontier = roots
+        shells = [roots]
+        while frontier and (limit is None or len(shells) <= limit):
             nxt = []
             for node in frontier:
                 for nbr in self._adjacency[node]:
@@ -119,12 +121,16 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
     return UnifiedGraph(topologies, side)
 
 
-def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:
+def _perron_vector(cells: list[int], n: int) -> tuple[float, np.ndarray]:
     """Top eigenvalue and eigenvector x, scaled to 1^T x = 1, of the symmetric
-    matrix M held in the leading n x n block of the zero-bordered array.
+    matrix M that counts each flat cell index ``i * (n + 1) + k`` of
+    ``cells`` once at (i, k).
 
-    The symmetric eigenvalue solver gives the top eigenvalue alone, and one
-    dense linear solve of the bordered system
+    M is counted with one ``np.bincount`` into the leading n x n block of a
+    zero-bordered (n + 1) x (n + 1) array.  Its entries are small integers,
+    exact in any summation order.  The symmetric eigenvalue solver gives
+    the top eigenvalue alone, and one dense linear solve of the bordered
+    system
 
         [[top*I - M, 1], [1^T, 0]] [x; mu] = [0; 1]
 
@@ -140,7 +146,7 @@ def _perron_vector(bordered: np.ndarray) -> tuple[float, np.ndarray]:
     block alone makes numpy buffer a copy of it.  The corner is reset to
     +0.0, so ``solve`` gets the same bits either way.
     """
-    n = len(bordered) - 1
+    bordered = np.bincount(cells, np.ones(len(cells)), (n + 1) ** 2).reshape(n + 1, n + 1)
     top = np.linalg.eigvalsh(bordered[:n, :n])[-1]
     np.negative(bordered, out=bordered)
     # The diagonal of the block, a view into the flat bordered array.
@@ -165,12 +171,12 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
     counted from the bonds into the bordered array, and B is built only
     after the solve, so the two never share memory.  K is primitive
     (connected, with the atom degrees on its diagonal), so sigma^2 is
-    simple.  Any other piece has an odd ring and is solved on
-    M = A + I: the shift leaves the eigenvectors unchanged and makes the
-    matrix primitive, so its top eigenvalue is simple too.  Should the
-    component be disconnected, each connected piece is treated on its own
-    and atoms without bonds receive 0, as do all atoms of a molecule with
-    no bonds at all.
+    simple.  Any other piece has an odd ring and is solved on M = A + I,
+    counted from the bonds too: the shift leaves the eigenvectors
+    unchanged and makes the matrix primitive, so its top eigenvalue is
+    simple too.  Should the component be disconnected, each connected
+    piece is treated on its own and atoms without bonds receive 0, as do
+    all atoms of a molecule with no bonds at all.
     """
     gids = graph.components.get(component)
     if gids is None:
@@ -199,10 +205,9 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
             # each L atom adds one to every cell of its neighbours' pairs, its
             # degree to their diagonal.  Small integers, so K is exact in any
             # summation order and holds the bits B B^T would.
-            cells = [i * (s + 1) + k for rows in adjacent for i in rows for k in rows]
-            bordered = np.bincount(cells, np.ones(len(cells)), (s + 1) ** 2)
-            top, u = _perron_vector(bordered.reshape(s + 1, s + 1))
-            del bordered
+            top, u = _perron_vector(
+                [i * (s + 1) + k for rows in adjacent for i in rows for k in rows], s
+            )
             # B is built only now, beside no s x s array, for v = B^T u / sigma.
             biadjacency = np.zeros((s, len(large)))
             biadjacency.reshape(-1)[
@@ -214,13 +219,11 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         else:
             n = len(piece)
             index = {gid: i for i, gid in enumerate(piece)}
-            bordered = np.zeros((n + 1, n + 1))
-            matrix = bordered[:n, :n]
-            np.fill_diagonal(matrix, 1.0)
-            for gid in piece:
-                for nbr in graph.neighbors(gid):
-                    matrix[index[gid], index[nbr]] = 1.0
-            _, x = _perron_vector(bordered)
+            # A + I: the diagonal, then each bond once from either end.
+            cells = [i * (n + 2) for i in range(n)]
+            for i, gid in enumerate(piece):
+                cells += [i * (n + 1) + index[nbr] for nbr in graph.neighbors(gid)]
+            _, x = _perron_vector(cells, n)
         result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
     return result
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -366,7 +366,16 @@ _TEMPLATE_SECTIONS = frozenset({"Coords", "Types", "Charges"}) | frozenset(INTER
 
 
 def parse_molecule_template(text: str) -> MoleculeTemplateFile:
-    """Inverse of write_molecule_template, up to whitespace."""
+    """Inverse of write_molecule_template, up to whitespace.
+
+    Every section is read by one indexed-row reader.  Its length must be
+    the header's count, or MalformedHeader is raised; a row of the wrong
+    width, with a field that does not parse or with a repeated index
+    raises MalformedLine naming the line.  The rows, in any order, must
+    cover 1..count: a gap is a MalformedHeader in Coords, Types and
+    Charges, whose count is the atom count, and a MalformedLine in an
+    interaction section.
+    """
     sections = _split_sections(text, _TEMPLATE_SECTIONS)
 
     counts: dict[str, int] = {}
@@ -390,67 +399,45 @@ def parse_molecule_template(text: str) -> MoleculeTemplateFile:
         if required not in rows:
             raise MalformedHeader(f"molecule template lacks a {required} section")
 
-    def indexed(name: str, width: int) -> list[list[str] | None]:
+    def indexed(
+        name: str, keyword: str, width: int, convert: Callable[[list[str]], object]
+    ) -> list:
+        """Section ``name``'s rows by index 1..count, the header's count for
+        ``keyword`` (0 if none), each ``convert``-ed from the ``width``
+        fields after its index; None where no row has the index."""
+        declared = counts.get(keyword, 0)
         table = rows.get(name, [])
-        ordered: dict[int, list[str]] = {}
+        if len(table) != declared:
+            raise MalformedHeader(f"header declares {declared} {keyword}, found {len(table)}")
+        ordered = {}
         for line_no, parts in table:
             if len(parts) != width + 1:
                 raise MalformedLine(f"bad {name} entry", line_no)
             try:
-                idx = int(parts[0])
+                idx, row = int(parts[0]), convert(parts[1:])
             except ValueError:
                 raise MalformedLine(f"bad {name} entry", line_no)
             if idx in ordered:
                 raise MalformedLine(f"duplicate {name} index {idx}", line_no)
-            ordered[idx] = parts[1:]
-        return [ordered.get(i) for i in range(1, len(ordered) + 1)]
+            ordered[idx] = row
+        return [ordered.get(i) for i in range(1, declared + 1)]
 
-    coords = indexed("Coords", 3)
-    types = indexed("Types", 1)
-    charges = indexed("Charges", 1)
-    if not (len(coords) == len(types) == len(charges) == n) or None in coords or None in types or None in charges:
-        raise MalformedHeader(
-            f"header declares {n} atoms, sections disagree"
+    coords = indexed("Coords", "atoms", 3, lambda fields: tuple(map(float, fields)))
+    types = indexed("Types", "atoms", 1, lambda fields: int(fields[0]))
+    charges = indexed("Charges", "atoms", 1, lambda fields: float(fields[0]))
+    if None in coords or None in types or None in charges:
+        raise MalformedHeader(f"header declares {n} atoms, sections disagree")
+    sections = {}
+    for name, (keyword, _, arity) in INTERACTION_SECTIONS.items():
+        sections[keyword] = indexed(
+            name, keyword, arity + 1, lambda fields: (int(fields[0]), tuple(map(int, fields[1:])))
         )
-
-    try:
-        atoms = [
-            TemplateAtom(
-                type_id=int(types[i][0]),
-                charge=float(charges[i][0]),
-                x=float(coords[i][0]),
-                y=float(coords[i][1]),
-                z=float(coords[i][2]),
-            )
-            for i in range(n)
-        ]
-    except ValueError:
-        raise MalformedLine("non-numeric atom data")
-
-    def interactions(name: str, keyword: str, arity: int) -> list[tuple[int, tuple[int, ...]]]:
-        table = rows.get(name, [])
-        declared = counts.get(keyword, 0)
-        if len(table) != declared:
-            raise MalformedHeader(
-                f"header declares {declared} {keyword}, found {len(table)}"
-            )
-        result = []
-        for line_no, parts in table:
-            if len(parts) != 2 + arity:
-                raise MalformedLine(f"bad {name} entry", line_no)
-            try:
-                result.append((int(parts[0]), int(parts[1]), tuple(int(p) for p in parts[2:])))
-            except ValueError:
-                raise MalformedLine(f"bad {name} entry", line_no)
-        result.sort(key=lambda row: row[0])
-        if [row[0] for row in result] != list(range(1, len(result) + 1)):
+        if None in sections[keyword]:
             raise MalformedLine(f"non-contiguous {name} indices")
-        return [(type_id, members) for _, type_id, members in result]
 
-    template = MoleculeTemplateFile(atoms=atoms, **{
-        keyword: interactions(name, keyword, arity)
-        for name, (keyword, _, arity) in INTERACTION_SECTIONS.items()
-    })
+    template = MoleculeTemplateFile(
+        atoms=[TemplateAtom(t, q, *xyz) for xyz, t, q in zip(coords, types, charges)], **sections
+    )
     template.validate()
     return template
 

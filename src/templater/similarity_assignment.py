@@ -222,10 +222,8 @@ def _linear_sum_assignment(entries: np.ndarray) -> tuple[list[int], list[int]]:
     """
     if not np.isfinite(entries).all():
         raise ValueError("cost matrix entries must be finite")
-    cost = entries.tolist()
-    transpose = bool(cost) and len(cost[0]) < len(cost)
-    if transpose:
-        cost = [list(column) for column in zip(*cost)]
+    transpose = entries.shape[1] < entries.shape[0]
+    cost = (entries.T if transpose else entries).tolist()
     n_rows = len(cost)
     n_cols = len(cost[0]) if cost else 0
     u = [0.0] * n_rows

@@ -32,25 +32,15 @@ def prune_to_cutoff(
 ) -> set[int]:
     """Nodes within ``cutoff`` hops of any site, plus forced inclusions.
 
-    One breadth-first search runs from all sites together and stops at the
-    cutoff.
+    The union of ``graph.shells(*sites, limit=cutoff)``: one breadth-first
+    search from all sites together, which stops at the cutoff or where the
+    sites' molecules end, whichever comes first.
     """
     if not sites:
         raise ValueError("at least one site node is required")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    reached = set(sites)
-    frontier = list(sites)
-    for _ in range(cutoff):
-        nxt = []
-        for node in frontier:
-            for nbr in graph.neighbors(node):
-                if nbr not in reached:
-                    reached.add(nbr)
-                    nxt.append(nbr)
-        frontier = nxt
-    reached.update(always_include)
-    return reached
+    return set(always_include).union(*graph.shells(*sites, limit=cutoff))
 
 
 def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:

@@ -373,6 +373,27 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: ValueError: {prefix}{message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
+    def test_empty_out_dir_rejected_before_reading(self, tmp_path, monkeypatch, capsys, from_file):
+        # An empty output directory used to run the whole pipeline and then
+        # fail as FileNotFoundError (exit 2) on writing.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        missing = str(tmp_path / "missing.data")
+        args = ["run", "--reactants", missing, "--products", missing]
+        prefix = ""
+        if from_file:
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps({"out_dir": ""}))
+            args += ["--config", str(config_path)]
+            prefix = f"config file {config_path}: "
+        else:
+            args += ["--out", ""]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {prefix}out_dir must not be empty\n"
+        assert list(work.iterdir()) == []
+
     def test_flag_error_beside_config_file_names_no_file(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"search_budget": 100_000}))

@@ -470,6 +470,25 @@ class TestDistances:
         graph = build_unified_graph([path_topology(5)], "reactant")
         distances = hop_distances(graph, {1, 5})
         assert distances[3] == 2
+        # One search from 1-4 roots gives the same minimum over single roots,
+        # cut off at its limit; limit 0 gives the roots only.
+        rng = random.Random(33)
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            bonds = [
+                (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.2
+            ]
+            graph = make_graph([(i, 1, 0.0) for i in range(1, n + 1)], bonds, C_MASS)
+            roots = rng.sample(range(1, n + 1), min(n, rng.randint(1, 4)))
+            distances = hop_distances(graph, roots)
+            for limit in (None, 0, 1, 2, 3, 4):
+                shells = graph.shells(*roots, limit=limit)
+                assert shells[0] == tuple(roots)
+                depths = [(gid, d) for d, shell in enumerate(shells) for gid in shell]
+                assert len(depths) == len(dict(depths))
+                # No hop count reaches n; an unreachable node's is math.inf.
+                reach = n if limit is None else limit
+                assert dict(depths) == {g: d for g, d in distances.items() if d <= reach}
 
     def test_unreachable_infinity(self):
         graph = make_graph([(1, 1, 0.0), (2, 1, 0.0), (3, 1, 0.0)], [(1, 2)], C_MASS)

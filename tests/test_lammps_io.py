@@ -251,6 +251,28 @@ def random_template(rng: random.Random) -> MoleculeTemplateFile:
     )
 
 
+# Four atoms and two rows in each interaction section, so that a row can
+# take another row's index while the counts still agree.
+FOUR_ATOM_TEMPLATE = MoleculeTemplateFile(
+    atoms=[TemplateAtom(1 + i % 2, 0.1 * i, float(i), 0.0, 0.0) for i in range(4)],
+    bonds=[(1, (1, 2)), (1, (2, 3))],
+    angles=[(1, (1, 2, 3)), (2, (2, 3, 4))],
+    dihedrals=[(1, (1, 2, 3, 4)), (1, (4, 3, 2, 1))],
+    impropers=[(1, (1, 2, 3, 4)), (2, (2, 1, 3, 4))],
+)
+
+# Each fault of a section's last row or count, and the class it raises in an
+# atom section (Coords, Types, Charges) and in an interaction section.
+SECTION_FAULTS = {
+    "gap": (MalformedHeader, MalformedLine),
+    "duplicate": (MalformedLine, MalformedLine),
+    "wide": (MalformedLine, MalformedLine),
+    "narrow": (MalformedLine, MalformedLine),
+    "missing-row": (MalformedHeader, MalformedHeader),
+    "count-up": (MalformedHeader, MalformedHeader),
+}
+
+
 class TestMoleculeTemplate:
     def test_h2_round_trip(self):
         template = MoleculeTemplateFile(
@@ -299,6 +321,32 @@ class TestMoleculeTemplate:
         truncated = text.replace("1 1 1 2\n", "")
         with pytest.raises(MalformedHeader):
             parse_molecule_template(truncated)
+
+    @pytest.mark.parametrize("fault", SECTION_FAULTS)
+    @pytest.mark.parametrize("section", ["Coords", "Types", "Charges", *SECTION_IDS])
+    def test_malformed_section_rejected(self, section, fault):
+        lines = write_molecule_template(FOUR_ATOM_TEMPLATE).split("\n")
+        first = lines.index(section) + 2
+        last = lines.index("", first) - 1
+        index, *fields = lines[last].split()
+        count = last - first + 1
+        keyword = INTERACTION_SECTIONS[section][0] if section in INTERACTION_SECTIONS else "atoms"
+        if fault == "gap":
+            lines[last] = " ".join([str(count + 1), *fields])
+        elif fault == "duplicate":
+            lines[last] = " ".join(["1", *fields])
+        elif fault == "wide":
+            lines[last] += " 7"
+        elif fault == "narrow":
+            lines[last] = " ".join([index, *fields[:-1]])
+        elif fault == "missing-row":
+            del lines[last]
+        else:
+            lines[lines.index(f"{count} {keyword}")] = f"{count + 1} {keyword}"
+        expected = SECTION_FAULTS[fault][keyword != "atoms"]
+        with pytest.raises(expected) as info:
+            parse_molecule_template("\n".join(lines))
+        assert type(info.value) is expected
 
     @pytest.mark.parametrize("name, keyword, noun, arity", SECTIONS, ids=SECTION_IDS)
     def test_out_of_range_interaction_rejected(self, name, keyword, noun, arity):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,19 @@ class TestPruneToCutoff:
         graph = build_unified_graph([path_topology(3)], "reactant")
         with pytest.raises(ValueError):
             prune_to_cutoff(graph, set(), 4)
+
+    def test_huge_cutoff_stops_where_the_molecules_end(self, case_states):
+        # The search used to run every level up to the cutoff after the
+        # sites' molecules were used up: about 1 s a call at 10**7 here.
+        state = case_states["polycondensation"]
+        graph = state.g_reac
+        sites = reaction_site_nodes(state.report)
+        forced = set(state.report.deleted)
+        whole = forced.union(*(graph.components[graph.nodes[s].component] for s in sites))
+        assert prune_to_cutoff(graph, sites, 10**3, forced) == whole
+        start = time.perf_counter()
+        assert prune_to_cutoff(graph, sites, 10**8, forced) == whole
+        assert time.perf_counter() - start < 2
 
     def test_matches_union_of_shells(self, case_states):
         # The reference is every site's shells up to the cutoff, read off
