@@ -17,10 +17,13 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from templater.errors import (
     DanglingReference,
@@ -122,6 +125,23 @@ class SystemTopology:
                 raise MalformedLine(
                     f"atom type {type_id} has mass {mass}; masses must be finite and positive"
                 )
+        # As in LAMMPS read_data, a type id must lie in 1..N where the header
+        # declares N types.  Atoms come first: an atom type outside 1..N
+        # either has no mass, raised above, or a Masses entry outside too.
+        type_columns = [
+            ("Atoms", "atom", [a.type_id for a in self.atoms]),
+            ("Masses", "atom", list(self.masses)),
+        ]
+        for name, (keyword, noun, _) in INTERACTION_SECTIONS.items():
+            type_columns.append((name, noun, [t for t, _ in getattr(self, keyword)]))
+        for name, noun, types in type_columns:
+            declared = self.type_counts.get(f"{noun} types")
+            if declared is None or not types or 1 <= min(types) and max(types) <= declared:
+                continue
+            outside = next(t for t in types if not 1 <= t <= declared)
+            raise MalformedLine(
+                f"{name} entry has {noun} type {outside}; header declares {declared} {noun} types"
+            )
         found = {"atoms": len(self.atoms)}
         for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
             entries = getattr(self, keyword)
@@ -159,8 +179,9 @@ def _parse_header_line(stripped: str) -> tuple[str, int] | None:
 def _is_box_line(stripped: str) -> bool:
     """True for a well-formed box line; the pipeline never reads the box.
 
-    Bound lines need exactly two numbers; triclinic tilt lines take any
-    count.  A box line with bad values raises MalformedHeader.
+    Bound lines need exactly two numbers and the triclinic ``xy xz yz``
+    line exactly three, as LAMMPS read_data does.  A box line with bad
+    values or the wrong count raises MalformedHeader.
     """
     for keyword in _BOX_KEYWORDS:
         if stripped.endswith(keyword):
@@ -170,7 +191,7 @@ def _is_box_line(stripped: str) -> bool:
                     float(value)
             except ValueError:
                 raise MalformedHeader(f"unparsable box line: {stripped!r}")
-            if keyword != "xy xz yz" and len(values) != 2:
+            if len(values) != (3 if keyword == "xy xz yz" else 2):
                 raise MalformedHeader(f"unparsable box line: {stripped!r}")
             return True
     return False
@@ -258,20 +279,10 @@ def parse_data_file(text: str) -> SystemTopology:
                     raise MalformedLine(f"bad Masses entry {stripped!r}", line_no)
         elif name == "Atoms":
             seen.add(name)
-            for line_no, stripped in body:
-                atoms.append(_parse_atom_line(stripped, line_no))
+            atoms = _read_atoms(body)
         else:
             seen.add(name)
-            keyword, _, arity = INTERACTION_SECTIONS[name]
-            rows = interactions[keyword]
-            for line_no, stripped in body:
-                parts = stripped.split()
-                if len(parts) < 2 + arity:
-                    raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
-                try:
-                    rows.append((int(parts[1]), tuple(map(int, parts[2 : 2 + arity]))))
-                except ValueError:
-                    raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
+            interactions[INTERACTION_SECTIONS[name][0]] = _read_interactions(name, body)
 
     if "Atoms" not in seen:
         raise MalformedHeader("data file has no Atoms section")
@@ -281,6 +292,71 @@ def parse_data_file(text: str) -> SystemTopology:
     topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
     topology.validate()
     return topology
+
+
+# Atoms rows numpy reads whole, by width: id mol type, then the charge (full
+# style only) and x y z, then the image flags if the row has them.
+_ATOM_ROWS = {
+    width: np.dtype([("ints", np.int64, 3), ("floats", np.float64, floats)] + images)
+    for floats, base in ((4, 7), (3, 6))
+    for width, images in ((base, []), (base + 3, [("images", np.int64, 3)]))
+}
+
+
+def _load_rows(lines: list[str], dtype, **options) -> np.ndarray | None:
+    """``lines`` read whole by numpy, or None if one does not fit ``dtype``.
+
+    numpy reads an int64 or float64 field as ``int`` or ``float`` would, or
+    rejects it; it rejects some fields they read, such as ``1_0`` and
+    integers past int64.  numpy 1.23-1.26 read an int64 field such as
+    ``1.5`` through a float and only warn; that warning rejects it here.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, comments=None, **options)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _read_atoms(body: list[tuple[int, str]]) -> list[AtomRecord]:
+    """The records of an ``Atoms`` section.
+
+    A section whose rows all have one width of the full or molecular style
+    is read in one numpy pass.  Any other is read row by row, which raises
+    MalformedLine for a bad row.
+    """
+    if not body:
+        return []
+    lines = [stripped for _, stripped in body]
+    dtype = _ATOM_ROWS.get(len(lines[0].split()))
+    table = None if dtype is None else _load_rows(lines, dtype, ndmin=1)
+    if table is None:
+        return [_parse_atom_line(stripped, line_no) for line_no, stripped in body]
+    ints, floats = table["ints"], table["floats"]
+    if floats.shape[1] == 3:  # molecular: no charge column
+        floats = np.column_stack((np.zeros(len(floats)), floats))
+    return list(map(AtomRecord._make, zip(*ints.T.tolist(), *floats.T.tolist())))
+
+
+def _read_interactions(
+    name: str, body: list[tuple[int, str]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The (type, members) rows of the interaction section ``name``.
+
+    Each row is ``index type id...``: the index is not read, and fields
+    past the ids are ignored.  One numpy pass reads the section unless a
+    row is short or a field does not fit int64; then it is read row by
+    row, which raises MalformedLine for a bad row.
+    """
+    arity = INTERACTION_SECTIONS[name][2]
+    if not body:
+        return []
+    lines = [stripped for _, stripped in body]
+    table = _load_rows(lines, np.int64, ndmin=2, usecols=range(1, 2 + arity))
+    if table is None:
+        return [_parse_interaction_line(name, arity, line, line_no) for line_no, line in body]
+    return list(zip(table[:, 0].tolist(), zip(*table[:, 1:].T.tolist())))
 
 
 def _parse_atom_line(stripped: str, line_no: int) -> AtomRecord:
@@ -293,6 +369,18 @@ def _parse_atom_line(stripped: str, line_no: int) -> AtomRecord:
     except ValueError:
         pass
     raise MalformedLine(f"bad Atoms entry {stripped!r}", line_no)
+
+
+def _parse_interaction_line(
+    name: str, arity: int, stripped: str, line_no: int
+) -> tuple[int, tuple[int, ...]]:
+    parts = stripped.split()
+    try:
+        if len(parts) >= 2 + arity:
+            return int(parts[1]), tuple(map(int, parts[2 : 2 + arity]))
+    except ValueError:
+        pass
+    raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
 
 
 class TemplateAtom(NamedTuple):

@@ -1,14 +1,19 @@
+import functools
 import importlib.util
+import math
 import os
 import random
 import sys
+import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chemfix
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, fixture_path, ua_dimerization
 from templater.errors import (
     DanglingReference,
     MalformedHeader,
@@ -99,6 +104,12 @@ Impropers
 1 1 1 2 3 4
 """
 
+# CHAIN4_DATA with one type of each kind declared in its header.
+CHAIN4_TYPED_DATA = CHAIN4_DATA.replace(
+    "1 impropers\n",
+    "1 impropers\n1 atom types\n1 bond types\n1 angle types\n1 dihedral types\n1 improper types\n",
+)
+
 # Each interaction section: its name, header keyword and field, singular
 # noun and atom ids per row.
 SECTIONS = [
@@ -117,7 +128,9 @@ class TestParseDataFile:
         assert len(topology.bonds) == 1
         assert topology.masses == {1: 1.008}
 
-    @pytest.mark.parametrize("line", ["0.0 xlo xhi", "0.0 ten xlo xhi"])
+    @pytest.mark.parametrize(
+        "line", ["0.0 xlo xhi", "0.0 ten xlo xhi", "0.5 xy xz yz", "0.0 0.0 0.0 0.0 0.0 xy xz yz"]
+    )
     def test_bad_box_line_rejected(self, line):
         with pytest.raises(MalformedHeader, match="unparsable box line"):
             parse_data_file(H2_DATA.replace("0.0 10.0 xlo xhi", line))
@@ -125,6 +138,38 @@ class TestParseDataFile:
     def test_triclinic_tilt_line_accepted(self):
         text = H2_DATA.replace("0.0 10.0 zlo zhi", "0.0 10.0 zlo zhi\n0.0 0.0 0.0 xy xz yz")
         assert len(parse_data_file(text).atoms) == 2
+
+    @pytest.mark.parametrize("type_id", [0, 2])
+    @pytest.mark.parametrize(
+        "name, edits",
+        [
+            ("Masses", [("\n1 12.011\n", "\n1 12.011\n{t} 12.011\n")]),
+            # The new type has a mass, or the atom would read as massless.
+            ("Atoms", [("\n1 12.011\n", "\n1 12.011\n{t} 12.011\n"), ("\n2 1 1 ", "\n2 1 {t} ")]),
+            ("Bonds", [("Bonds\n\n1 1 ", "Bonds\n\n1 {t} ")]),
+            ("Angles", [("Angles\n\n1 1 ", "Angles\n\n1 {t} ")]),
+            ("Dihedrals", [("Dihedrals\n\n1 1 ", "Dihedrals\n\n1 {t} ")]),
+            ("Impropers", [("Impropers\n\n1 1 ", "Impropers\n\n1 {t} ")]),
+        ],
+        ids=["Masses", "Atoms", *SECTION_IDS],
+    )
+    def test_type_outside_declared_types(self, name, edits, type_id):
+        text = CHAIN4_TYPED_DATA
+        for old, new in edits:
+            assert old in text, old
+            text = text.replace(old, new.format(t=type_id), 1)
+        noun = "atom" if name in ("Masses", "Atoms") else INTERACTION_SECTIONS[name][1]
+        with pytest.raises(
+            MalformedLine,
+            match=f"^{name} entry has {noun} type {type_id}; header declares 1 {noun} types$",
+        ):
+            parse_data_file(text)
+
+    def test_types_inside_declared_types(self):
+        assert len(parse_data_file(CHAIN4_TYPED_DATA).impropers) == 1
+        # Without a declared count a type id is not checked.
+        text = CHAIN4_DATA.replace("\n1 1 1 2\n", "\n1 7 1 2\n")
+        assert parse_data_file(text).bonds == [(7, (1, 2))]
 
     def test_duplicate_atom_ids_name_smallest(self):
         atoms = "\n".join(
@@ -156,6 +201,42 @@ class TestParseDataFile:
         text = CHAIN4_DATA.replace(f"{name}\n\n1 1 {row}\n", f"{name}\n\n1 1 {dangling}\n")
         assert text != CHAIN4_DATA
         with pytest.raises(DanglingReference, match=f"^{name} entry references missing atom id 99$"):
+            parse_data_file(text)
+
+    @pytest.mark.parametrize("token", ["1.5", "1e400"])
+    @pytest.mark.parametrize(
+        "row, slot",
+        [
+            ("2 1 1 0.0 0.74 0.0 0.0", 0),
+            ("2 1 1 0.0 0.74 0.0 0.0", 2),
+            ("1 1 1 2", 1),
+            ("1 1 1 2", 3),
+        ],
+        ids=["Atoms-id", "Atoms-type", "Bonds-type", "Bonds-member"],
+    )
+    def test_float_in_integer_field_rejected(self, row, slot, token):
+        lines = H2_DATA.split("\n")
+        k = lines.index(row)
+        tokens = row.split()
+        tokens[slot] = token
+        lines[k] = " ".join(tokens)
+        text = "\n".join(lines)
+        with pytest.raises(MalformedLine, match=f"^line {k + 1}: bad (Atoms|Bonds) entry"):
+            parse_data_file(text)
+        assert outcome(parse_data_file, text) == outcome(parse_data_file_reference, text)
+
+    def test_integer_read_through_float_rejected(self, monkeypatch):
+        # numpy 1.23-1.26 read "1.5" in an int64 column as 1 and only warn.
+        loadtxt = np.loadtxt
+
+        def lenient_loadtxt(lines, *args, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt([line.replace("1.5", "1") for line in lines], *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        text = H2_DATA.replace("\n1 1 1 2\n", "\n1 1.5 1 2\n")
+        line_no = text.split("\n").index("1 1.5 1 2") + 1
+        with pytest.raises(MalformedLine, match=f"^line {line_no}: bad Bonds entry"):
             parse_data_file(text)
 
     @pytest.mark.parametrize(
@@ -208,6 +289,21 @@ class TestParseDataFile:
         text = text.replace("2 1 1 0.0 0.74 0.0 0.0", "2 1 1 0.74 0.0 0.0")
         topology = parse_data_file(text)
         assert all(a.charge == 0.0 for a in topology.atoms)
+
+    @pytest.mark.parametrize("rows", ["all", "one"])
+    @pytest.mark.parametrize("style", ["full", "molecular"])
+    def test_image_flags_ignored(self, style, rows):
+        # Read whole when every row has flags, row by row when one has.
+        lines = H2_DATA.split("\n")
+        first = lines.index("Atoms # full") + 2
+        for k in (first, first + 1):
+            tokens = lines[k].split()
+            if style == "molecular":
+                del tokens[3]
+            if rows == "all" or k == first:
+                tokens += ["0", "1", "-1"]
+            lines[k] = " ".join(tokens)
+        assert parse_data_file("\n".join(lines)) == parse_data_file(H2_DATA)
 
     def test_section_order_arbitrary(self):
         reordered = H2_DATA.replace("Masses\n\n1 1.008\n\n", "")
@@ -575,8 +671,55 @@ def parse_data_file_reference(text: str) -> SystemTopology:
         raise MalformedHeader("data file has no Masses section")
 
     topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
-    topology.validate()
+    validate_reference(topology)
     return topology
+
+
+def validate_reference(topology: SystemTopology) -> None:
+    """The checks of ``SystemTopology.validate``, one entry at a time."""
+    id_counts = Counter(a.atom_id for a in topology.atoms)
+    ids = set(id_counts)
+    if len(ids) != len(topology.atoms):
+        dup = min(i for i, count in id_counts.items() if count > 1)
+        raise MalformedLine(f"duplicate atom id {dup}")
+    for a in topology.atoms:
+        if a.type_id not in topology.masses:
+            raise MissingMass(f"atom type {a.type_id} has no Masses entry")
+    for type_id, mass in topology.masses.items():
+        if not 0 < mass < math.inf:
+            raise MalformedLine(
+                f"atom type {type_id} has mass {mass}; masses must be finite and positive"
+            )
+    typed = [
+        ("Atoms", "atom", [a.type_id for a in topology.atoms]),
+        ("Masses", "atom", list(topology.masses)),
+    ]
+    for name, (keyword, noun, _) in INTERACTION_SECTIONS.items():
+        typed.append((name, noun, [type_id for type_id, _ in getattr(topology, keyword)]))
+    for name, noun, types in typed:
+        declared = topology.type_counts.get(f"{noun} types")
+        for type_id in types:
+            if declared is not None and not 1 <= type_id <= declared:
+                raise MalformedLine(
+                    f"{name} entry has {noun} type {type_id}; "
+                    f"header declares {declared} {noun} types"
+                )
+    found = {"atoms": len(topology.atoms)}
+    for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
+        entries = getattr(topology, keyword)
+        found[keyword] = len(entries)
+        for _type_id, members in entries:
+            distinct = set(members)
+            if not distinct <= ids:
+                missing = next(i for i in members if i not in ids)
+                raise DanglingReference(f"{name} entry references missing atom id {missing}")
+            if len(distinct) != len(members):
+                repeated = next(i for i in members if members.count(i) > 1)
+                raise MalformedLine(f"{name} entry lists atom {repeated} more than once")
+    for keyword, expected in found.items():
+        declared = topology.type_counts.get(keyword)
+        if declared is not None and declared != expected:
+            raise MalformedHeader(f"header declares {declared} {keyword}, found {expected}")
 
 
 def _parse_atom_line_reference(stripped: str, line_no: int) -> AtomRecord:
@@ -617,7 +760,9 @@ def read_text(path: str) -> str:
 
 FIXTURE_TEXTS = {name: read_text(fixture_path(name)) for name in sorted(os.listdir(FIXTURE_DIR))}
 
-GARBAGE = ("x", "-", "1.5", "-3", "1e400", "0x1F", "#", "Atoms", "")
+GARBAGE = (
+    "x", "-", "1.5", "-3", "1e400", "0x1F", "#", "Atoms", "", "1_0", "9223372036854775808",
+)
 SECTION_LINES = (
     "Masses", "Atoms", "Atoms # full", "Bonds", "Angles", "Dihedrals", "Impropers",
     "Coords", "Types", "Charges", "Pair Coeffs", "Velocities", "Bondz", "atoms", "Foo Bar",
@@ -690,6 +835,49 @@ def outcome(parse, *args):
         return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
+@functools.cache
+def large_product_text() -> str:
+    """The 3,072-site product of ``ua_dimerization(1536)``, rendered by chemfix."""
+    g_reac, g_prod = ua_dimerization(1536, random.Random(0))
+    system = chemfix.topology_system("ua-1536", g_reac.topologies, g_prod.topologies)
+    return chemfix.render_system(system)[1][0]
+
+
+def edit_middle_row(text: str, section: str, edit) -> str:
+    """``text`` with the middle row of ``section`` (a list of tokens) edited."""
+    lines = text.split("\n")
+    start = next(k for k, line in enumerate(lines) if line.partition("#")[0].strip() == section) + 2
+    middle = (start + lines.index("", start)) // 2
+    lines[middle] = " ".join(edit(lines[middle].split()))
+    return "\n".join(lines)
+
+
+def replace_token(slot: int, token):
+    """An edit setting one token; ``token`` maps the old one to the new."""
+    def edit(tokens):
+        tokens[slot] = token(tokens[slot])
+        return tokens
+    return edit
+
+
+OVERFLOW = "9223372036854775808"  # 2**63, one past int64
+
+# One irregular row in the middle of a section of about 3,000 rows: the
+# edit, and the error class the file then raises (None if it parses).
+IRREGULAR_ROWS = {
+    "Atoms-image-flags": ("Atoms", lambda tokens: tokens + ["0", "1", "-1"], None),
+    "Atoms-molecular": ("Atoms", lambda tokens: tokens[:3] + tokens[4:], None),
+    "Atoms-underscore": ("Atoms", replace_token(0, "0_{}".format), None),
+    "Atoms-int64-overflow": ("Atoms", replace_token(0, lambda _: OVERFLOW), DanglingReference),
+    "Atoms-1e400": ("Atoms", replace_token(4, lambda _: "1e400"), None),
+    "Bonds-underscore": ("Bonds", replace_token(2, "0_{}".format), None),
+    "Bonds-int64-overflow": ("Bonds", replace_token(3, lambda _: OVERFLOW), DanglingReference),
+    "Dihedrals-underscore": ("Dihedrals", replace_token(1, "0_{}".format), None),
+    # The type id: outside the header's 4 dihedral types.
+    "Dihedrals-int64-overflow": ("Dihedrals", replace_token(1, lambda _: OVERFLOW), MalformedLine),
+}
+
+
 def load_perfbench(name):
     """The benchmark module ``perfbench/<name>.py``."""
     path = os.path.join(os.path.dirname(FIXTURE_DIR), "..", "perfbench", f"{name}.py")
@@ -723,6 +911,18 @@ class TestParserOracle:
                         assert parse_data_file(text) == parse_data_file_reference(text), path
                         checked += 1
         assert checked == 2 * 3 * (72 + 72 + 24)
+
+    @pytest.mark.parametrize("case", IRREGULAR_ROWS)
+    def test_irregular_row_in_large_file_matches_reference(self, case):
+        section, edit, raised = IRREGULAR_ROWS[case]
+        text = edit_middle_row(large_product_text(), section, edit)
+        assert text != large_product_text()
+        result = outcome(parse_data_file, text)
+        assert result == outcome(parse_data_file_reference, text)
+        if raised is None:
+            assert isinstance(result, SystemTopology)
+        else:
+            assert result[0] is raised, result
 
     @settings(max_examples=400, deadline=None)
     @given(
