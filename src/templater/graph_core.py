@@ -13,7 +13,6 @@ are computed on each call, and the caller keeps what it reuses.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -54,19 +53,24 @@ class UnifiedGraph:
         self._gid_of: dict[int, dict[int, int]] = {}
         adjacency: dict[int, set[int]] = {}
         for position, topology in enumerate(self.topologies, start=1):
-            if not topology.atoms:
+            if not len(topology.atoms):
                 raise EmptyTopology(f"topology {position} has no atoms")
             first = len(self.nodes) + 1
-            gid_of = self._gid_of[position] = {}
-            for gid, atom in enumerate(sorted(topology.atoms, key=attrgetter("atom_id")), first):
+            atoms = topology.atoms
+            by_id = np.argsort(atoms["atom_id"], kind="stable")
+            source_ids, type_ids, charges = (
+                atoms[name].take(by_id).tolist() for name in ("atom_id", "type_id", "charge")
+            )
+            gids = range(first, first + len(source_ids))
+            masses = topology.masses
+            for gid, source_id, type_id, charge in zip(gids, source_ids, type_ids, charges):
                 self.nodes[gid] = AtomNode(
-                    gid, atom.atom_id, topology.masses[atom.type_id], atom.type_id, atom.charge,
-                    position,
+                    gid, source_id, masses[type_id], type_id, charge, position
                 )
-                gid_of[atom.atom_id] = gid
                 adjacency[gid] = set()
-            self.components[position] = tuple(range(first, len(self.nodes) + 1))
-            for _type_id, (a, b) in topology.bonds:
+            gid_of = self._gid_of[position] = dict(zip(source_ids, gids))
+            self.components[position] = tuple(gids)
+            for a, b in zip(*topology.bonds[:, 1:].T.tolist()):
                 if a != b:
                     a, b = gid_of[a], gid_of[b]
                     adjacency[a].add(b)

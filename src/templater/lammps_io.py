@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -85,40 +84,90 @@ _SKIPPED_SECTIONS = frozenset(
 )
 
 
-class AtomRecord(NamedTuple):
-    """One row of an Atoms section (full style; molecular implies charge 0)."""
+# One row of an ``Atoms`` section; molecular-style rows hold charge 0.
+ATOM_ROW = np.dtype(
+    [("atom_id", np.int64), ("mol_id", np.int64), ("type_id", np.int64)]
+    + [(name, np.float64) for name in ("charge", "x", "y", "z")]
+)
 
-    atom_id: int
-    mol_id: int
-    type_id: int
-    charge: float
-    x: float
-    y: float
-    z: float
+# Interaction tables, one per section, in INTERACTION_SECTIONS order.
+_TABLES = tuple(keyword for keyword, _, _ in INTERACTION_SECTIONS.values())
 
 
 @dataclass
 class SystemTopology:
-    """Full parsed contents of one LAMMPS data file."""
+    """Full parsed contents of one LAMMPS data file.
 
-    atoms: list[AtomRecord]
+    ``atoms`` is one ``ATOM_ROW`` array: ``atoms["type_id"]`` is a column,
+    ``atoms[k]`` the k-th row in file order.  Each interaction section is
+    one int64 array of shape (rows, 1 + atom ids per row), in file order,
+    with the type in column 0: ``bonds[:, 0]`` are the bond types and
+    ``bonds[k, 1:]`` the atom ids of the k-th bond.  ``==`` compares the
+    contents, NaN equal to NaN.
+    """
+
+    atoms: np.ndarray
     masses: dict[int, float]
-    bonds: list[tuple[int, tuple[int, int]]]
-    angles: list[tuple[int, tuple[int, int, int]]] = field(default_factory=list)
-    dihedrals: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
-    impropers: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
+    bonds: np.ndarray
+    angles: np.ndarray
+    dihedrals: np.ndarray
+    impropers: np.ndarray
     type_counts: dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_rows(
+        cls,
+        atoms: Iterable[tuple],
+        masses: dict[int, float],
+        bonds: Iterable[tuple[int, ...]] = (),
+        angles: Iterable[tuple[int, ...]] = (),
+        dihedrals: Iterable[tuple[int, ...]] = (),
+        impropers: Iterable[tuple[int, ...]] = (),
+        type_counts: dict[str, int] | None = None,
+    ) -> SystemTopology:
+        """A topology, not validated, from Python rows: ``atoms`` as
+        ``(atom_id, mol_id, type_id, charge, x, y, z)`` and each interaction
+        as ``(type, id, ...)``.  Every id and type must fit int64."""
+        rows = {"bonds": bonds, "angles": angles, "dihedrals": dihedrals, "impropers": impropers}
+        return cls(
+            _atom_table(atoms),
+            dict(masses),
+            type_counts=dict(type_counts or {}),
+            **{
+                keyword: _interaction_table(rows[keyword], arity)
+                for keyword, _, arity in INTERACTION_SECTIONS.values()
+            },
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SystemTopology):
+            return NotImplemented
+        return (
+            self.masses == other.masses
+            and self.type_counts == other.type_counts
+            and all(
+                _same_table(getattr(self, name), getattr(other, name))
+                for name in ("atoms", *_TABLES)
+            )
+        )
+
     def validate(self) -> None:
-        """Check the structural invariants; raise a ParseError subclass."""
-        id_counts = Counter(a.atom_id for a in self.atoms)
-        ids = set(id_counts)
-        if len(ids) != len(self.atoms):
-            dup = min(i for i, count in id_counts.items() if count > 1)
-            raise MalformedLine(f"duplicate atom id {dup}")
-        for a in self.atoms:
-            if a.type_id not in self.masses:
-                raise MissingMass(f"atom type {a.type_id} has no Masses entry")
+        """Check the structural invariants; raise a ParseError subclass.
+
+        The checks run on whole columns; where one fails, the entry it
+        names is the first in file order, as a check of one entry at a time
+        would find it.
+        """
+        ordered = np.sort(self.atoms["atom_id"])
+        repeats = ordered[1:] == ordered[:-1]
+        if repeats.any():
+            raise MalformedLine(f"duplicate atom id {ordered[1:][repeats][0]}")
+        # A file has few atom types: their checks run on the distinct ones.
+        atom_types = self.atoms["type_id"]
+        kinds = set(atom_types.tolist())
+        if not kinds <= self.masses.keys():
+            massless = next(t for t in atom_types.tolist() if t not in self.masses)
+            raise MissingMass(f"atom type {massless} has no Masses entry")
         for type_id, mass in self.masses.items():
             # LAMMPS rejects a mass <= 0; NaN fails the comparison too.
             if not 0 < mass < math.inf:
@@ -128,38 +177,81 @@ class SystemTopology:
         # As in LAMMPS read_data, a type id must lie in 1..N where the header
         # declares N types.  Atoms come first: an atom type outside 1..N
         # either has no mass, raised above, or a Masses entry outside too.
+        # Each entry holds a section's types in file order, then values with
+        # the same smallest and largest: the distinct types, or those two.
         type_columns = [
-            ("Atoms", "atom", [a.type_id for a in self.atoms]),
-            ("Masses", "atom", list(self.masses)),
+            ("Atoms", "atom", atom_types, kinds),
+            ("Masses", "atom", list(self.masses), self.masses),
         ]
+        found = {"atoms": len(self.atoms)}
+        columns = {}
         for name, (keyword, noun, _) in INTERACTION_SECTIONS.items():
-            type_columns.append((name, noun, [t for t, _ in getattr(self, keyword)]))
-        for name, noun, types in type_columns:
+            rows = getattr(self, keyword)
+            found[keyword] = len(rows)
+            if len(rows):
+                types = rows[:, 0]
+                type_columns.append((name, noun, types, (types.min(), types.max())))
+                columns[name] = rows[:, 1:]
+        for name, noun, types, values in type_columns:
             declared = self.type_counts.get(f"{noun} types")
-            if declared is None or not types or 1 <= min(types) and max(types) <= declared:
+            if declared is None or not values or 1 <= min(values) and max(values) <= declared:
                 continue
-            outside = next(t for t in types if not 1 <= t <= declared)
+            outside = next(t for t in np.asarray(types).tolist() if not 1 <= t <= declared)
             raise MalformedLine(
                 f"{name} entry has {noun} type {outside}; header declares {declared} {noun} types"
             )
-        found = {"atoms": len(self.atoms)}
-        for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
-            entries = getattr(self, keyword)
-            found[keyword] = len(entries)
-            for _type_id, members in entries:
-                distinct = set(members)
-                if not distinct <= ids:
-                    missing = next(i for i in members if i not in ids)
-                    raise DanglingReference(f"{name} entry references missing atom id {missing}")
-                if len(distinct) != len(members):
-                    repeated = next(i for i in members if members.count(i) > 1)
-                    raise MalformedLine(f"{name} entry lists atom {repeated} more than once")
+        # One membership test covers every section; only if it fails is each
+        # section's test repeated, to find the first row that fails it.
+        dangling = bool(columns) and not _within(
+            np.concatenate(list(columns.values()), axis=None), ordered
+        ).all()
+        for name, members in columns.items():
+            # A row lists an atom twice where its sorted ids repeat.
+            ascending = np.sort(members, axis=1)
+            twice = ascending[:, 1:] == ascending[:, :-1]
+            if not (dangling or twice.any()):
+                continue
+            bad = twice.any(axis=1) | ~_within(members, ordered).all(axis=1)
+            if not bad.any():
+                continue
+            row = members[bad.argmax()]
+            missing = row[~_within(row, ordered)]
+            if missing.size:
+                raise DanglingReference(f"{name} entry references missing atom id {missing[0]}")
+            ids = row.tolist()
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise MalformedLine(f"{name} entry lists atom {repeated} more than once")
         for keyword, expected in found.items():
             declared = self.type_counts.get(keyword)
             if declared is not None and declared != expected:
                 raise MalformedHeader(
                     f"header declares {declared} {keyword}, found {expected}"
                 )
+
+
+def _within(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is in the ascending array ``ordered``."""
+    if not ordered.size:
+        return np.zeros(values.shape, bool)
+    return ordered.take(ordered.searchsorted(values), mode="clip") == values
+
+
+def _same_table(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two section arrays hold the same rows, NaN equal to NaN."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    columns = a.dtype.names or (...,)
+    return all(np.array_equal(a[c], b[c], equal_nan=True) for c in columns)
+
+
+def _atom_table(rows: Iterable[tuple]) -> np.ndarray:
+    """``Atoms`` rows ``(atom_id, mol_id, type_id, charge, x, y, z)`` as one array."""
+    return np.array(list(rows), dtype=ATOM_ROW).reshape(-1)
+
+
+def _interaction_table(rows: Iterable[tuple[int, ...]], arity: int) -> np.ndarray:
+    """Interaction rows ``(type, id, ...)`` with ``arity`` ids as one int64 array."""
+    return np.array(list(rows), dtype=np.int64).reshape(-1, 1 + arity)
 
 
 def _parse_header_line(stripped: str) -> tuple[str, int] | None:
@@ -251,8 +343,8 @@ def parse_data_file(text: str) -> SystemTopology:
 
     type_counts: dict[str, int] = {}
     masses: dict[int, float] = {}
-    atoms: list[AtomRecord] = []
-    interactions: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
+    atoms = None
+    interactions: dict[str, np.ndarray] = {}
     seen: set[str] = set()
 
     for name, header_line_no, body in sections:
@@ -274,9 +366,13 @@ def parse_data_file(text: str) -> SystemTopology:
             for line_no, stripped in body:
                 parts = stripped.split()
                 try:
-                    masses[int(parts[0])] = float(parts[1])
+                    type_id, mass = _int64(parts[0]), float(parts[1])
                 except (IndexError, ValueError):
                     raise MalformedLine(f"bad Masses entry {stripped!r}", line_no)
+                # LAMMPS read_data rejects a second mass for one type.
+                if type_id in masses:
+                    raise MalformedLine(f"duplicate Masses entry for atom type {type_id}", line_no)
+                masses[type_id] = mass
         elif name == "Atoms":
             seen.add(name)
             atoms = _read_atoms(body)
@@ -288,18 +384,24 @@ def parse_data_file(text: str) -> SystemTopology:
         raise MalformedHeader("data file has no Atoms section")
     if "Masses" not in seen:
         raise MalformedHeader("data file has no Masses section")
+    for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
+        if keyword not in interactions:
+            interactions[keyword] = _read_interactions(name, [])
 
     topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
     topology.validate()
     return topology
 
 
-# Atoms rows numpy reads whole, by width: id mol type, then the charge (full
-# style only) and x y z, then the image flags if the row has them.
+# Atoms rows numpy reads whole, by width: full or molecular style, each with
+# or without image flags.  Molecular rows have no charge column.
+_IMAGE_FLAGS = [(name, np.int64) for name in ("ix", "iy", "iz")]
+_MOLECULAR = [column for column in ATOM_ROW.descr if column[0] != "charge"]
 _ATOM_ROWS = {
-    width: np.dtype([("ints", np.int64, 3), ("floats", np.float64, floats)] + images)
-    for floats, base in ((4, 7), (3, 6))
-    for width, images in ((base, []), (base + 3, [("images", np.int64, 3)]))
+    7: ATOM_ROW,
+    10: np.dtype(ATOM_ROW.descr + _IMAGE_FLAGS),
+    6: np.dtype(_MOLECULAR),
+    9: np.dtype(_MOLECULAR + _IMAGE_FLAGS),
 }
 
 
@@ -319,30 +421,32 @@ def _load_rows(lines: list[str], dtype, **options) -> np.ndarray | None:
         return None
 
 
-def _read_atoms(body: list[tuple[int, str]]) -> list[AtomRecord]:
-    """The records of an ``Atoms`` section.
+def _read_atoms(body: list[tuple[int, str]]) -> np.ndarray:
+    """The ``ATOM_ROW`` array of an ``Atoms`` section.
 
     A section whose rows all have one width of the full or molecular style
     is read in one numpy pass.  Any other is read row by row, which raises
     MalformedLine for a bad row.
     """
     if not body:
-        return []
+        return _atom_table(())
     lines = [stripped for _, stripped in body]
     dtype = _ATOM_ROWS.get(len(lines[0].split()))
     table = None if dtype is None else _load_rows(lines, dtype, ndmin=1)
     if table is None:
-        return [_parse_atom_line(stripped, line_no) for line_no, stripped in body]
-    ints, floats = table["ints"], table["floats"]
-    if floats.shape[1] == 3:  # molecular: no charge column
-        floats = np.column_stack((np.zeros(len(floats)), floats))
-    return list(map(AtomRecord._make, zip(*ints.T.tolist(), *floats.T.tolist())))
+        return _atom_table(_parse_atom_line(stripped, line_no) for line_no, stripped in body)
+    if dtype is ATOM_ROW:
+        return table
+    # Drop the image flags; a molecular row keeps charge 0.
+    atoms = np.zeros(len(table), ATOM_ROW)
+    for name in ATOM_ROW.names:
+        if name in dtype.names:
+            atoms[name] = table[name]
+    return atoms
 
 
-def _read_interactions(
-    name: str, body: list[tuple[int, str]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The (type, members) rows of the interaction section ``name``.
+def _read_interactions(name: str, body: list[tuple[int, str]]) -> np.ndarray:
+    """The (type, atom ids...) rows of the interaction section ``name``.
 
     Each row is ``index type id...``: the index is not read, and fields
     past the ids are ignored.  One numpy pass reads the section unless a
@@ -351,33 +455,41 @@ def _read_interactions(
     """
     arity = INTERACTION_SECTIONS[name][2]
     if not body:
-        return []
+        return _interaction_table((), arity)
     lines = [stripped for _, stripped in body]
     table = _load_rows(lines, np.int64, ndmin=2, usecols=range(1, 2 + arity))
     if table is None:
-        return [_parse_interaction_line(name, arity, line, line_no) for line_no, line in body]
-    return list(zip(table[:, 0].tolist(), zip(*table[:, 1:].T.tolist())))
+        rows = (_parse_interaction_line(name, arity, line, line_no) for line_no, line in body)
+        return _interaction_table(rows, arity)
+    return table
 
 
-def _parse_atom_line(stripped: str, line_no: int) -> AtomRecord:
+def _int64(token: str) -> int:
+    """``int(token)``, which must fit int64 as the section arrays hold it."""
+    value = int(token)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{token} does not fit int64")
+    return value
+
+
+def _parse_atom_line(stripped: str, line_no: int) -> tuple:
     parts = stripped.split()
     try:
+        ids = tuple(map(_int64, parts[:3]))
         if len(parts) in (7, 10):  # full: id mol type q x y z [image flags]
-            return AtomRecord(int(parts[0]), int(parts[1]), int(parts[2]), *map(float, parts[3:7]))
+            return (*ids, *map(float, parts[3:7]))
         if len(parts) in (6, 9):  # molecular: id mol type x y z [image flags]
-            return AtomRecord(int(parts[0]), int(parts[1]), int(parts[2]), 0.0, *map(float, parts[3:6]))
+            return (*ids, 0.0, *map(float, parts[3:6]))
     except ValueError:
         pass
     raise MalformedLine(f"bad Atoms entry {stripped!r}", line_no)
 
 
-def _parse_interaction_line(
-    name: str, arity: int, stripped: str, line_no: int
-) -> tuple[int, tuple[int, ...]]:
+def _parse_interaction_line(name: str, arity: int, stripped: str, line_no: int) -> tuple[int, ...]:
     parts = stripped.split()
     try:
         if len(parts) >= 2 + arity:
-            return int(parts[1]), tuple(map(int, parts[2 : 2 + arity]))
+            return tuple(map(_int64, parts[1 : 2 + arity]))
     except ValueError:
         pass
     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from templater.errors import InconsistentPruning
 from templater.graph_core import UnifiedGraph
 from templater.lammps_io import (
@@ -52,26 +54,57 @@ def mark_edge_atoms(pruned: set[int], graph: UnifiedGraph) -> set[int]:
     }
 
 
-def carry_features(
-    interactions: list[tuple[int, tuple[int, ...]]],
-    local_index: dict[int, int],
-    changed: set[int] | frozenset[int] = frozenset(),
-    refusal: str = "",
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Keep the interactions whose atoms all lie in ``local_index``, renumbered by it.
+# The member columns of a section row of each arity, padded to four by
+# repeating the last member: a repeated member changes none of the tests
+# in ``carry_features``, so the sections of one file are tested together.
+_PADDED_MEMBERS = {arity: [*range(1, arity + 1)] + [arity] * (4 - arity) for arity in (2, 3, 4)}
 
-    Input order is preserved so the emitted sections mirror the data files.
-    An interaction left out that holds an atom of ``changed`` raises
-    ``InconsistentPruning`` with ``refusal`` formatted with the smallest such
-    atom id.
+
+def carry_features(
+    sections: dict[str, np.ndarray],
+    source_ids: np.ndarray,
+    local: np.ndarray,
+    changed: np.ndarray,
+    refusal: str = "",
+) -> dict[str, list[tuple[int, tuple[int, ...]]]]:
+    """Keep the interactions whose atoms all lie in the template, renumbered.
+
+    ``sections`` maps a section name to its rows, one (type, atom ids...)
+    row each, all from one data file, and ``source_ids`` holds that file's
+    atom ids in ascending order; ``local`` holds the template index of each
+    of those atoms, 0 for one left out, and ``changed`` marks the changed
+    ones.  Returns the kept rows of each section, in file order so the
+    emitted sections mirror the data files.  A row left out that holds a
+    changed atom raises ``InconsistentPruning`` with ``refusal`` formatted
+    with the section name and the smallest changed atom id of the first
+    such row, sections taken in order.
     """
-    kept = []
-    for type_id, members in interactions:
-        if all(map(local_index.__contains__, members)):
-            kept.append((type_id, tuple(map(local_index.__getitem__, members))))
-        elif not changed.isdisjoint(members):
-            raise InconsistentPruning(refusal.format(min(filter(changed.__contains__, members))))
-    return kept
+    filled = {name: rows for name, rows in sections.items() if len(rows)}
+    if not filled:
+        return {name: [] for name in sections}
+    members = np.concatenate(
+        [rows[:, _PADDED_MEMBERS[rows.shape[1] - 1]] for rows in filled.values()]
+    )
+    rank = source_ids.searchsorted(members)
+    present = source_ids.take(rank, mode="clip") == members
+    index = np.where(present, local.take(rank, mode="clip"), 0)
+    kept = index.all(axis=1)
+    held = present & changed.take(rank, mode="clip")
+    refused = held.any(axis=1) & ~kept
+    if refused.any():
+        row = refused.argmax()
+        ends = np.cumsum([len(rows) for rows in filled.values()])
+        name = list(filled)[ends.searchsorted(row, side="right")]
+        raise InconsistentPruning(refusal.format(name, members[row][held[row]].min()))
+    carried = {name: [] for name in sections}
+    start = 0
+    for name, rows in filled.items():
+        stop = start + len(rows)
+        keep = kept[start:stop]
+        renumbered = index[start:stop][keep, : rows.shape[1] - 1]
+        carried[name] = list(zip(rows[keep, 0].tolist(), zip(*renumbered.T.tolist())))
+        start = stop
+    return carried
 
 
 @dataclass
@@ -113,28 +146,39 @@ def _side_template(
     ``InconsistentPruning`` naming the section, the ``side`` template and
     the atom as ``molecule.atom``.
     """
-    index = {gid: i for i, gid in enumerate(sorted(pruned), start=1)}
-    atoms = [None] * len(index)
+    ordered = sorted(pruned)
+    index = {gid: i for i, gid in enumerate(ordered, start=1)}
+    # By global id: the template index (0 for an atom left out), and
+    # whether the atom is changed.
+    local = np.zeros(len(graph.nodes) + 1, np.int64)
+    local[ordered] = np.arange(1, len(ordered) + 1)
+    is_changed = np.zeros(len(graph.nodes) + 1, bool)
+    is_changed[list(changed)] = True
+    atoms = []
     sections: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
     for component, topology in enumerate(graph.topologies, start=1):
-        local = {}
-        changed_ids = set()
-        for atom in topology.atoms:
-            gid = graph.gid_for(component, atom.atom_id)
-            i = index.get(gid)
-            if i is not None:
-                local[atom.atom_id] = i
-                atoms[i - 1] = TemplateAtom(atom.type_id, atom.charge, atom.x, atom.y, atom.z)
-            if gid in changed:
-                changed_ids.add(atom.atom_id)
+        # A file's atoms take the global ids from ``first`` on in the order
+        # of their source ids: rank r has global id first + r.
+        ids = topology.atoms["atom_id"]
+        by_rank = np.argsort(ids, kind="stable")
+        first = graph.components[component][0]
+        file_local = local[first : first + len(ids)]
+        file_changed = is_changed[first : first + len(ids)]
+        source_ids = ids[by_rank]
+        inside = by_rank[file_local.nonzero()[0]]
+        columns = (topology.atoms[name].take(inside).tolist() for name in TemplateAtom._fields)
+        atoms.extend(map(TemplateAtom, *columns))
+        refusal = (
+            f"{{}} entry of changed atom {component}.{{}} leaves the {side} template, "
+            "which fix bond/react forbids; raise the cutoff"
+        )
+        tables = {
+            name: getattr(topology, keyword)
+            for name, (keyword, _, _) in INTERACTION_SECTIONS.items()
+        }
+        carried = carry_features(tables, source_ids, file_local, file_changed, refusal)
         for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
-            refusal = (
-                f"{name} entry of changed atom {component}.{{}} leaves the {side} template, "
-                "which fix bond/react forbids; raise the cutoff"
-            )
-            sections[keyword].extend(
-                carry_features(getattr(topology, keyword), local, changed_ids, refusal)
-            )
+            sections[keyword].extend(carried[name])
     return MoleculeTemplateFile(atoms=atoms, **sections), index
 
 

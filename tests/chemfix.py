@@ -552,11 +552,12 @@ def topology_system(name: str, reactants: list, products: list) -> ReactionSyste
     masses = {t: m for topology in (*reactants, *products) for t, m in topology.masses.items()}
 
     def spec(position: int, topology) -> MolSpec:
+        ids = topology.atoms["atom_id"].tolist()
         return MolSpec(
             f"molecule {position}",
-            {atom.atom_id: atom.type_id for atom in topology.atoms},
-            {atom.atom_id: atom.charge for atom in topology.atoms},
-            [members for _, members in topology.bonds],
+            dict(zip(ids, topology.atoms["type_id"].tolist())),
+            dict(zip(ids, topology.atoms["charge"].tolist())),
+            list(map(tuple, topology.bonds[:, 1:].tolist())),
         )
 
     return ReactionSystem(

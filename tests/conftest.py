@@ -4,7 +4,7 @@ import random
 import pytest
 
 from templater.graph_core import UnifiedGraph, build_unified_graph
-from templater.lammps_io import AtomRecord, SystemTopology
+from templater.lammps_io import SystemTopology
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -31,17 +31,13 @@ CASE_STUDIES = {
 
 def make_topology(atoms, bonds, masses, angles=(), dihedrals=(), impropers=()):
     """Small-topology builder: atoms are (id, type, charge) triples."""
-    records = [
-        AtomRecord(atom_id=a, mol_id=1, type_id=t, charge=q, x=float(a), y=0.0, z=0.0)
-        for a, t, q in atoms
-    ]
-    return SystemTopology(
-        atoms=records,
-        masses=dict(masses),
-        bonds=[(1, tuple(b)) for b in bonds],
-        angles=[(1, tuple(a)) for a in angles],
-        dihedrals=[(1, tuple(d)) for d in dihedrals],
-        impropers=[(1, tuple(i)) for i in impropers],
+    return SystemTopology.from_rows(
+        [(a, 1, t, q, float(a), 0.0, 0.0) for a, t, q in atoms],
+        masses,
+        bonds=[(1, *b) for b in bonds],
+        angles=[(1, *a) for a in angles],
+        dihedrals=[(1, *d) for d in dihedrals],
+        impropers=[(1, *i) for i in impropers],
     )
 
 

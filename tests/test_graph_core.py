@@ -14,7 +14,7 @@ from templater.graph_core import (
     dot_export,
     eigenvector_centrality,
 )
-from templater.lammps_io import SystemTopology, parse_data_file
+from templater.lammps_io import parse_data_file
 from templater.reaction_analysis import CENTRALITY_DELTA_DECIMALS
 
 H_MASS = {1: 1.008}
@@ -112,7 +112,7 @@ class TestBuildUnifiedGraph:
         assert {graph.nodes[g].component for g in graph.nodes} == {1}
 
     def test_empty_topology_rejected(self):
-        empty = SystemTopology(atoms=[], masses={}, bonds=[])
+        empty = make_topology([], [], {})
         with pytest.raises(EmptyTopology):
             build_unified_graph([empty], "reactant")
 

@@ -1,9 +1,11 @@
 import functools
+import gc
 import importlib.util
 import math
 import os
 import random
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -27,7 +29,6 @@ from templater.lammps_io import (
     _SKIPPED_SECTIONS,
     _TEMPLATE_SECTIONS,
     INTERACTION_SECTIONS,
-    AtomRecord,
     MoleculeTemplateFile,
     ReactionMapFile,
     SystemTopology,
@@ -169,7 +170,7 @@ class TestParseDataFile:
         assert len(parse_data_file(CHAIN4_TYPED_DATA).impropers) == 1
         # Without a declared count a type id is not checked.
         text = CHAIN4_DATA.replace("\n1 1 1 2\n", "\n1 7 1 2\n")
-        assert parse_data_file(text).bonds == [(7, (1, 2))]
+        assert parse_data_file(text).bonds.tolist() == [[7, 1, 2]]
 
     def test_duplicate_atom_ids_name_smallest(self):
         atoms = "\n".join(
@@ -186,7 +187,7 @@ class TestParseDataFile:
         with open("tests/fixtures/bd.data") as handle:
             topology = parse_data_file(handle.read())
         assert len(topology.atoms) == 16
-        heavy = sum(1 for a in topology.atoms if topology.masses[a.type_id] > 2)
+        heavy = sum(topology.masses[t] > 2 for t in topology.atoms["type_id"].tolist())
         assert heavy == 6
 
     def test_mdi_fixture_atom_count(self):
@@ -203,27 +204,48 @@ class TestParseDataFile:
         with pytest.raises(DanglingReference, match=f"^{name} entry references missing atom id 99$"):
             parse_data_file(text)
 
-    @pytest.mark.parametrize("token", ["1.5", "1e400"])
+    # An integer field past int64 is rejected too: the parsed arrays are int64.
     @pytest.mark.parametrize(
-        "row, slot",
-        [
-            ("2 1 1 0.0 0.74 0.0 0.0", 0),
-            ("2 1 1 0.0 0.74 0.0 0.0", 2),
-            ("1 1 1 2", 1),
-            ("1 1 1 2", 3),
-        ],
-        ids=["Atoms-id", "Atoms-type", "Bonds-type", "Bonds-member"],
+        "token", ["1.5", "1e400", "9223372036854775808", "-9223372036854775809"]
     )
-    def test_float_in_integer_field_rejected(self, row, slot, token):
+    @pytest.mark.parametrize(
+        "section, row, slot",
+        [
+            ("Atoms", "2 1 1 0.0 0.74 0.0 0.0", 0),
+            ("Atoms", "2 1 1 0.0 0.74 0.0 0.0", 1),
+            ("Atoms", "2 1 1 0.0 0.74 0.0 0.0", 2),
+            ("Bonds", "1 1 1 2", 1),
+            ("Bonds", "1 1 1 2", 3),
+            ("Masses", "1 1.008", 0),
+        ],
+        ids=[
+            "Atoms-id", "Atoms-molecule", "Atoms-type", "Bonds-type", "Bonds-member", "Masses-type"
+        ],
+    )
+    def test_float_in_integer_field_rejected(self, section, row, slot, token):
         lines = H2_DATA.split("\n")
         k = lines.index(row)
         tokens = row.split()
         tokens[slot] = token
         lines[k] = " ".join(tokens)
         text = "\n".join(lines)
-        with pytest.raises(MalformedLine, match=f"^line {k + 1}: bad (Atoms|Bonds) entry"):
+        with pytest.raises(MalformedLine, match=f"^line {k + 1}: bad {section} entry"):
             parse_data_file(text)
         assert outcome(parse_data_file, text) == outcome(parse_data_file_reference, text)
+
+    def test_int64_limits_accepted(self):
+        # The smallest and largest int64 read as ids, row by row (image
+        # flags on one row) and in one numpy pass.
+        low, high = str(-(2**63)), str(2**63 - 1)
+        text = H2_DATA.replace("\n1 1 1 0.0 0.0", f"\n{low} 1 1 0.0 0.0").replace(
+            "\n2 1 1 0.0 0.74", f"\n{high} 1 1 0.0 0.74"
+        ).replace("\n1 1 1 2\n", f"\n1 1 {low} {high}\n")
+        image_flags = text.replace("0.0 0.74 0.0 0.0", "0.0 0.74 0.0 0.0 0 0 1")
+        for variant in (text, image_flags):
+            topology = parse_data_file(variant)
+            assert topology.atoms["atom_id"].tolist() == [-(2**63), 2**63 - 1]
+            assert topology.bonds.tolist() == [[1, -(2**63), 2**63 - 1]]
+            assert topology == parse_data_file_reference(variant)
 
     def test_integer_read_through_float_rejected(self, monkeypatch):
         # numpy 1.23-1.26 read "1.5" in an int64 column as 1 and only warn.
@@ -288,7 +310,7 @@ class TestParseDataFile:
         text = text.replace("1 1 1 0.0 0.0 0.0 0.0", "1 1 1 0.0 0.0 0.0")
         text = text.replace("2 1 1 0.0 0.74 0.0 0.0", "2 1 1 0.74 0.0 0.0")
         topology = parse_data_file(text)
-        assert all(a.charge == 0.0 for a in topology.atoms)
+        assert topology.atoms["charge"].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("rows", ["all", "one"])
     @pytest.mark.parametrize("style", ["full", "molecular"])
@@ -310,9 +332,61 @@ class TestParseDataFile:
         reordered += "\nMasses\n\n1 1.008\n"
         assert parse_data_file(reordered).masses == {1: 1.008}
 
+    def test_duplicate_mass_rejected(self):
+        # LAMMPS read_data rejects a second mass for one type; the last one
+        # used to win silently and change the labels the search matches on.
+        text = H2_DATA.replace("\n1 1.008\n", "\n1 12.011\n1 1.008\n")
+        line_no = text.split("\n").index("1 1.008") + 1
+        with pytest.raises(
+            MalformedLine, match=f"^line {line_no}: duplicate Masses entry for atom type 1$"
+        ):
+            parse_data_file(text)
+        assert outcome(parse_data_file, text) == outcome(parse_data_file_reference, text)
+
+    def test_equality_compares_contents(self):
+        topology = parse_data_file(CHAIN4_TYPED_DATA)
+        assert topology == parse_data_file(CHAIN4_TYPED_DATA)
+        # A NaN coordinate equals itself.
+        nan_text = CHAIN4_TYPED_DATA.replace("\n4 1 1 0.0 4.5 ", "\n4 1 1 0.0 nan ")
+        assert parse_data_file(nan_text) == parse_data_file(nan_text)
+        for field in ("atoms", "bonds", "angles", "dihedrals", "impropers"):
+            for column in getattr(topology, field).dtype.names or [None]:
+                other = parse_data_file(CHAIN4_TYPED_DATA)
+                table = getattr(other, field)
+                if column is None:
+                    table[-1, -1] += 1
+                else:
+                    table[-1][column] += 1
+                assert other != topology, (field, column)
+            shorter = parse_data_file(CHAIN4_TYPED_DATA)
+            setattr(shorter, field, getattr(shorter, field)[:-1])
+            assert shorter != topology, field
+        for field, changed in (("masses", {1: 12.0}), ("type_counts", {"atoms": 4})):
+            other = parse_data_file(CHAIN4_TYPED_DATA)
+            setattr(other, field, changed)
+            assert other != topology, field
+        assert topology != "not a topology"
+
     def test_coeff_sections_skipped(self):
         text = H2_DATA + "\nBond Coeffs\n\n1 300.0 0.74\n"
         assert len(parse_data_file(text).bonds) == 1
+
+    def test_bytes_held_per_site(self):
+        # A parsed file holds its sections as arrays: 152 bytes per site of
+        # the 3,072-site united-atom product, where rows of Python tuples
+        # held 798.
+        text = large_product_text()
+        parse_data_file(text)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            topology = parse_data_file(text)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        assert len(topology.atoms) == 3072
+        assert held < 400 * 3072, held / 3072
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=400))
@@ -573,9 +647,11 @@ class TestFixtureDrift:
                 assert fresh.read() == committed.read(), name
 
 
-# The data-file reader as it was before it was tuned for speed, kept
-# verbatim (names aside) as the oracle of the current one: every text must
-# give an equal topology, or the same error with the same line number.
+# The data-file reader as it was before it was tuned for speed, kept (names
+# aside) as the oracle of the current one: every text must give an equal
+# topology, or the same error with the same line number.  Two rules joined
+# it since: an integer field must fit int64, and an atom type has one
+# Masses entry.
 
 def _strip_comment_reference(line: str) -> str:
     hash_pos = line.find("#")
@@ -621,7 +697,7 @@ def parse_data_file_reference(text: str) -> SystemTopology:
 
     type_counts: dict[str, int] = {}
     masses: dict[int, float] = {}
-    atoms: list[AtomRecord] = []
+    atoms: list[tuple] = []
     interactions: dict[str, list] = {keyword: [] for keyword, _, _ in INTERACTION_SECTIONS.values()}
     seen: set[str] = set()
 
@@ -644,9 +720,13 @@ def parse_data_file_reference(text: str) -> SystemTopology:
             for line_no, stripped in body:
                 parts = stripped.split()
                 try:
-                    masses[int(parts[0])] = float(parts[1])
+                    type_id = _int64_reference(parts[0])
+                    mass = float(parts[1])
                 except (IndexError, ValueError):
                     raise MalformedLine(f"bad Masses entry {stripped!r}", line_no)
+                if type_id in masses:
+                    raise MalformedLine(f"duplicate Masses entry for atom type {type_id}", line_no)
+                masses[type_id] = mass
         elif name == "Atoms":
             seen.add(name)
             for line_no, stripped in body:
@@ -659,8 +739,8 @@ def parse_data_file_reference(text: str) -> SystemTopology:
                 if len(parts) < 2 + arity:
                     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
                 try:
-                    type_id = int(parts[1])
-                    members = tuple(int(p) for p in parts[2 : 2 + arity])
+                    type_id = _int64_reference(parts[1])
+                    members = tuple(_int64_reference(p) for p in parts[2 : 2 + arity])
                 except ValueError:
                     raise MalformedLine(f"bad {name} entry {stripped!r}", line_no)
                 interactions[keyword].append((type_id, members))
@@ -670,43 +750,57 @@ def parse_data_file_reference(text: str) -> SystemTopology:
     if "Masses" not in seen:
         raise MalformedHeader("data file has no Masses section")
 
-    topology = SystemTopology(atoms=atoms, masses=masses, type_counts=type_counts, **interactions)
-    validate_reference(topology)
-    return topology
+    validate_reference(atoms, masses, interactions, type_counts)
+    return reference_topology(atoms, masses, interactions, type_counts)
 
 
-def validate_reference(topology: SystemTopology) -> None:
-    """The checks of ``SystemTopology.validate``, one entry at a time."""
-    id_counts = Counter(a.atom_id for a in topology.atoms)
+def reference_topology(atoms, masses, interactions, type_counts) -> SystemTopology:
+    """The topology of the reference reader's rows, not validated."""
+    return SystemTopology.from_rows(
+        atoms,
+        masses,
+        type_counts=type_counts,
+        **{
+            keyword: [(type_id, *members) for type_id, members in rows]
+            for keyword, rows in interactions.items()
+        },
+    )
+
+
+def validate_reference(atoms, masses, interactions, type_counts) -> None:
+    """The checks of ``SystemTopology.validate``, one entry at a time, on
+    the rows as Python values: ``atoms`` as (atom_id, mol_id, type_id,
+    charge, x, y, z) and ``interactions`` as (type, members) per keyword."""
+    id_counts = Counter(atom_id for atom_id, *_ in atoms)
     ids = set(id_counts)
-    if len(ids) != len(topology.atoms):
+    if len(ids) != len(atoms):
         dup = min(i for i, count in id_counts.items() if count > 1)
         raise MalformedLine(f"duplicate atom id {dup}")
-    for a in topology.atoms:
-        if a.type_id not in topology.masses:
-            raise MissingMass(f"atom type {a.type_id} has no Masses entry")
-    for type_id, mass in topology.masses.items():
+    for _, _, atom_type, *_ in atoms:
+        if atom_type not in masses:
+            raise MissingMass(f"atom type {atom_type} has no Masses entry")
+    for type_id, mass in masses.items():
         if not 0 < mass < math.inf:
             raise MalformedLine(
                 f"atom type {type_id} has mass {mass}; masses must be finite and positive"
             )
     typed = [
-        ("Atoms", "atom", [a.type_id for a in topology.atoms]),
-        ("Masses", "atom", list(topology.masses)),
+        ("Atoms", "atom", [atom_type for _, _, atom_type, *_ in atoms]),
+        ("Masses", "atom", list(masses)),
     ]
     for name, (keyword, noun, _) in INTERACTION_SECTIONS.items():
-        typed.append((name, noun, [type_id for type_id, _ in getattr(topology, keyword)]))
+        typed.append((name, noun, [type_id for type_id, _ in interactions[keyword]]))
     for name, noun, types in typed:
-        declared = topology.type_counts.get(f"{noun} types")
+        declared = type_counts.get(f"{noun} types")
         for type_id in types:
             if declared is not None and not 1 <= type_id <= declared:
                 raise MalformedLine(
                     f"{name} entry has {noun} type {type_id}; "
                     f"header declares {declared} {noun} types"
                 )
-    found = {"atoms": len(topology.atoms)}
+    found = {"atoms": len(atoms)}
     for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
-        entries = getattr(topology, keyword)
+        entries = interactions[keyword]
         found[keyword] = len(entries)
         for _type_id, members in entries:
             distinct = set(members)
@@ -717,33 +811,41 @@ def validate_reference(topology: SystemTopology) -> None:
                 repeated = next(i for i in members if members.count(i) > 1)
                 raise MalformedLine(f"{name} entry lists atom {repeated} more than once")
     for keyword, expected in found.items():
-        declared = topology.type_counts.get(keyword)
+        declared = type_counts.get(keyword)
         if declared is not None and declared != expected:
             raise MalformedHeader(f"header declares {declared} {keyword}, found {expected}")
 
 
-def _parse_atom_line_reference(stripped: str, line_no: int) -> AtomRecord:
+def _int64_reference(token: str) -> int:
+    """An integer field, which must fit int64 as the parsed arrays hold it."""
+    value = int(token)
+    if not -(2**63) <= value <= 2**63 - 1:
+        raise ValueError(token)
+    return value
+
+
+def _parse_atom_line_reference(stripped: str, line_no: int) -> tuple:
     parts = stripped.split()
     try:
         if len(parts) in (7, 10):  # full: id mol type q x y z [image flags]
-            return AtomRecord(
-                atom_id=int(parts[0]),
-                mol_id=int(parts[1]),
-                type_id=int(parts[2]),
-                charge=float(parts[3]),
-                x=float(parts[4]),
-                y=float(parts[5]),
-                z=float(parts[6]),
+            return (
+                _int64_reference(parts[0]),
+                _int64_reference(parts[1]),
+                _int64_reference(parts[2]),
+                float(parts[3]),
+                float(parts[4]),
+                float(parts[5]),
+                float(parts[6]),
             )
         if len(parts) in (6, 9):  # molecular: id mol type x y z [image flags]
-            return AtomRecord(
-                atom_id=int(parts[0]),
-                mol_id=int(parts[1]),
-                type_id=int(parts[2]),
-                charge=0.0,
-                x=float(parts[3]),
-                y=float(parts[4]),
-                z=float(parts[5]),
+            return (
+                _int64_reference(parts[0]),
+                _int64_reference(parts[1]),
+                _int64_reference(parts[2]),
+                0.0,
+                float(parts[3]),
+                float(parts[4]),
+                float(parts[5]),
             )
     except ValueError:
         pass
@@ -868,10 +970,10 @@ IRREGULAR_ROWS = {
     "Atoms-image-flags": ("Atoms", lambda tokens: tokens + ["0", "1", "-1"], None),
     "Atoms-molecular": ("Atoms", lambda tokens: tokens[:3] + tokens[4:], None),
     "Atoms-underscore": ("Atoms", replace_token(0, "0_{}".format), None),
-    "Atoms-int64-overflow": ("Atoms", replace_token(0, lambda _: OVERFLOW), DanglingReference),
+    "Atoms-int64-overflow": ("Atoms", replace_token(0, lambda _: OVERFLOW), MalformedLine),
     "Atoms-1e400": ("Atoms", replace_token(4, lambda _: "1e400"), None),
     "Bonds-underscore": ("Bonds", replace_token(2, "0_{}".format), None),
-    "Bonds-int64-overflow": ("Bonds", replace_token(3, lambda _: OVERFLOW), DanglingReference),
+    "Bonds-int64-overflow": ("Bonds", replace_token(3, lambda _: OVERFLOW), MalformedLine),
     "Dihedrals-underscore": ("Dihedrals", replace_token(1, "0_{}".format), None),
     # The type id: outside the header's 4 dihedral types.
     "Dihedrals-int64-overflow": ("Dihedrals", replace_token(1, lambda _: OVERFLOW), MalformedLine),
@@ -923,6 +1025,53 @@ class TestParserOracle:
             assert isinstance(result, SystemTopology)
         else:
             assert result[0] is raised, result
+
+    def test_validate_matches_reference_on_random_rows(self):
+        # Small topologies with several faults at once: the column checks
+        # raise the error the per-entry checks raise first.
+        rng = random.Random(35)
+        raised = Counter()
+
+        def fault(rate=0.03):
+            return rng.random() < rate
+
+        for _ in range(4000):
+            ids = rng.sample(range(1, 9), 0 if fault() else rng.randint(1, 6))
+            if ids and fault(0.1):
+                ids.append(rng.choice(ids))
+            masses = {} if fault() else {t: 12.011 for t in range(1, 5) if not fault()}
+            if fault():
+                masses[rng.choice((0, 5, 1, 2))] = rng.choice((0.0, -1.0, math.nan, math.inf))
+            atoms = [
+                (i, 1, rng.choice((0, 5)) if fault() else rng.randint(1, 4), 0.0, 0.0, 0.0, 0.0)
+                for i in ids
+            ]
+
+            def row(arity):
+                members = [
+                    rng.randint(0, 9) if fault() or not ids else rng.choice(ids)
+                    for _ in range(arity)
+                ]
+                if not fault(0.3):  # distinct members, where the file has enough atoms
+                    members = rng.sample(ids, arity) if len(set(ids)) >= arity else members
+                return rng.choice((0, 4)) if fault() else rng.randint(1, 3), tuple(members)
+
+            interactions = {
+                keyword: [row(arity) for _ in range(rng.randint(0, 3))]
+                for keyword, _, arity in INTERACTION_SECTIONS.values()
+            }
+            counts = {"atoms": len(ids), **{k: len(rows) for k, rows in interactions.items()}}
+            counts.update({f"{noun} types": 3 for _, noun, _ in INTERACTION_SECTIONS.values()})
+            counts["atom types"] = 4
+            type_counts = {
+                key: value + fault() for key, value in counts.items() if rng.random() < 0.7
+            }
+            topology = reference_topology(atoms, masses, interactions, type_counts)
+            expected = outcome(validate_reference, atoms, masses, interactions, type_counts)
+            assert outcome(topology.validate) == expected
+            raised[None if expected is None else expected[0]] += 1
+        # Every check fails somewhere, and some topologies pass.
+        assert set(raised) == {None, MalformedLine, MissingMass, DanglingReference, MalformedHeader}
 
     @settings(max_examples=400, deadline=None)
     @given(

@@ -3,6 +3,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 import chemfix
@@ -152,37 +153,106 @@ class TestMarkEdgeAtoms:
         assert mark_edge_atoms(pruned, graph) == {5}
 
 
+def carry(sections, index, changed=(), refusal=""):
+    """``carry_features`` on {section name: [(type, members)]} rows of one
+    file, a {source id: template index} map and a set of changed source
+    ids, as Python values."""
+    ids = sorted(
+        {i for rows in sections.values() for _, members in rows for i in members} | set(index)
+    )
+    source_ids = np.array(ids, dtype=np.int64)
+    return carry_features(
+        {
+            name: np.array(
+                [(type_id, *members) for type_id, members in rows], dtype=np.int64
+            ).reshape(-1, 1 + INTERACTION_SECTIONS[name][2])
+            for name, rows in sections.items()
+        },
+        source_ids,
+        np.array([index.get(i, 0) for i in ids], dtype=np.int64),
+        np.isin(source_ids, list(changed)),
+        refusal,
+    )
+
+
 class TestCarryFeatures:
     def test_full_molecule_keeps_everything(self):
         interactions = [(1, (1, 2)), (2, (2, 3))]
         index = {1: 1, 2: 2, 3: 3}
-        assert carry_features(interactions, index) == interactions
+        assert carry({"Bonds": interactions}, index) == {"Bonds": interactions}
 
     def test_partial_atom_drops_interaction(self):
         interactions = [(1, (1, 2, 3)), (2, (2, 3, 4))]
         index = {1: 1, 2: 2, 3: 3}
-        assert carry_features(interactions, index) == [(1, (1, 2, 3))]
+        assert carry({"Angles": interactions}, index) == {"Angles": [(1, (1, 2, 3))]}
 
     def test_renumbering(self):
         interactions = [(7, (4, 6))]
         index = {4: 1, 6: 2}
-        assert carry_features(interactions, index) == [(7, (1, 2))]
+        assert carry({"Bonds": interactions}, index) == {"Bonds": [(7, (1, 2))]}
+
+    def test_sections_of_each_arity_together(self):
+        # Atom 5 is left out: each section keeps its rows without it, in
+        # file order, and an empty section stays empty.
+        sections = {
+            "Bonds": [(1, (1, 2)), (2, (4, 5)), (3, (3, 4))],
+            "Angles": [(1, (1, 2, 3)), (2, (3, 4, 5))],
+            "Dihedrals": [(4, (5, 1, 2, 3)), (5, (1, 2, 3, 4))],
+            "Impropers": [],
+        }
+        index = {1: 1, 2: 2, 3: 3, 4: 4}
+        assert carry(sections, index) == {
+            "Bonds": [(1, (1, 2)), (3, (3, 4))],
+            "Angles": [(1, (1, 2, 3))],
+            "Dihedrals": [(5, (1, 2, 3, 4))],
+            "Impropers": [],
+        }
+        assert carry({"Impropers": []}, index) == {"Impropers": []}
 
     def test_dropped_interaction_of_a_changed_atom_refused(self):
         # Dropping (2, 3) is fine; (3, 4, 2) holds the changed atoms 2 and 4.
-        interactions = [(1, (1, 2)), (2, (2, 3)), (3, (3, 4, 2))]
+        bonds = [(1, (1, 2)), (2, (2, 3))]
         index = {1: 1, 2: 2}
-        assert carry_features(interactions[:2], index, {1}, "atom {}") == [(1, (1, 2))]
-        with pytest.raises(InconsistentPruning, match=r"^atom 2$"):
-            carry_features(interactions, index, {2, 4}, "atom {}")
+        assert carry({"Bonds": bonds}, index, {1}, "{} atom {}") == {"Bonds": [(1, (1, 2))]}
+        with pytest.raises(InconsistentPruning, match=r"^Angles atom 2$"):
+            carry({"Angles": [(3, (3, 4, 2))]}, index, {2, 4}, "{} atom {}")
+        with pytest.raises(InconsistentPruning, match=r"^Bonds atom 2$"):
+            carry({"Bonds": bonds}, index, {2, 4}, "{} atom {}")
+        # The first section with a refused row is named, and its first such
+        # row: atom 4 is changed and left out, atom 1 is changed and kept.
+        sections = {
+            "Bonds": [(1, (1, 2))],
+            "Angles": [(1, (1, 2, 3)), (1, (2, 3, 4))],
+            "Dihedrals": [(1, (4, 1, 2, 3))],
+        }
+        with pytest.raises(InconsistentPruning, match=r"^Angles atom 4$"):
+            carry(sections, {1: 1, 2: 2, 3: 3}, {1, 4}, "{} atom {}")
+        with pytest.raises(InconsistentPruning, match=r"^Dihedrals atom 1$"):
+            carry(sections, {1: 1, 2: 2, 3: 3}, {1}, "{} atom {}")
+
+    def test_member_outside_the_file_drops_interaction(self):
+        # An unvalidated row may name an atom its file lacks: the row is
+        # left out, as one holding an atom outside the template.
+        rows = np.array([[1, 1, 2], [1, 2, 9], [1, 0, 1]], dtype=np.int64)
+        source_ids = np.array([1, 2, 5], dtype=np.int64)
+        local = np.array([1, 2, 3], dtype=np.int64)
+        carried = carry_features({"Bonds": rows}, source_ids, local, np.zeros(3, bool))
+        assert carried == {"Bonds": [(1, (1, 2))]}
+        # 9 falls beside atom 5 in the lookup, which is changed; 9 itself
+        # is not, so nothing is refused.
+        changed = np.array([False, False, True])
+        carried = carry_features({"Bonds": rows[1:]}, source_ids, local, changed, "{} atom {}")
+        assert carried == {"Bonds": []}
 
 
-def small_reaction():
-    """A-B + C-D -> A-B-C-D with one new bond between B and C."""
-    ab = make_topology([(1, 1, 0.1), (2, 1, -0.1)], [(1, 2)], MASSES)
-    cd = make_topology([(1, 2, 0.2), (2, 2, -0.2)], [(1, 2)], MASSES)
+def small_reaction(reverse_rows=False):
+    """A-B + C-D -> A-B-C-D with one new bond between B and C; with
+    ``reverse_rows`` each file lists its atoms in reverse id order."""
+    order = reversed if reverse_rows else list
+    ab = make_topology(order([(1, 1, 0.1), (2, 1, -0.1)]), [(1, 2)], MASSES)
+    cd = make_topology(order([(1, 2, 0.2), (2, 2, -0.2)]), [(1, 2)], MASSES)
     product = make_topology(
-        [(1, 1, 0.1), (2, 1, -0.1), (3, 2, 0.2), (4, 2, -0.2)],
+        order([(1, 1, 0.1), (2, 1, -0.1), (3, 2, 0.2), (4, 2, -0.2)]),
         [(1, 2), (2, 3), (3, 4)],
         MASSES,
     )
@@ -196,6 +266,27 @@ def small_reaction():
 
 
 class TestAssembleTemplates:
+    def test_atoms_listed_out_of_id_order(self):
+        # Each data file lists its atoms in reverse id order: every template
+        # atom still takes the type, charge and coordinates of its own row.
+        g_reac, g_prod, mapping, report = small_reaction(reverse_rows=True)
+        pre_set, post_set = prune_reaction(report, cutoff=4)
+        templates = assemble_templates(report, pre_set, post_set)
+        assert templates.pre.atom_count == templates.post.atom_count == 4
+        sides = (
+            (templates.pre, templates.pre_index_of, g_reac),
+            (templates.post, templates.post_index_of, g_prod),
+        )
+        for template, index_of, graph in sides:
+            for gid, i in index_of.items():
+                node, atom = graph.nodes[gid], template.atoms[i - 1]
+                # make_topology puts each atom at x = its id.
+                assert (atom.type_id, atom.charge, atom.x) == (
+                    node.type_id, node.charge, float(node.source_id)
+                )
+        in_order = small_reaction()[3]
+        assert templates == assemble_templates(in_order, *prune_reaction(in_order, cutoff=4))
+
     def test_small_reaction_round_trip(self):
         g_reac, g_prod, mapping, report = small_reaction()
         pre_set, post_set = prune_reaction(report, cutoff=4)
@@ -512,9 +603,11 @@ def changed_atoms(payload, reactant_topologies, product_topologies):
 
     def type_and_charge(topologies):
         return {
-            (molecule, atom.atom_id): (atom.type_id, atom.charge)
+            (molecule, atom_id): (type_id, charge)
             for molecule, topology in enumerate(topologies, start=1)
-            for atom in topology.atoms
+            for atom_id, type_id, charge in zip(
+                *(topology.atoms[c].tolist() for c in ("atom_id", "type_id", "charge"))
+            )
         }
 
     def ref(node):
@@ -549,7 +642,7 @@ def rows_with_changed_atoms(state, reactants, products, out_dir):
     for (side, topologies, graph, index), side_changed in zip(sides, changed):
         for molecule, topology in enumerate(topologies, start=1):
             for name, (keyword, _, _) in INTERACTION_SECTIONS.items():
-                for _, members in getattr(topology, keyword):
+                for members in map(tuple, getattr(topology, keyword)[:, 1:].tolist()):
                     if any((molecule, a) in side_changed for a in members):
                         inside = all(graph.gid_for(molecule, a) in index for a in members)
                         rows.append((name, side, molecule, members, inside))
