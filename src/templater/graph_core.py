@@ -13,12 +13,16 @@ are computed on each call, and the caller keeps what it reuses.
 
 from __future__ import annotations
 
+import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from templater.errors import EmptyTopology
 from templater.lammps_io import SystemTopology
+
+logger = logging.getLogger("templater")
 
 
 class AtomNode(NamedTuple):
@@ -162,25 +166,105 @@ def _perron_vector(cells: list[int], n: int) -> tuple[float, np.ndarray]:
     return top, np.linalg.solve(bordered, rhs)[:n]
 
 
+def _breadth_first_tree(graph: UnifiedGraph, root: int) -> tuple[list[int], list[int]]:
+    """The atoms of root's connected piece in breadth-first order, the order
+    ``UnifiedGraph.shells`` lists them in, and for each atom the position in
+    that order of the atom it was reached from (0 for the root)."""
+    order, parent, seen = [root], [0], {root}
+    # The loop also visits the atoms appended while it runs.
+    for i, gid in enumerate(order):
+        for nbr in graph.neighbors(gid):
+            if nbr not in seen:
+                seen.add(nbr)
+                order.append(nbr)
+                parent.append(i)
+    return order, parent
+
+
+def _tree_perron_vector(
+    parent: list[int], degrees: list[int]
+) -> tuple[list[float], int, float, float]:
+    """Principal eigenvector, unit Euclidean norm, of the adjacency matrix A
+    of one tree, its atoms in breadth-first order from its root: ``parent``
+    gives the position of each atom's parent, and ``degrees`` its degree.
+
+    Noda iteration (Noda, Numer. Math. 17, 1971): shifted inverse iteration
+    whose next shift is the Collatz-Wielandt upper bound max_i (A y)_i / y_i
+    of the new iterate y, a bound on the top eigenvalue for any positive y.
+    Elsner (Linear Algebra Appl. 15, 1976) proves it converges
+    quadratically.  The iteration starts from the degree vector.  Each shift
+    sigma factors sigma*I - A leaves first, from the last atom to the
+    first: a tree has no fill, and every pivot is positive while
+    sigma exceeds the top eigenvalue, so every iterate stays positive.  It
+    stops when the bracket [min_i, max_i] of (A y)_i / y_i closes to one
+    unit in the last place of sigma, when sigma stops decreasing, or when a
+    pivot is not positive, since sigma then lies within rounding of the top
+    eigenvalue.
+
+    Returns the eigenvector in breadth-first order, the number of solves
+    and the final bracket.
+    """
+    n = len(parent)
+    norm = math.hypot(*degrees)
+    y = [d / norm for d in degrees]
+    product = [0.0] * n
+    for i in range(1, n):
+        p = parent[i]
+        product[i] += y[p]
+        product[p] += y[i]
+    ratios = [a / b for a, b in zip(product, y)]
+    low, high = min(ratios), max(ratios)
+    sigma = high
+    solves = 0
+    while high - low > math.ulp(sigma):
+        # Eliminate each atom into its parent, keeping the inverse of its
+        # pivot in pivot[i]; rhs carries the forward substitution of y.
+        pivot = [sigma] * n
+        rhs = y[:]
+        for i in range(n - 1, 0, -1):
+            inverse = pivot[i] = 1.0 / pivot[i]
+            p = parent[i]
+            pivot[p] -= inverse
+            rhs[p] += rhs[i] * inverse
+        if min(pivot) <= 0.0:
+            break
+        z = [rhs[0] / pivot[0]] * n
+        for i in range(1, n):
+            z[i] = (rhs[i] + z[parent[i]]) * pivot[i]
+        solves += 1
+        # (sigma*I - A) z = y, so (A z)_i / z_i = sigma - y_i / z_i.
+        ratios = [a / b for a, b in zip(y, z)]
+        step = min(ratios)
+        low, high = sigma - max(ratios), sigma - step
+        norm = math.hypot(*z)
+        y = [v / norm for v in z]
+        if high >= sigma:
+            break
+        sigma = high
+    return y, solves, low, high
+
+
 def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
     """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
 
-    Each connected piece is solved exactly, by ``_perron_vector``.  A piece
-    whose breadth-first shells from its smallest atom have no bond inside
-    one shell is bipartite, with the even and the odd shells as its parts:
-    A = [[0, B], [B^T, 0]] with B the biadjacency from the smaller part S
-    to the larger part L.  Its principal eigenvector [u; v] has u the
+    Each connected piece is solved exactly.  A piece with one bond fewer
+    than atoms is a tree, solved in O(n) by ``_tree_perron_vector``.  Any
+    other piece has a ring and is solved densely by ``_perron_vector``.
+    A ring piece whose breadth-first shells from its smallest atom have no
+    bond inside one shell is bipartite, with the even and the odd shells as
+    its parts: A = [[0, B], [B^T, 0]] with B the biadjacency from the smaller
+    part S to the larger part L.  Its principal eigenvector [u; v] has u the
     Perron vector of K = B B^T, whose top eigenvalue is sigma^2, and
     v = B^T u / sigma, so the cubic work runs on |S| <= n/2 atoms.  K is
     counted from the bonds into the bordered array, and B is built only
     after the solve, so the two never share memory.  K is primitive
     (connected, with the atom degrees on its diagonal), so sigma^2 is
-    simple.  Any other piece has an odd ring and is solved on M = A + I,
-    counted from the bonds too: the shift leaves the eigenvectors
-    unchanged and makes the matrix primitive, so its top eigenvalue is
-    simple too.  Should the component be disconnected, each connected
-    piece is treated on its own and atoms without bonds receive 0, as do
-    all atoms of a molecule with no bonds at all.
+    simple.  A piece with an odd ring is solved on M = A + I, counted from
+    the bonds too: the shift leaves the eigenvectors unchanged and makes the
+    matrix primitive, so its top eigenvalue is simple too.  Should the
+    component be disconnected, each connected piece is treated on its own
+    and atoms without bonds receive 0, as do all atoms of a molecule with no
+    bonds at all.  Each solved piece is logged at INFO.
     """
     gids = graph.components.get(component)
     if gids is None:
@@ -191,10 +275,23 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         if start in result:
             continue
         # The piece holding the smallest atom not yet solved.
-        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
-        if len(depth) == 1:
+        order, parent = _breadth_first_tree(graph, start)
+        if len(order) == 1:
             result[start] = 0.0
             continue
+        # A connected piece holds every neighbour of its atoms, so its
+        # degrees count each of its bonds twice.
+        degrees = [len(graph.neighbors(gid)) for gid in order]
+        if sum(degrees) == 2 * (len(order) - 1):
+            x, solves, low, high = _tree_perron_vector(parent, degrees)
+            result.update(zip(order, x))
+            logger.info(
+                "centrality: %s molecule %d, %d atoms from atom %d: tree, "
+                "%d Noda solves, Collatz-Wielandt bracket [%r, %r]",
+                graph.side, component, len(order), start, solves, low, high,
+            )
+            continue
+        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
         piece = sorted(depth)
         # A connected piece holds every neighbour of its atoms.
         if all(depth[gid] != depth[nbr] for gid in piece for nbr in graph.neighbors(gid)):
@@ -229,6 +326,10 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
                 cells += [i * (n + 1) + index[nbr] for nbr in graph.neighbors(gid)]
             _, x = _perron_vector(cells, n)
         result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
+        logger.info(
+            "centrality: %s molecule %d, %d atoms from atom %d: dense",
+            graph.side, component, len(piece), start,
+        )
     return result
 
 

@@ -23,6 +23,12 @@ from templater.graph_core import UnifiedGraph
 
 logger = logging.getLogger("templater")
 
+# The budget for the largest temporary of one block of depths in
+# ``build_similarity_matrix``.  Small matrices take all their depths in one
+# block; 8 KiB keeps the blocks of the benchmark's 22 x 24 matrices to one
+# depth, below the memory peak of the template and output stages.
+_BLOCK_BYTES = 1 << 13
+
 
 @dataclass(frozen=True)
 class ScoringWeights:
@@ -147,10 +153,10 @@ def build_similarity_matrix(
     Shells become per-depth histograms over one label index holding type ids
     and exact masses as separate labels, so a shell overlap is
     ``np.minimum(h_r, h_p)`` summed over the labels.  The depths are taken
-    in blocks, as many per block as keep its temporaries no larger than the
-    histograms, and summed in ascending order by ``np.add.accumulate``, so
-    every cell is bit-identical to a scalar loop over the depths (the tests
-    keep one as the reference).
+    in blocks, as many per block as keep its largest temporary within
+    ``_BLOCK_BYTES``, and summed in ascending order by ``np.add.accumulate``,
+    so every cell is bit-identical to a scalar loop over the depths (the
+    tests keep one as the reference).
     """
     row_ids = sorted(rows)
     col_ids = sorted(cols)
@@ -176,7 +182,7 @@ def build_similarity_matrix(
     # minima or one of its float (rows, cols) arrays.
     itemsize = np.result_type(hist_r, hist_p).itemsize
     per_depth = len(row_ids) * len(col_ids) * max(n_labels * itemsize, 8)
-    step = max(1, (hist_r.nbytes + hist_p.nbytes) // max(per_depth, 1))
+    step = max(1, _BLOCK_BYTES // max(per_depth, 1))
     scores = np.zeros((len(row_ids), len(col_ids)))
     for k in range(0, max_depth, step):
         block = slice(k, k + step)

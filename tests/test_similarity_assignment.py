@@ -225,13 +225,16 @@ class TestSimilarityScore:
 
     def test_exact_in_depth_blocks_and_small_counts(self):
         """Cells summed over blocks of depths, from counts held in the
-        smallest unsigned dtype: a united-atom chain (96-site product, 4 x 4
-        matrix of 47 depths, summed in 3 blocks), the tail-12 ring opening (7 x
-        7, blocks of 4 depths whose overlaps are not dyadic, so that summing a
-        block in another order changes 11 cells), the fully retyped n = 8 and 16
+        smallest unsigned dtype: united-atom chains (96- and 320-site
+        products, 4 x 4 matrices of 47 depths in one block and of 159 depths
+        in 3 blocks), the tail-12 ring opening (7 x 7, 14 depths in blocks of
+        13 and 1 whose overlaps are not dyadic, so that summing a block in
+        another order changes 28 cells), the fully retyped n = 8 and 16
         (nothing conserved, one depth per block, uint8 counts) at two atom
         orders each, and a hub whose 300 hydrogens need uint16 counts."""
-        systems = [ua_dimerization(48, random.Random(seed)) for seed in range(2)]
+        systems = [
+            ua_dimerization(n, random.Random(seed)) for n in (48, 160) for seed in range(2)
+        ]
         systems += [ring_opening(12, random.Random(seed)) for seed in range(2)]
         systems += [
             alkene_dimerization(n, random.Random(seed), n + 1) for n in (8, 16) for seed in range(2)
