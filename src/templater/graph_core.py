@@ -9,6 +9,9 @@ Graphs are immutable after construction: nothing writes to one after
 ``__init__``, so every operation here is read-only and safe to call
 concurrently.  Derived quantities (BFS shells, the edge set, centralities)
 are computed on each call, and the caller keeps what it reuses.
+Centralities come from one solver for every molecule, trees and rings
+alike: Noda iteration on a sparse LDL^T factor, in plain Python, with no
+``numpy.linalg`` call.
 """
 
 from __future__ import annotations
@@ -129,87 +132,113 @@ def build_unified_graph(topologies: list[SystemTopology], side: str) -> UnifiedG
     return UnifiedGraph(topologies, side)
 
 
-def _perron_vector(cells: list[int], n: int) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and eigenvector x, scaled to 1^T x = 1, of the symmetric
-    matrix M that counts each flat cell index ``i * (n + 1) + k`` of
-    ``cells`` once at (i, k).
-
-    M is counted with one ``np.bincount`` into the leading n x n block of a
-    zero-bordered (n + 1) x (n + 1) array.  Its entries are small integers,
-    exact in any summation order.  The symmetric eigenvalue solver gives
-    the top eigenvalue alone, and one dense linear solve of the bordered
-    system
-
-        [[top*I - M, 1], [1^T, 0]] [x; mu] = [0; 1]
-
-    gives x.  The system is nonsingular when top is simple and 1^T x != 0;
-    by Perron-Frobenius both hold for the primitive non-negative matrices
-    built here, whose top eigenvector is positive.  Its conditioning is set
-    by the gap between the two largest eigenvalues, as is the accuracy of
-    the eigenvector of a full eigendecomposition, which costs about twice
-    as much from a few dozen atoms up.  M is turned into top*I - M in
-    place: separate arrays for M, I and their difference triple the memory
-    of the solve.  The whole contiguous array is negated, its zero border
-    with it, and the border then rewritten: negating the strided n x n
-    block alone makes numpy buffer a copy of it.  The corner is reset to
-    +0.0, so ``solve`` gets the same bits either way.
-    """
-    bordered = np.bincount(cells, np.ones(len(cells)), (n + 1) ** 2).reshape(n + 1, n + 1)
-    top = np.linalg.eigvalsh(bordered[:n, :n])[-1]
-    np.negative(bordered, out=bordered)
-    # The diagonal of the block, a view into the flat bordered array.
-    bordered.reshape(-1)[: n * (n + 2) : n + 2] += top
-    bordered[:n, n] = bordered[n, :n] = 1.0
-    bordered[n, n] = 0.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    return top, np.linalg.solve(bordered, rhs)[:n]
-
-
-def _breadth_first_tree(graph: UnifiedGraph, root: int) -> tuple[list[int], list[int]]:
+def _breadth_first_tree(
+    graph: UnifiedGraph, root: int
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """The atoms of root's connected piece in breadth-first order, the order
-    ``UnifiedGraph.shells`` lists them in, and for each atom the position in
-    that order of the atom it was reached from (0 for the root)."""
-    order, parent, seen = [root], [0], {root}
+    ``UnifiedGraph.shells`` lists them in; for each atom, the position in
+    that order of the atom it was reached from (0 for the root); and each
+    ring bond, a bond to an earlier atom other than that one, once as
+    (position, earlier position)."""
+    order, parent, position, rings = [root], [0], {root: 0}, []
     # The loop also visits the atoms appended while it runs.
     for i, gid in enumerate(order):
         for nbr in graph.neighbors(gid):
-            if nbr not in seen:
-                seen.add(nbr)
+            k = position.get(nbr)
+            if k is None:
+                position[nbr] = len(order)
                 order.append(nbr)
                 parent.append(i)
-    return order, parent
+            elif k < i and k != parent[i]:
+                rings.append((i, k))
+    return order, parent, rings
 
 
-def _tree_perron_vector(
-    parent: list[int], degrees: list[int]
-) -> tuple[list[float], int, float, float]:
+def _factor_rows(
+    parent: list[int], rings: list[tuple[int, int]]
+) -> tuple[dict[int, tuple[list[tuple[int, int]], list[tuple[int, int, int]]]], list[float], int]:
+    """Where the LDL^T factor of sigma*I - A of one connected piece has its
+    entries, its atoms eliminated in reverse breadth-first order, each into
+    the earlier atoms of its row: ``parent`` and ``rings`` as
+    ``_breadth_first_tree`` gives them.
+
+    An atom's row starts as its parent and its ring bonds.  Eliminating the
+    atom joins every two atoms of its row, which puts the earlier of the two
+    into the row of the later one unless it is there: fill, which only ever
+    joins an atom to earlier atoms.  Adding the rest of the row to the row
+    of its latest atom alone is enough, since that atom passes it on when it
+    is eliminated in turn (George & Liu, Computer Solution of Large Sparse
+    Positive Definite Systems, 1981).  A breadth-first order keeps the rows
+    short on chains, rings and ladders of fused rings.
+
+    Returns a dict that maps each atom whose row is more than its parent,
+    or whose parent entry an elimination updates, to ``(entries,
+    updates)``: the ``(slot, earlier position)`` of each entry of its row,
+    parent first, and the slots ``(target, a, b)`` of the entry that each
+    two of them update when the atom is eliminated.  A tree maps no atom.
+    Also returns the initial values of the slots, -1.0 for a bond and 0.0
+    for fill, and the number of fill entries.
+    """
+    extra: dict[int, set[int]] = {}
+    for i, k in rings:
+        extra.setdefault(i, set()).add(k)
+    slot: dict[tuple[int, int], int] = {}
+    rows = {}
+    for i in range(max(extra, default=0), 0, -1):
+        row = extra.get(i, ())
+        # An earlier elimination may have updated the parent entry alone.
+        if not row and (i, parent[i]) not in slot:
+            continue
+        columns = [parent[i], *sorted(row)]
+        entries = [(slot.setdefault((i, k), len(slot)), k) for k in columns]
+        rows[i] = entries, [
+            (slot.setdefault((a, b), len(slot)), s, t)
+            for s, a in entries
+            for t, b in entries
+            if a > b
+        ]
+        j = max(columns)
+        row = set(columns) - {j, parent[j]}
+        if row:
+            extra.setdefault(j, set()).update(row)
+    # Slots are numbered in the order the dict holds them.
+    bonds = set(rings)
+    values = [-1.0 if k == parent[j] or (j, k) in bonds else 0.0 for j, k in slot]
+    return rows, values, values.count(0.0)
+
+
+def _perron_vector(
+    parent: list[int], rings: list[tuple[int, int]], degrees: list[int]
+) -> tuple[list[float], int, int, float, float]:
     """Principal eigenvector, unit Euclidean norm, of the adjacency matrix A
-    of one tree, its atoms in breadth-first order from its root: ``parent``
-    gives the position of each atom's parent, and ``degrees`` its degree.
+    of one connected piece, its atoms in breadth-first order from its root:
+    ``parent`` and ``rings`` as ``_breadth_first_tree`` gives them, and
+    ``degrees`` the degree of each atom.
 
     Noda iteration (Noda, Numer. Math. 17, 1971): shifted inverse iteration
     whose next shift is the Collatz-Wielandt upper bound max_i (A y)_i / y_i
     of the new iterate y, a bound on the top eigenvalue for any positive y.
     Elsner (Linear Algebra Appl. 15, 1976) proves it converges
     quadratically.  The iteration starts from the degree vector.  Each shift
-    sigma factors sigma*I - A leaves first, from the last atom to the
-    first: a tree has no fill, and every pivot is positive while
-    sigma exceeds the top eigenvalue, so every iterate stays positive.  It
-    stops when the bracket [min_i, max_i] of (A y)_i / y_i closes to one
-    unit in the last place of sigma, when sigma stops decreasing, or when a
-    pivot is not positive, since sigma then lies within rounding of the top
-    eigenvalue.
+    sigma factors sigma*I - A from the last atom to the first, each atom
+    into its parent and the rest of its row from ``_factor_rows``.  A tree
+    has no fill, and every atom of a tree updates its parent alone.  While
+    sigma exceeds the top eigenvalue, sigma*I - A is a nonsingular M-matrix:
+    every pivot is positive and every factor entry is at most 0, so every
+    iterate stays positive.  It stops when the bracket [min_i, max_i] of
+    (A y)_i / y_i closes to one unit in the last place of sigma, when sigma
+    stops decreasing, or when a pivot is not positive, since sigma then lies
+    within rounding of the top eigenvalue.
 
-    Returns the eigenvector in breadth-first order, the number of solves
-    and the final bracket.
+    Returns the eigenvector in breadth-first order, the number of fill
+    entries, the number of solves and the final bracket.
     """
+    rows, initial, fill = _factor_rows(parent, rings)
     n = len(parent)
     norm = math.hypot(*degrees)
     y = [d / norm for d in degrees]
     product = [0.0] * n
-    for i in range(1, n):
-        p = parent[i]
+    for i, p in [*enumerate(parent[1:], 1), *rings]:
         product[i] += y[p]
         product[p] += y[i]
     ratios = [a / b for a, b in zip(product, y)]
@@ -217,20 +246,36 @@ def _tree_perron_vector(
     sigma = high
     solves = 0
     while high - low > math.ulp(sigma):
-        # Eliminate each atom into its parent, keeping the inverse of its
-        # pivot in pivot[i]; rhs carries the forward substitution of y.
+        # Eliminate each atom, keeping the inverse of its pivot in pivot[i];
+        # rhs carries the forward substitution of y, values the factor.
         pivot = [sigma] * n
         rhs = y[:]
+        values = initial[:]
         for i in range(n - 1, 0, -1):
             inverse = pivot[i] = 1.0 / pivot[i]
-            p = parent[i]
-            pivot[p] -= inverse
-            rhs[p] += rhs[i] * inverse
+            if i not in rows:
+                p = parent[i]
+                pivot[p] -= inverse
+                rhs[p] += rhs[i] * inverse
+                continue
+            entries, updates = rows[i]
+            for s, k in entries:
+                scaled = values[s] * inverse
+                pivot[k] -= values[s] * scaled
+                rhs[k] -= scaled * rhs[i]
+            for target, a, b in updates:
+                values[target] -= values[a] * values[b] * inverse
         if min(pivot) <= 0.0:
             break
         z = [rhs[0] / pivot[0]] * n
         for i in range(1, n):
-            z[i] = (rhs[i] + z[parent[i]]) * pivot[i]
+            if i not in rows:
+                z[i] = (rhs[i] + z[parent[i]]) * pivot[i]
+                continue
+            total = rhs[i]
+            for s, k in rows[i][0]:
+                total -= values[s] * z[k]
+            z[i] = total * pivot[i]
         solves += 1
         # (sigma*I - A) z = y, so (A z)_i / z_i = sigma - y_i / z_i.
         ratios = [a / b for a, b in zip(y, z)]
@@ -241,30 +286,18 @@ def _tree_perron_vector(
         if high >= sigma:
             break
         sigma = high
-    return y, solves, low, high
+    return y, fill, solves, low, high
 
 
 def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, float]:
     """Principal-eigenvector centrality of one molecule, unit Euclidean norm.
 
-    Each connected piece is solved exactly.  A piece with one bond fewer
-    than atoms is a tree, solved in O(n) by ``_tree_perron_vector``.  Any
-    other piece has a ring and is solved densely by ``_perron_vector``.
-    A ring piece whose breadth-first shells from its smallest atom have no
-    bond inside one shell is bipartite, with the even and the odd shells as
-    its parts: A = [[0, B], [B^T, 0]] with B the biadjacency from the smaller
-    part S to the larger part L.  Its principal eigenvector [u; v] has u the
-    Perron vector of K = B B^T, whose top eigenvalue is sigma^2, and
-    v = B^T u / sigma, so the cubic work runs on |S| <= n/2 atoms.  K is
-    counted from the bonds into the bordered array, and B is built only
-    after the solve, so the two never share memory.  K is primitive
-    (connected, with the atom degrees on its diagonal), so sigma^2 is
-    simple.  A piece with an odd ring is solved on M = A + I, counted from
-    the bonds too: the shift leaves the eigenvectors unchanged and makes the
-    matrix primitive, so its top eigenvalue is simple too.  Should the
-    component be disconnected, each connected piece is treated on its own
-    and atoms without bonds receive 0, as do all atoms of a molecule with no
-    bonds at all.  Each solved piece is logged at INFO.
+    Each connected piece is solved exactly by ``_perron_vector``, in O(n)
+    per solve on a tree and in about O(n w^2) on a piece whose
+    breadth-first shells hold at most w atoms.  Should the component be disconnected, each connected
+    piece is treated on its own and atoms without bonds receive 0, as do
+    all atoms of a molecule with no bonds at all.  Each solved piece is
+    logged at INFO.
     """
     gids = graph.components.get(component)
     if gids is None:
@@ -275,60 +308,17 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
         if start in result:
             continue
         # The piece holding the smallest atom not yet solved.
-        order, parent = _breadth_first_tree(graph, start)
+        order, parent, rings = _breadth_first_tree(graph, start)
         if len(order) == 1:
             result[start] = 0.0
             continue
-        # A connected piece holds every neighbour of its atoms, so its
-        # degrees count each of its bonds twice.
         degrees = [len(graph.neighbors(gid)) for gid in order]
-        if sum(degrees) == 2 * (len(order) - 1):
-            x, solves, low, high = _tree_perron_vector(parent, degrees)
-            result.update(zip(order, x))
-            logger.info(
-                "centrality: %s molecule %d, %d atoms from atom %d: tree, "
-                "%d Noda solves, Collatz-Wielandt bracket [%r, %r]",
-                graph.side, component, len(order), start, solves, low, high,
-            )
-            continue
-        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
-        piece = sorted(depth)
-        # A connected piece holds every neighbour of its atoms.
-        if all(depth[gid] != depth[nbr] for gid in piece for nbr in graph.neighbors(gid)):
-            even = [gid for gid in piece if not depth[gid] & 1]
-            odd = [gid for gid in piece if depth[gid] & 1]
-            small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
-            s = len(small)
-            row = {gid: i for i, gid in enumerate(small)}
-            # The neighbours of each L atom, as rows of S.
-            adjacent = [[row[nbr] for nbr in graph.neighbors(gid)] for gid in large]
-            # K[i, k] counts the common neighbours of small[i] and small[k]:
-            # each L atom adds one to every cell of its neighbours' pairs, its
-            # degree to their diagonal.  Small integers, so K is exact in any
-            # summation order and holds the bits B B^T would.
-            top, u = _perron_vector(
-                [i * (s + 1) + k for rows in adjacent for i in rows for k in rows], s
-            )
-            # B is built only now, beside no s x s array, for v = B^T u / sigma.
-            biadjacency = np.zeros((s, len(large)))
-            biadjacency.reshape(-1)[
-                [i * len(large) + j for j, rows in enumerate(adjacent) for i in rows]
-            ] = 1.0
-            x = np.concatenate((u, biadjacency.T @ u / np.sqrt(top)))
-            # x lists S, then L.
-            piece = small + large
-        else:
-            n = len(piece)
-            index = {gid: i for i, gid in enumerate(piece)}
-            # A + I: the diagonal, then each bond once from either end.
-            cells = [i * (n + 2) for i in range(n)]
-            for i, gid in enumerate(piece):
-                cells += [i * (n + 1) + index[nbr] for nbr in graph.neighbors(gid)]
-            _, x = _perron_vector(cells, n)
-        result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
+        x, fill, solves, low, high = _perron_vector(parent, rings, degrees)
+        result.update(zip(order, x))
         logger.info(
-            "centrality: %s molecule %d, %d atoms from atom %d: dense",
-            graph.side, component, len(piece), start,
+            "centrality: %s molecule %d, %d atoms from atom %d: %d fill entries, "
+            "%d Noda solves, Collatz-Wielandt bracket [%r, %r]",
+            graph.side, component, len(order), start, fill, solves, low, high,
         )
     return result
 

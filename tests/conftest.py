@@ -51,6 +51,17 @@ def path_topology(n, type_id=1, mass=12.011):
     return make_topology(atoms, bonds, {type_id: mass})
 
 
+def sheet(rows, columns, rng):
+    """A rows x columns sheet of fused four-rings, each atom bonded to its
+    right and lower neighbours, with its atom ids shuffled by rng: a ladder
+    when ``rows`` is 2 or 3, a grid when both sides are long."""
+    ids = list(range(1, rows * columns + 1))
+    rng.shuffle(ids)
+    bonds = [(ids[k], ids[k + 1]) for k in range(len(ids)) if (k + 1) % columns]
+    bonds += [(ids[k], ids[k + columns]) for k in range(len(ids) - columns)]
+    return make_graph([(i, 1, 0.0) for i in ids], bonds, {1: 12.011})
+
+
 def alkene_dimerization(n, rng, retype_radius=None):
     """Two explicit-hydrogen 1-alkenes CnH2n joined head to head into the
     alkane C2nH(4n+2), with the atom ids of each molecule shuffled by rng.

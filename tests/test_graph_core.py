@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_topology, path_topology, ua_dimerization
+from conftest import CASE_STUDIES, make_graph, make_topology, path_topology, sheet, ua_dimerization
 from test_lammps_io import load_workloads
+from templater.cli import RunConfig, run_stages
 from templater.errors import EmptyTopology
 from templater.graph_core import (
     AtomNode,
@@ -112,9 +113,8 @@ def ring(first, size):
     return [(first + k, first + (k + 1) % size) for k in range(size)]
 
 
-# Molecules with odd rings, which are solved on A + I: an epoxide-like
-# three-ring, a five-ring with a substituent, and the fused five-six bicycle
-# of indane.
+# Molecules with odd rings: an epoxide-like three-ring, a five-ring with a
+# substituent, and the fused five-six bicycle of indane.
 EPOXIDE = (6, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 5), (2, 6)])
 CYCLOPENTYL = (6, ring(1, 5) + [(1, 6)])
 INDANE = (9, ring(1, 6) + [(6, 7), (7, 8), (8, 9), (9, 1)])
@@ -284,35 +284,36 @@ class TestEigenvectorCentrality:
     def test_dense_oracle_odd_and_mixed_rings(self, molecule):
         assert_matches_dense_oracle(graph_of(molecule), 1)
 
-    def test_bipartite_pieces_solve_half_size(self, monkeypatch):
-        # Every oracle passes on the A + I path as well, so pin the path by
-        # the matrices the eigenvalue solver receives, one per piece with a
-        # ring.  Trees make no numpy.linalg call at all.
+    def test_no_numpy_linalg_call(self, monkeypatch):
+        # Every piece is solved by elimination in plain Python.  Each public
+        # numpy.linalg function and each LAPACK ufunc behind them records
+        # its calls, so a call through a name imported early is seen too.
         calls = []
 
-        def recording(name):
-            original = getattr(np.linalg, name)
+        def recording(module, name):
+            original = getattr(module, name)
 
-            def call(matrix, *args):
-                calls.append((name, np.shape(matrix)))
-                return original(matrix, *args)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
 
-            return call
+            monkeypatch.setattr(module, name, call)
 
-        for name in ("eigvalsh", "solve", "norm"):
-            monkeypatch.setattr(np.linalg, name, recording(name))
-
-        def solved_shapes(graph):
-            calls.clear()
-            eigenvector_centrality(graph, 1)
-            return [shape for name, shape in calls if name == "eigvalsh"]
-
-        assert solved_shapes(build_unified_graph([path_topology(192)], "product")) == []
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                recording(np.linalg, name)
+        for name in dir(np.linalg._umath_linalg):
+            if not name.startswith("_"):
+                recording(np.linalg._umath_linalg, name)
+        np.linalg.eigh(np.eye(2))
+        assert calls == ["eigh", "eigh_lo"]
+        calls.clear()
+        for molecule in (EPOXIDE, INDANE, MIXED, (192, ring(1, 192))):
+            eigenvector_centrality(graph_of(molecule), 1)
+        eigenvector_centrality(build_unified_graph([path_topology(192)], "product"), 1)
+        for reactants, products in CASE_STUDIES.values():
+            run_stages(RunConfig(reactants=reactants, products=products))
         assert calls == []
-        assert solved_shapes(graph_of(EPOXIDE)) == [(6, 6)]
-        assert solved_shapes(graph_of(INDANE)) == [(9, 9)]
-        # The six-ring on half its atoms, the five-ring on all; the pair is a tree.
-        assert solved_shapes(graph_of(MIXED)) == [(3, 3), (5, 5)]
 
     def test_fixed_point_residual_random_graphs(self):
         rng = random.Random(99)
@@ -357,7 +358,7 @@ class TestEigenvectorCentrality:
     def test_dense_oracle_long_shuffled_chain(self):
         # Against the closed form sin(j pi / 769), normalised, whose values
         # all lie at least 1.9e-12 from a rounding boundary at 9 decimals,
-        # the half-size solve lands within 2.9e-14 and dense eigh of A + I
+        # the tree solve lands within 1.9e-14 and dense eigh of A + I
         # within 3.9e-13 (max over the chain; numpy 2.4 with OpenBLAS 0.3.31
         # on x86-64).
         assert_matches_dense_oracle(shuffled_chain(768, random.Random(7)), 1)
@@ -399,6 +400,18 @@ class TestEigenvectorCentrality:
                 assert_matches_dense_oracle(graph, 1)
                 assert_fixed_point(graph, 1)
 
+    @pytest.mark.parametrize(
+        "rows, columns",
+        [(2, 2), (2, 9), (2, 150), (3, 4), (3, 100), (4, 4), (5, 8), (7, 7), (10, 10)],
+    )
+    def test_ladders_and_grids_dense_oracle(self, rows, columns):
+        # Fused four-rings, shuffled ids: ladders of 2 and 3 rows fill about
+        # 0.5 and 1.3 entries per atom, a w x w grid about w / 2.
+        for seed in range(3):
+            graph = sheet(rows, columns, random.Random(100 * rows + columns + seed))
+            assert_matches_dense_oracle(graph, 1)
+            assert_fixed_point(graph, 1)
+
     @pytest.mark.parametrize("n", [2, 3, 50, 500, 2000])
     def test_paths_closed_form(self, n):
         graph = shuffled_chain(n, random.Random(n))
@@ -411,108 +424,50 @@ class TestEigenvectorCentrality:
         with caplog.at_level(logging.INFO, logger="templater"):
             eigenvector_centrality(graph_of(MIXED), 1)
         lines = [m for m in caplog.messages if m.startswith("centrality:")]
-        assert lines[0] == "centrality: reactant molecule 1, 6 atoms from atom 1: dense"
-        assert lines[1] == "centrality: reactant molecule 1, 5 atoms from atom 7: dense"
-        # The pair starts from its eigenvector, the degree vector (1, 1).
-        assert lines[2] == (
-            "centrality: reactant molecule 1, 2 atoms from atom 12: tree, "
-            "0 Noda solves, Collatz-Wielandt bracket [1.0, 1.0]"
-        )
-        assert len(lines) == 3
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="templater"):
-            eigenvector_centrality(build_unified_graph([path_topology(96)], "product"), 1)
-        (line,) = caplog.messages
-        match = re.fullmatch(
-            r"centrality: product molecule 1, 96 atoms from atom 1: tree, (\d+) Noda solves, "
-            r"Collatz-Wielandt bracket \[(\S+), (\S+)\]",
-            line,
-        )
-        solves, low, high = int(match[1]), float(match[2]), float(match[3])
-        assert 1 <= solves <= 10
-        top = 2 * math.cos(math.pi / 97)
-        assert low <= high and high - low <= 1e-14
-        assert abs(low - top) <= 1e-14 and abs(high - top) <= 1e-14
+        # A ring of n atoms fills n - 3 entries.  Each piece is regular, so
+        # it starts from its eigenvector and makes no solve.
+        assert lines == [
+            "centrality: reactant molecule 1, 6 atoms from atom 1: 3 fill entries, "
+            "0 Noda solves, Collatz-Wielandt bracket [2.0, 2.0]",
+            "centrality: reactant molecule 1, 5 atoms from atom 7: 2 fill entries, "
+            "0 Noda solves, Collatz-Wielandt bracket [2.0, 2.0]",
+            "centrality: reactant molecule 1, 2 atoms from atom 12: 0 fill entries, "
+            "0 Noda solves, Collatz-Wielandt bracket [1.0, 1.0]",
+        ]
+        # The fused bicycle and the chain iterate; their brackets close on
+        # the top eigenvalue, from dense eigvalsh and the closed form.
+        adjacency = np.zeros((9, 9))
+        for a, b in graph_of(INDANE).edges:
+            adjacency[a - 1, b - 1] = adjacency[b - 1, a - 1] = 1.0
+        for graph, side, atoms, fill, top in (
+            (graph_of(INDANE), "reactant", 9, 5, np.linalg.eigvalsh(adjacency)[-1]),
+            (
+                build_unified_graph([path_topology(96)], "product"),
+                "product", 96, 0, 2 * math.cos(math.pi / 97),
+            ),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="templater"):
+                eigenvector_centrality(graph, 1)
+            (line,) = caplog.messages
+            match = re.fullmatch(
+                rf"centrality: {side} molecule 1, {atoms} atoms from atom 1: {fill} fill "
+                r"entries, (\d+) Noda solves, Collatz-Wielandt bracket \[(\S+), (\S+)\]",
+                line,
+            )
+            solves, low, high = int(match[1]), float(match[2]), float(match[3])
+            assert 1 <= solves <= 10
+            assert low <= high and high - low <= 1e-14
+            assert abs(low - top) <= 1e-14 and abs(high - top) <= 1e-14
 
 
-def two_matrix_perron_vector(bordered):
-    """``_perron_vector`` as it was before it negated the whole bordered
-    array: ``np.negative`` writes into the strided n x n block."""
-    n = len(bordered) - 1
-    matrix = bordered[:n, :n]
-    top = np.linalg.eigvalsh(matrix)[-1]
-    np.negative(matrix, out=matrix)
-    bordered.reshape(-1)[: n * (n + 2) : n + 2] += top
-    bordered[:n, n] = bordered[n, :n] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    return top, np.linalg.solve(bordered, rhs)[:n]
-
-
-def two_matrix_centrality(graph, component):
-    """``eigenvector_centrality`` as it was before K came from the bonds: the
-    dense biadjacency B, K = B B^T by ``np.matmul`` beside it, and
-    ``two_matrix_perron_vector``.  The bits to match."""
-    result = {}
-    for start in graph.components[component]:
-        if start in result:
-            continue
-        depth = {gid: d for d, shell in enumerate(graph.shells(start)) for gid in shell}
-        if len(depth) == 1:
-            result[start] = 0.0
-            continue
-        piece = sorted(depth)
-        if all(depth[gid] != depth[nbr] for gid in piece for nbr in graph.neighbors(gid)):
-            even = [gid for gid in piece if not depth[gid] & 1]
-            odd = [gid for gid in piece if depth[gid] & 1]
-            small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
-            s = len(small)
-            column = {gid: j for j, gid in enumerate(large)}
-            biadjacency = np.zeros((s, len(large)))
-            for i, gid in enumerate(small):
-                for nbr in graph.neighbors(gid):
-                    biadjacency[i, column[nbr]] = 1.0
-            bordered = np.zeros((s + 1, s + 1))
-            np.matmul(biadjacency, biadjacency.T, out=bordered[:s, :s])
-            top, u = two_matrix_perron_vector(bordered)
-            x = np.concatenate((u, biadjacency.T @ u / np.sqrt(top)))
-            piece = small + large
-        else:
-            n = len(piece)
-            index = {gid: i for i, gid in enumerate(piece)}
-            bordered = np.zeros((n + 1, n + 1))
-            matrix = bordered[:n, :n]
-            np.fill_diagonal(matrix, 1.0)
-            for gid in piece:
-                for nbr in graph.neighbors(gid):
-                    matrix[index[gid], index[nbr]] = 1.0
-            _, x = two_matrix_perron_vector(bordered)
-        result.update(zip(piece, (np.abs(x) / np.linalg.norm(x)).tolist()))
-    return result
-
-
-def assert_matches_two_matrix_solve(graph):
-    """Every molecule of the graph against ``two_matrix_centrality``: the
-    same bits on pieces with a ring and on atoms without bonds; on trees,
-    which the tree solve takes, equal to 1e-12 and after the rounding of
-    ``centrality_delta``."""
+def assert_solves_every_molecule(graph):
+    """Every molecule of the graph against dense ``eigh`` and the fixed
+    point, each as ``assert_matches_dense_oracle`` and
+    ``assert_fixed_point`` check it."""
     for component in graph.components:
-        centrality = eigenvector_centrality(graph, component)
-        reference = two_matrix_centrality(graph, component)
-        assert centrality.keys() == reference.keys()
-        trees = {
-            gid
-            for piece in bonded_pieces(graph, component) if is_tree(graph, piece)
-            for gid in piece
-        }
-        for gid, value in centrality.items():
-            if gid in trees:
-                assert abs(value - reference[gid]) <= 1e-12
-                assert round(value, CENTRALITY_DELTA_DECIMALS) == round(
-                    reference[gid], CENTRALITY_DELTA_DECIMALS
-                )
-            else:
-                assert value == reference[gid]
+        assert_matches_dense_oracle(graph, component)
+        assert_fixed_point(graph, component)
 
 
 def random_connected_graph(rng, bipartite):
@@ -540,17 +495,17 @@ def random_connected_graph(rng, bipartite):
 
 
 class TestCentralitySolveBits:
-    """On pieces with a ring the solver returns exactly what the two-matrix
-    solve returned, so their ``delta_c`` keeps every bit.  Trees are solved
-    by Noda iteration and agree to 1e-12 and after the 9-decimal rounding:
-    within 1.7e-14 on the 19,872 tree atoms of the seed-1 benchmark
-    molecules and 1.2e-16 on the 88 of the random graphs below, with no
+    """Every molecule the pipeline meets, rings included, against dense
+    ``eigh`` of A + I to 1e-12 and after the 9-decimal rounding, and
+    against the fixed point.  Ring pieces land within 1.3e-14 of dense
+    ``eigh`` on the case studies and the random graphs below, and tree
+    pieces within 1.7e-14 on the seed-1 benchmark molecules, with no
     value rounding differently."""
 
     def test_case_study_molecules(self, case_states):
         for state in case_states.values():
-            assert_matches_two_matrix_solve(state.g_reac)
-            assert_matches_two_matrix_solve(state.g_prod)
+            assert_solves_every_molecule(state.g_reac)
+            assert_solves_every_molecule(state.g_prod)
 
     def test_benchmark_molecules(self, tmp_path):
         workloads = load_workloads()
@@ -563,14 +518,13 @@ class TestCentralitySolveBits:
                     for path in paths:
                         with open(path, encoding="ascii") as handle:
                             topologies.append(parse_data_file(handle.read()))
-                    assert_matches_two_matrix_solve(build_unified_graph(topologies, side))
+                    assert_solves_every_molecule(build_unified_graph(topologies, side))
 
     @pytest.mark.parametrize("bipartite", [True, False], ids=["bipartite", "odd-ring"])
     def test_random_connected_graphs(self, bipartite):
         rng = random.Random(32 + bipartite)
         for _ in range(100):
-            graph = random_connected_graph(rng, bipartite)
-            assert_matches_two_matrix_solve(graph)
+            assert_solves_every_molecule(random_connected_graph(rng, bipartite))
 
     def test_united_atom_product_at_size(self):
         # The 1,536-site product is one chain.  Dense eigh lands 2.0e-12 from
@@ -579,10 +533,10 @@ class TestCentralitySolveBits:
         assert_matches_closed_form(product)
 
     def test_peak_memory_of_chain_solve(self):
-        # The 192-site chain was solved on a 97 x 97 bordered array.  Its
-        # tracemalloc peak above live memory was 4.1 of those arrays while
-        # the biadjacency sat beside it and numpy buffered the strided
-        # negation, then under 2.  As a tree it is now solved in lists of
+        # The 192-site chain was once solved on a 97 x 97 bordered array.
+        # Its tracemalloc peak above live memory was 4.1 of those arrays
+        # while the biadjacency sat beside it and numpy buffered the strided
+        # negation, then under 2.  As a tree it is solved in lists of
         # floats, at 0.65.
         graph = build_unified_graph([path_topology(192)], "product")
         eigenvector_centrality(graph, 1)
@@ -596,10 +550,10 @@ class TestCentralitySolveBits:
         assert peak <= 2.5 * 97 * 97 * 8, peak / (97 * 97 * 8)
 
     def test_peak_memory_of_ring_solve(self):
-        # A 192-atom ring is bipartite, so it takes the dense half-size
-        # solve on a 97 x 97 bordered array, with the same bound as the
-        # chain had.  Its tracemalloc peak above live memory is 1.65 of
-        # those arrays.
+        # A 192-atom ring, with the bound the chain had.  Its one ring bond
+        # fills 189 entries down both sides of the ring.  The peak above
+        # live memory was 1.65 of those arrays with the dense half-size
+        # solve; it is 1.6 now, set while the factor's slots are numbered.
         graph = graph_of((192, ring(1, 192)))
         eigenvector_centrality(graph, 1)
         tracemalloc.start()
