@@ -219,10 +219,12 @@ def _perron_vector(
     whose next shift is the Collatz-Wielandt upper bound max_i (A y)_i / y_i
     of the new iterate y, a bound on the top eigenvalue for any positive y.
     Elsner (Linear Algebra Appl. 15, 1976) proves it converges
-    quadratically.  The iteration starts from the degree vector.  Each shift
-    sigma factors sigma*I - A from the last atom to the first, each atom
-    into its parent and the rest of its row from ``_factor_rows``.  A tree
-    has no fill, and every atom of a tree updates its parent alone.  While
+    quadratically.  The iteration starts from (A + I) 1, the degree vector
+    plus one: every tree of the benchmark and the case studies takes 5
+    solves from it, the all-atom ones 6 or 7 from the degree vector.  Each
+    shift sigma factors sigma*I - A from the last atom to the first, each
+    atom into its parent and the rest of its row from ``_factor_rows``.  A
+    tree has no fill, and every atom of a tree updates its parent alone.  While
     sigma exceeds the top eigenvalue, sigma*I - A is a nonsingular M-matrix:
     every pivot is positive and every factor entry is at most 0, so every
     iterate stays positive.  It stops when the bracket [min_i, max_i] of
@@ -235,8 +237,8 @@ def _perron_vector(
     """
     rows, initial, fill = _factor_rows(parent, rings)
     n = len(parent)
-    norm = math.hypot(*degrees)
-    y = [d / norm for d in degrees]
+    norm = math.hypot(*(d + 1 for d in degrees))
+    y = [(d + 1) / norm for d in degrees]
     product = [0.0] * n
     for i, p in [*enumerate(parent[1:], 1), *rings]:
         product[i] += y[p]

@@ -21,14 +21,14 @@ from templater.graph_core import UnifiedGraph
 # Token marking a product-side neighbor with no preimage (a created atom).
 CREATED_MARK = "created"
 
-# Decimal places kept of a centrality delta.  The eigensolver leaves atoms
-# that symmetry makes equal up to about 5e-14 apart, also where they fall in
-# different parts of a bipartite molecule, such as the two ends of an
-# even-length chain: 4.9e-14 at most over shuffled chains of 2 to 1,536
-# sites, and 9e-15 over the benchmark's molecules and the case studies
-# (atoms of one class of colour refinement, whose exact centralities are
-# equal; numpy 2.4 with OpenBLAS 0.3.31 on x86-64).  Rounding makes their
-# deltas compare equal, so initiator ties go to the smallest id as documented.
+# Decimal places kept of a centrality delta.  The centrality solver, the
+# same plain-Python elimination for trees and rings, leaves atoms that
+# symmetry makes equal up to about 1e-14 apart, such as the two ends of a
+# chain: 7.7e-15 at most over shuffled chains of 2 to 1,536 sites, and
+# 1.7e-15 over the seed-1 benchmark molecules and the case studies (atoms
+# of one class of colour refinement, whose exact centralities are equal).
+# Rounding makes their deltas compare equal, so initiator ties go to the
+# smallest id as documented.
 CENTRALITY_DELTA_DECIMALS = 9
 
 # The bond delta of every atom whose bonds did not change, shared: most
