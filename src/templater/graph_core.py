@@ -223,13 +223,13 @@ def _perron_vector(
     plus one: every tree of the benchmark and the case studies takes 5
     solves from it, the all-atom ones 6 or 7 from the degree vector.  Each
     shift sigma factors sigma*I - A from the last atom to the first, each
-    atom into its parent and the rest of its row from ``_factor_rows``.  A
-    tree has no fill, and every atom of a tree updates its parent alone.  While
-    sigma exceeds the top eigenvalue, sigma*I - A is a nonsingular M-matrix:
-    every pivot is positive and every factor entry is at most 0, so every
-    iterate stays positive.  It stops when the bracket [min_i, max_i] of
-    (A y)_i / y_i closes to one unit in the last place of sigma, when sigma
-    stops decreasing, or when a pivot is not positive, since sigma then lies
+    atom into its parent and the rest of its row from ``_factor_rows``; an
+    atom of a tree updates its parent alone.  While sigma exceeds the top
+    eigenvalue, sigma*I - A is a nonsingular M-matrix: every pivot is
+    positive and every factor entry is at most 0, so every iterate stays
+    positive.  It stops when the bracket [min_i, max_i] of (A y)_i / y_i
+    closes to one unit in the last place of sigma, when sigma stops
+    decreasing, or when a pivot is not positive, since sigma then lies
     within rounding of the top eigenvalue.
 
     Returns the eigenvector in breadth-first order, the number of fill
@@ -237,12 +237,17 @@ def _perron_vector(
     """
     rows, initial, fill = _factor_rows(parent, rings)
     n = len(parent)
-    norm = math.hypot(*(d + 1 for d in degrees))
-    y = [(d + 1) / norm for d in degrees]
+    y = [d + 1.0 for d in degrees]
+    norm = math.hypot(*y)
+    y = [v / norm for v in y]
     product = [0.0] * n
-    for i, p in [*enumerate(parent[1:], 1), *rings]:
+    for i in range(1, n):
+        p = parent[i]
         product[i] += y[p]
         product[p] += y[i]
+    for i, k in rings:
+        product[i] += y[k]
+        product[k] += y[i]
     ratios = [a / b for a, b in zip(product, y)]
     low, high = min(ratios), max(ratios)
     sigma = high
@@ -296,10 +301,10 @@ def eigenvector_centrality(graph: UnifiedGraph, component: int) -> dict[int, flo
 
     Each connected piece is solved exactly by ``_perron_vector``, in O(n)
     per solve on a tree and in about O(n w^2) on a piece whose
-    breadth-first shells hold at most w atoms.  Should the component be disconnected, each connected
-    piece is treated on its own and atoms without bonds receive 0, as do
-    all atoms of a molecule with no bonds at all.  Each solved piece is
-    logged at INFO.
+    breadth-first shells hold at most w atoms.  Should the component be
+    disconnected, each connected piece is treated on its own and atoms
+    without bonds receive 0, as do all atoms of a molecule with no bonds at
+    all.  Each solved piece is logged at INFO.
     """
     gids = graph.components.get(component)
     if gids is None:
