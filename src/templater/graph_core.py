@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -144,13 +145,12 @@ def _breadth_first_tree(
     # The loop also visits the atoms appended while it runs.
     for i, gid in enumerate(order):
         for nbr in graph.neighbors(gid):
-            k = position.get(nbr)
-            if k is None:
+            if nbr not in position:
                 position[nbr] = len(order)
                 order.append(nbr)
                 parent.append(i)
-            elif k < i and k != parent[i]:
-                rings.append((i, k))
+            elif nbr != order[parent[i]] and position[nbr] < i:
+                rings.append((i, position[nbr]))
     return order, parent, rings
 
 
@@ -172,12 +172,12 @@ def _factor_rows(
     short on chains, rings and ladders of fused rings.
 
     Returns a dict that maps each atom whose row is more than its parent,
-    or whose parent entry an elimination updates, to ``(entries,
-    updates)``: the ``(slot, earlier position)`` of each entry of its row,
-    parent first, and the slots ``(target, a, b)`` of the entry that each
-    two of them update when the atom is eliminated.  A tree maps no atom.
-    Also returns the initial values of the slots, -1.0 for a bond and 0.0
-    for fill, and the number of fill entries.
+    or whose parent entry an elimination updates, last atom first, to
+    ``(entries, updates)``: the ``(slot, earlier position)`` of each entry
+    of its row, parent first, and the slots ``(target, a, b)`` of the entry
+    that each two of them update when the atom is eliminated.  A tree maps
+    no atom.  Also returns the initial values of the slots, -1.0 for a bond
+    and 0.0 for fill, and the number of fill entries.
     """
     extra: dict[int, set[int]] = {}
     for i, k in rings:
@@ -198,9 +198,7 @@ def _factor_rows(
             if a > b
         ]
         j = max(columns)
-        row = set(columns) - {j, parent[j]}
-        if row:
-            extra.setdefault(j, set()).update(row)
+        extra.setdefault(j, set()).update(set(columns) - {j, parent[j]})
     # Slots are numbered in the order the dict holds them.
     bonds = set(rings)
     values = [-1.0 if k == parent[j] or (j, k) in bonds else 0.0 for j, k in slot]
@@ -237,17 +235,14 @@ def _perron_vector(
     """
     rows, initial, fill = _factor_rows(parent, rings)
     n = len(parent)
+    last_first, first_last = [*rows, 0], [*reversed(rows), n]
     y = [d + 1.0 for d in degrees]
     norm = math.hypot(*y)
     y = [v / norm for v in y]
     product = [0.0] * n
-    for i in range(1, n):
-        p = parent[i]
+    for i, p in chain(enumerate(parent[1:], 1), rings):
         product[i] += y[p]
         product[p] += y[i]
-    for i, k in rings:
-        product[i] += y[k]
-        product[k] += y[i]
     ratios = [a / b for a, b in zip(product, y)]
     low, high = min(ratios), max(ratios)
     sigma = high
@@ -258,36 +253,42 @@ def _perron_vector(
         pivot = [sigma] * n
         rhs = y[:]
         values = initial[:]
-        for i in range(n - 1, 0, -1):
-            inverse = pivot[i] = 1.0 / pivot[i]
-            if i not in rows:
+        # The atoms between two with rows of their own take the tree step;
+        # the root, which is not eliminated, ends the last run.
+        stop = n
+        for g in last_first:
+            for i in range(stop - 1, g, -1):
+                inverse = pivot[i] = 1.0 / pivot[i]
                 p = parent[i]
                 pivot[p] -= inverse
                 rhs[p] += rhs[i] * inverse
-                continue
-            entries, updates = rows[i]
-            for s, k in entries:
-                scaled = values[s] * inverse
-                pivot[k] -= values[s] * scaled
-                rhs[k] -= scaled * rhs[i]
-            for target, a, b in updates:
-                values[target] -= values[a] * values[b] * inverse
+            stop = g
+            if g:
+                inverse = pivot[g] = 1.0 / pivot[g]
+                entries, updates = rows[g]
+                for s, k in entries:
+                    scaled = values[s] * inverse
+                    pivot[k] -= values[s] * scaled
+                    rhs[k] -= scaled * rhs[g]
+                for target, a, b in updates:
+                    values[target] -= values[a] * values[b] * inverse
         if min(pivot) <= 0.0:
             break
         z = [rhs[0] / pivot[0]] * n
-        for i in range(1, n):
-            if i not in rows:
+        start = 1
+        for g in first_last:
+            for i in range(start, g):
                 z[i] = (rhs[i] + z[parent[i]]) * pivot[i]
-                continue
-            total = rhs[i]
-            for s, k in rows[i][0]:
-                total -= values[s] * z[k]
-            z[i] = total * pivot[i]
+            start = g + 1
+            if g < n:
+                total = rhs[g]
+                for s, k in rows[g][0]:
+                    total -= values[s] * z[k]
+                z[g] = total * pivot[g]
         solves += 1
         # (sigma*I - A) z = y, so (A z)_i / z_i = sigma - y_i / z_i.
         ratios = [a / b for a, b in zip(y, z)]
-        step = min(ratios)
-        low, high = sigma - max(ratios), sigma - step
+        low, high = sigma - max(ratios), sigma - min(ratios)
         norm = math.hypot(*z)
         y = [v / norm for v in z]
         if high >= sigma:
